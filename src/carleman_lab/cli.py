@@ -3,7 +3,8 @@
 One JSON config describes one experiment; every subcommand writes a result
 table (plot-ready long CSV) and a run log, and exits 0 when all of its named
 assertions pass, 1 when one fails (named in the log), 2 on a usage or config
-error (in which case nothing is written).
+error (in which case nothing is written).  An ArithmeticError raised during
+the run is a run failure: exit 1, a log naming ``run_error``, and no CSV.
 """
 
 from __future__ import annotations
@@ -48,8 +49,7 @@ from .identities import (
     CutoffSpec,
     RegionSpec,
     SupportError,
-    identity_residual,
-    identity_vn_values,
+    identity_case,
     conjugation_residual,
     inequality_gap,
     qv_check,
@@ -392,7 +392,7 @@ OPERATION_ROUTES = {
     "field_kit.make_grid": ["qv-check", "propagation", "ucp-decay"],
     "field_kit.fd_apply": ["propagation", "ucp-decay"],
     "field_kit.sample_brownian": ["qv-check", "propagation", "ucp-decay", "inequality-scan"],
-    "carleman_weights.eval_frame": ["identity-check", "ucp-decay"],
+    "carleman_weights.eval_frame": ["expansion-check", "d2-check", "ucp-decay"],
     "carleman_weights.build_M": ["d2-check", "assumption-check"],
     "carleman_weights.eval_D": ["d2-check", "expansion-check"],
     "carleman_weights.eval_VN": ["identity-check"],
@@ -538,7 +538,8 @@ def _draw_identity_case(u: np.ndarray, n: int):
     return rho, varrho, w, params, t, x
 
 
-_CASE_DRAWS = 24  # uniform numbers consumed per randomized case (upper bound)
+# uniform numbers reserved per randomized case, by n (upper bound on the 13 + 6 n consumed)
+_CASE_DRAWS = {1: 24, 2: 30}
 
 
 # ---------------------------------------------------------------------------
@@ -551,20 +552,18 @@ def _run_identity_check(cfg: dict):
     tol = cfg.get("tolerance", 1e-8)
     n = cfg.get("n", 1)
     seed = cfg.get("seed", 0)
-    u = _stream(seed, cases * _CASE_DRAWS, tag=1).reshape(cases, _CASE_DRAWS)
+    u = _stream(seed, cases * _CASE_DRAWS[n], tag=1).reshape(cases, -1)
     rows = []
     worst = 0.0
     for i in range(cases):
         rho, varrho, w, params, t, x = _draw_identity_case(u[i], n)
-        fam = WeightFamily(rho, varrho)
-        rep = identity_residual(w, fam, params, t, x, tol=tol)
-        frame = eval_frame(rho, t, x, params, varrho)
-        V, N = identity_vn_values(w, fam, params, t, x)
+        case = identity_case(w, WeightFamily(rho, varrho), params, t, x, tol=tol)
+        rep, frame = case.report, case.frame
         worst = max(worst, rep.relative_residual)
         rows.append(
             [i, rho.name, w.name, params.lam, params.gamma, params.mu, t]
             + list(x)
-            + [frame.psi, frame.phi, frame.theta, float(np.linalg.norm(V)), N, rep.lhs, rep.rhs, rep.relative_residual, rep.passed]
+            + [frame.psi, frame.phi, frame.theta, float(np.linalg.norm(case.V)), case.N, rep.lhs, rep.rhs, rep.relative_residual, rep.passed]
         )
     cols = (
         ["case", "rho", "w", "lambda", "gamma", "mu", "t"]
@@ -582,7 +581,7 @@ def _run_conjugation_check(cfg: dict):
     seed = cfg.get("seed", 0)
     cut_cfg = cfg.get("cutoff", {"c2": 0.5, "eps": 0.3})
     cutoff = CutoffSpec(c2=float(cut_cfg["c2"]), eps=float(cut_cfg["eps"]))
-    u = _stream(seed, cases * (_CASE_DRAWS + 1) * 8, tag=2).reshape(cases, 8, _CASE_DRAWS + 1)
+    u = _stream(seed, cases * 8 * (_CASE_DRAWS[n] + 1), tag=2).reshape(cases, 8, -1)
     rows = []
     worst = 0.0
     found = 0
@@ -632,7 +631,7 @@ def _run_expansion_check(cfg: dict):
     tol_a = cfg.get("tol_quadratic", 1e-6)
     tol_b = cfg.get("tol_cubic", 1e-5)
     seed = cfg.get("seed", 0)
-    u = _stream(seed, samples * _CASE_DRAWS, tag=3).reshape(samples, _CASE_DRAWS)
+    u = _stream(seed, samples * _CASE_DRAWS[1], tag=3).reshape(samples, -1)
     scale = float(np.max(lambdas))
     rows = []
     worst_a = worst_b = 0.0
@@ -667,13 +666,12 @@ def _run_d2_check(cfg: dict):
     samples = cfg.get("samples", 500)
     tol = cfg.get("tolerance", 1e-9)
     seed = cfg.get("seed", 0)
-    u = _stream(seed, samples * _CASE_DRAWS, tag=4).reshape(samples, _CASE_DRAWS)
+    u = _stream(seed, samples * _CASE_DRAWS[1], tag=4).reshape(samples, -1)
     rows = []
     worst = 0.0
     for i in range(samples):
         rho, varrho, _, params, t, x = _draw_identity_case(u[i], 1)
         params = replace(params, gamma=_in(float(u[i, -1]), 0.5, 8.0))
-        fam = WeightFamily(rho, varrho)
         frame = eval_frame(rho, t, x, params, varrho)
         dq = eval_D(frame, rho, varrho, params)
         # independent route for the matrix form, through the structure matrix
@@ -1060,25 +1058,31 @@ def run(
     out = Path(out_dir or cfg.get("out_dir") or "out")
 
     started = time.perf_counter()
+    table = None
     try:
         table, assertions = EXPERIMENTS[subcommand](cfg)
     except (ConfigurationError, CapabilityError, GeometryError, SupportError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        # a failed computation, not a usage error: logged, with no result table
+        assertions = [("run_error", False, str(exc))]
     wall = time.perf_counter() - started
 
-    table.metadata = {"config_hash": config_hash(cfg), "version": __version__, "wall_time_s": wall}
+    digest = config_hash(cfg)
     out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / f"{subcommand}.csv"
-    emit_csv(table, csv_path)
-    if gnuplot:
-        _emit_gnuplot(subcommand, table, csv_path, out / f"{subcommand}.gp")
+    if table is not None:
+        table.metadata = {"config_hash": digest, "version": __version__, "wall_time_s": wall}
+        csv_path = out / f"{subcommand}.csv"
+        emit_csv(table, csv_path)
+        if gnuplot:
+            _emit_gnuplot(subcommand, table, csv_path, out / f"{subcommand}.gp")
 
     ok = all(passed for _, passed, _ in assertions)
     log_lines = [
         f"experiment: {subcommand}",
         f"config: {config_path}",
-        f"config_hash: {table.metadata['config_hash']}",
+        f"config_hash: {digest}",
         f"version: {__version__}",
         f"wall_time_s: {wall:.3f}",
     ]

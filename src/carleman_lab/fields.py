@@ -3,9 +3,11 @@
 Everything downstream leans on two guarantees made here:
 
 * ``AnalyticFn`` carries closed-form partial derivatives of any order,
-  generated symbolically once per (expression, multi-index) and cached as
-  compiled numpy callables.  Identity checks therefore see exact jets, not
-  finite differences.
+  generated symbolically once and cached as compiled numpy callables keyed by
+  the sympy expression itself, its parameter symbols, the dimension n and the
+  multi-index.  Parameter values are call arguments, so rebinding them never
+  recompiles.  Identity checks therefore see exact jets, not finite
+  differences.
 * ``sample_brownian`` produces a platform-independent increment stream from a
   counter-based generator with an explicit normal transform; the algorithm
   and its constants live in one block below.
@@ -13,7 +15,6 @@ Everything downstream leans on two guarantees made here:
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -324,24 +325,15 @@ X_SYMS = (sp.Symbol("x1", real=True), sp.Symbol("x2", real=True))
 _EVAL_CACHE: dict[tuple, object] = {}
 
 
-def _alpha_all(n: int, max_order: int):
-    """All multi-indices (a_t, a_x1, ..., a_xn) with total order <= max_order."""
-    if n == 1:
-        return [(i, j) for i in range(max_order + 1) for j in range(max_order + 1 - i)]
-    return [
-        (i, j, k)
-        for i in range(max_order + 1)
-        for j in range(max_order + 1 - i)
-        for k in range(max_order + 1 - i - j)
-    ]
-
-
 class AnalyticFn:
     """Closed-form scalar function of (t, x) with exact partial derivatives.
 
     Parameters of the expression are sympy symbols bound to floats; rebinding
-    via ``with_params`` is cheap and shares the per-expression evaluator cache,
-    so families of identically-shaped functions compile their derivatives once.
+    via ``with_params`` shares the evaluator cache, so families of
+    identically-shaped functions compile their derivatives once.  A compiled
+    evaluator is keyed by (expr, param_syms, n, multi-index).  Sympy
+    expressions hash and compare by structure, with symbol assumptions and
+    number types included (``2.0*x`` and ``2*x`` are different keys).
     """
 
     def __init__(self, name: str, expr: sp.Expr, n: int, params: dict[sp.Symbol, float]):
@@ -353,10 +345,7 @@ class AnalyticFn:
         free = expr.free_symbols - set(self.param_syms) - {T_SYM} - set(X_SYMS[:n])
         if free:
             raise CapabilityError(f"{name}: unbound symbols {sorted(map(str, free))}")
-        digest = hashlib.sha1(
-            (sp.srepr(expr) + "|" + ",".join(s.name for s in self.param_syms) + f"|n={n}").encode()
-        ).hexdigest()
-        self._key = digest
+        self._key = (expr, self.param_syms, self._n)
 
     @property
     def n(self) -> int:

@@ -29,6 +29,7 @@ from .fields import (
     sample_brownian,
 )
 from .weights import (
+    CarlemanFrame,
     PsiDerivatives,
     RangeError,
     WeightFamily,
@@ -395,6 +396,44 @@ def assemble(
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class IdentityCase:
+    """Residual report, weight frame, and the eval_VN (V, N) of one point."""
+
+    report: IdentityReport
+    frame: CarlemanFrame
+    V: np.ndarray
+    N: float
+
+
+def identity_case(
+    w_fn: AnalyticFn,
+    family: WeightFamily,
+    params: WeightParams,
+    t: float,
+    x,
+    tol: float = 1e-8,
+) -> IdentityCase:
+    """The multiplier identity at one point, deterministic surrogate, from one assembly.
+
+    The surrogate replaces dw_t by w_tt dt, drops the quadratic variation, and
+    reads dN as its time derivative; the two sides are then assembled through
+    disjoint formula routes and compared.  V and N take the eval_VN route from
+    the assembled jet of v and the frame's jets.
+    """
+    t, x = float(t), [float(v) for v in np.atleast_1d(x)]
+    out = assemble(family, params, t, x, w_fn)
+    q = out["quant"]
+    frame = family.frame(t, x, params)
+    # the assembled vxx is symmetric only to roundoff and eval_VN reads no Hessian
+    vxx = np.array(out["vxx"], dtype=float)
+    v_jet = Jet2.make(out["v"], out["vt"], out["vx"], out["vtt"], out["vtx"], np.triu(vxx) + np.triu(vxx, 1).T)
+    psi_d = PsiDerivatives(float(q["Psi"]), float(q["Psi_t"]), np.array(q["Psi_x"], dtype=float))
+    V, N = eval_VN(v_jet, frame, psi_d, float(q["a"]))
+    report = _report(float(out["identity_lhs"]), float(out["identity_rhs"]), tol, t, x, params)
+    return IdentityCase(report, frame, V, N)
+
+
 def identity_residual(
     w_fn: AnalyticFn,
     family: WeightFamily,
@@ -403,15 +442,8 @@ def identity_residual(
     x,
     tol: float = 1e-8,
 ) -> IdentityReport:
-    """Both sides of the multiplier identity at one point, deterministic surrogate.
-
-    The surrogate replaces dw_t by w_tt dt, drops the quadratic variation, and
-    reads dN as its time derivative; the two sides are then assembled through
-    disjoint formula routes and compared.
-    """
-    x = [float(v) for v in np.atleast_1d(x)]
-    out = assemble(family, params, float(t), x, w_fn)
-    return _report(float(out["identity_lhs"]), float(out["identity_rhs"]), tol, t, x, params)
+    """Residual report of the multiplier identity at one point (see identity_case)."""
+    return identity_case(w_fn, family, params, t, x, tol).report
 
 
 def conjugation_residual(
@@ -472,23 +504,8 @@ def identity_vn_values(
     w_fn: AnalyticFn, family: WeightFamily, params: WeightParams, t: float, x
 ) -> tuple[np.ndarray, float]:
     """Pointwise flux vector and time density (the eval_VN route)."""
-    x = [float(v) for v in np.atleast_1d(x)]
-    frame = family.frame(float(t), x, params)
-    out = assemble(family, params, float(t), x, w_fn)
-    q = out["quant"]
-    n = family.n
-    v_jet = Jet2.make(
-        float(out["v"]),
-        float(out["vt"]),
-        np.array([float(g) for g in out["vx"]]),
-        float(out["vtt"]),
-        np.array([float(g) for g in out["vtx"]]),
-        np.array([[float(out["vxx"][j][k]) for k in range(n)] for j in range(n)]),
-    )
-    psi_d = PsiDerivatives(
-        value=float(q["Psi"]), grad_t=float(q["Psi_t"]), grad_x=np.array([float(g) for g in q["Psi_x"]])
-    )
-    return eval_VN(v_jet, frame, psi_d, float(q["a"]))
+    case = identity_case(w_fn, family, params, t, x)
+    return case.V, case.N
 
 
 # ---------------------------------------------------------------------------

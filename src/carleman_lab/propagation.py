@@ -111,19 +111,12 @@ class Mollifier:
 # ---------------------------------------------------------------------------
 
 
-def _energy_density(u: np.ndarray, ut: np.ndarray, grid: Grid) -> np.ndarray:
-    g2 = np.zeros(grid.shape)
-    for j in range(grid.n):
-        g2 += _solver.gradient_array(u, grid.dx, j) ** 2
-    return g2 + ut**2 + u**2
-
-
 def local_energy(state: _solver.WaveState, support: SupportSet, t: float, grid: Grid, mollifier: Mollifier | None = None) -> float:
     """(1/2) sum cell_volume rho_m(d_K(x) - t) (|grad u|^2 + u_t^2 + u^2)."""
     mollifier = mollifier or Mollifier()
     d = distance_to_set(grid.node_positions(), support).reshape(grid.shape)
     weight = mollifier(d - t)
-    dens = _energy_density(state.u, state.ut, grid)
+    dens = _solver.energy_density(state.u, state.ut, grid)
     return 0.5 * float(np.sum(weight * dens)) * grid.cell_volume
 
 
@@ -131,7 +124,7 @@ def outside_energy(state: _solver.WaveState, support: SupportSet, t: float, grid
     """Unmollified energy strictly outside K_{t + halo} (halo in grid cells)."""
     d = distance_to_set(grid.node_positions(), support).reshape(grid.shape)
     mask = d > t + halo_cells * grid.dx
-    dens = _energy_density(state.u, state.ut, grid)
+    dens = _solver.energy_density(state.u, state.ut, grid)
     return 0.5 * float(np.sum(dens[mask])) * grid.cell_volume
 
 
@@ -197,15 +190,14 @@ def run_propagation(
     def one_path(p: int):
         bpath = sample_brownian(seed, grid.dt, grid.t_max, stream=p)
         path = _solver.solve(init, coeffs, grid, bpath, stride=stride)
-        e_loc, e_out, e_all = [], [], []
+        e_loc, e_out = [], []
         for tv, (u, ut) in zip(path.times, path.snapshots):
-            dens = _energy_density(u, ut, grid)
+            dens = _solver.energy_density(u, ut, grid)
             e_loc.append(0.5 * float(np.sum(mollifier(d - tv) * dens)) * grid.cell_volume)
             e_out.append(
                 0.5 * float(np.sum(dens[d > tv + halo_cells * grid.dx])) * grid.cell_volume
             )
-            e_all.append(0.5 * float(np.sum(dens)) * grid.cell_volume)
-        return np.asarray(path.times), np.asarray(e_loc), np.asarray(e_out), np.asarray(e_all)
+        return np.asarray(path.times), np.asarray(e_loc), np.asarray(e_out)
 
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         results = list(pool.map(one_path, range(paths)))
@@ -221,7 +213,7 @@ def run_propagation(
     # Gronwall witness: per path, largest (E(t) - E(0)) / int_0^t E; traces at
     # roundoff level are skipped.  Uses the trapezoid rule on snapshot times.
     c_emp = 0.0
-    for _, e_loc, _, _ in results:
+    for _, e_loc, _ in results:
         if float(np.max(e_loc)) <= 1e-10 * max(e_total0, 1e-300):
             continue
         for k in range(1, len(times)):

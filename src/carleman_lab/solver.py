@@ -312,13 +312,17 @@ def manufactured_forcing(u_exact: AnalyticFn, coeffs: Coefficients) -> AnalyticF
     )
 
 
-def total_energy(state: WaveState, grid: Grid) -> float:
-    """(1/2) sum cell_volume (|grad u|^2 + u_t^2 + u^2)."""
+def energy_density(u: np.ndarray, ut: np.ndarray, grid: Grid) -> np.ndarray:
+    """|grad u|^2 + u_t^2 + u^2 at every node (central differences, boundary zero)."""
     g2 = np.zeros(grid.shape)
     for j in range(grid.n):
-        g2 += gradient_array(state.u, grid.dx, j) ** 2
-    dens = g2 + state.ut**2 + state.u**2
-    return 0.5 * float(np.sum(dens)) * grid.cell_volume
+        g2 += gradient_array(u, grid.dx, j) ** 2
+    return g2 + ut**2 + u**2
+
+
+def total_energy(state: WaveState, grid: Grid) -> float:
+    """(1/2) sum cell_volume (|grad u|^2 + u_t^2 + u^2)."""
+    return 0.5 * float(np.sum(energy_density(state.u, state.ut, grid))) * grid.cell_volume
 
 
 def scalar_noise_second_moment(

@@ -162,15 +162,6 @@ class WeightFamily:
 
     # -- partial evaluation ------------------------------------------------
 
-    def psi_partial(self, t, xs, alpha, gamma: float):
-        return self._psi.with_params(cw_gamma=gamma).d(t, xs, alpha)
-
-    def ell_partial(self, t, xs, alpha, params: WeightParams):
-        """d^alpha ell = lam (d^alpha psi - mu d^alpha q)."""
-        p = self._psi.with_params(cw_gamma=params.gamma).d(t, xs, alpha)
-        q = _q_partial(t, xs, params.t0, params.x0, alpha)
-        return params.lam * (p - params.mu * q)
-
     def varrho_partial(self, t, xs, alpha):
         if isinstance(self.varrho, AnalyticFn):
             return self.varrho.d(t, xs, alpha)
@@ -463,19 +454,16 @@ def eval_frame(rho: AnalyticFn, t: float, x, params: WeightParams, varrho: Analy
 def eval_D(frame: CarlemanFrame, rho: AnalyticFn, varrho: AnalyticFn | float, params: WeightParams) -> DQuantities:
     """Expansion coefficients at the frame's point; d2 via both routes.
 
-    In debug configuration (python without -O) a disagreement between the two
-    d2 routes beyond 1e-9 relative aborts: the dual computation is the
-    module's own consistency anchor.
+    A disagreement between the two d2 routes beyond 1e-9 relative raises
+    ArithmeticError: the dual computation is the module's own consistency
+    anchor.
     """
     fam = WeightFamily(rho, varrho)
     q = fam.quantities(frame.t, list(frame.x), params)
     d2m, d2d = float(q["d2_matrix"]), float(q["d2_divergence"])
-    if __debug__:
-        denom = max(abs(d2m), abs(d2d))
-        if denom > 0.0 and abs(d2m - d2d) > 1e-9 * denom:
-            raise ArithmeticError(
-                f"d2 route disagreement: matrix {d2m!r} vs divergence {d2d!r}"
-            )
+    denom = max(abs(d2m), abs(d2d))
+    if denom > 0.0 and abs(d2m - d2d) > 1e-9 * denom:
+        raise ArithmeticError(f"d2 route disagreement: matrix {d2m!r} vs divergence {d2d!r}")
     return DQuantities(
         d1=float(q["d1"]),
         d2_matrix=d2m,

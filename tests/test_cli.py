@@ -1,5 +1,7 @@
 import csv
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -153,6 +155,59 @@ def test_identity_check_default_suite_200_rows_all_pass(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 200
     assert all(r["pass"] == "1" for r in rows)
+
+
+@pytest.mark.parametrize("subcommand, cases", [("identity-check", 30), ("conjugation-check", 15)])
+def test_two_dimensional_randomized_checks_run(tmp_path, subcommand, cases):
+    cfg = tmp_path / "two_d.json"
+    cfg.write_text(json.dumps({"experiment": subcommand, "cases": cases, "seed": 0, "n": 2}))
+    out = tmp_path / "out"
+    assert run(str(cfg), subcommand, out_dir=str(out)) == 0
+    with open(out / f"{subcommand}.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == cases
+    assert all(r["pass"] == "1" and "x2" in r for r in rows)
+
+
+def test_identity_check_assembles_each_case_once(tmp_path, monkeypatch):
+    from carleman_lab import identities
+
+    calls = []
+    original = identities.assemble
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(identities, "assemble", counting)
+    cfg = tmp_path / "id.json"
+    cfg.write_text(json.dumps({"experiment": "identity-check", "cases": 5, "seed": 0}))
+    assert run(str(cfg), "identity-check", out_dir=str(tmp_path / "out")) == 0
+    assert len(calls) == 5
+
+
+def _fail_lines(log_path):
+    return [line for line in log_path.read_text().splitlines() if line.startswith("FAIL")]
+
+
+def test_d2_guard_is_a_run_error_with_and_without_python_O(tmp_path):
+    # seed 3 draws a sample whose two d2 routes disagree beyond 1e-9
+    cfg = str(CONFIG_DIR / "d2_check.json")
+    plain = tmp_path / "plain"
+    code = run(cfg, "d2-check", out_dir=str(plain), seed=3)
+    fail = _fail_lines(plain / "d2-check.log")
+    assert code == 1
+    assert len(fail) == 1 and fail[0].startswith("FAIL run_error: d2 route disagreement")
+    assert "exit: 1" in (plain / "d2-check.log").read_text()
+    assert not (plain / "d2-check.csv").exists()
+    optimised = tmp_path / "optimised"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "carleman_lab.cli", "d2-check", "--config", cfg, "--seed", "3", "--out", str(optimised)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert _fail_lines(optimised / "d2-check.log") == fail
+    assert not (optimised / "d2-check.csv").exists()
 
 
 def test_gnuplot_emission(tmp_path):

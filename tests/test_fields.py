@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+from carleman_lab import fields
 from carleman_lab.fields import (
     BUILTIN_NAMES,
+    AnalyticFn,
     CapabilityError,
     ConfigurationError,
     Field,
@@ -16,6 +19,8 @@ from carleman_lab.fields import (
     make_grid,
     normal_stream,
     sample_brownian,
+    T_SYM,
+    X_SYMS,
     uniform_stream,
 )
 
@@ -127,6 +132,43 @@ def test_registry_rejects_unknown_names_and_params():
 def test_builtin_list_is_stable():
     assert "trig_product" in BUILTIN_NAMES
     assert "radial_norm" in BUILTIN_NAMES
+
+
+def test_parameter_values_share_compiled_evaluators():
+    make_fn("gaussian_bump", 1).jet2(0.1, [0.2])
+    before = len(fields._EVAL_CACHE)
+    a = make_fn("gaussian_bump", 1, amp=2.0, a=3.0)
+    b = make_fn("gaussian_bump", 1, amp=0.5, tc=0.1)
+    rebound = a.with_params(cx1=0.3)
+    for fn in (a, b, rebound):
+        fn.jet2(0.1, [0.2])
+    assert len(fields._EVAL_CACHE) == before
+    assert rebound.value(0.0, [0.3]) == pytest.approx(2.0)
+
+
+def _evaluator_pair(f, g, x):
+    before = len(fields._EVAL_CACHE)
+    ef, eg = f._evaluator((0,) * (f.n + 1)), g._evaluator((0,) * (g.n + 1))
+    assert ef is not eg
+    assert len(fields._EVAL_CACHE) == before + 2
+    return f.value(0.5, x[: f.n]), g.value(0.5, x[: g.n])
+
+
+def test_evaluator_key_separates_dimension_number_type_and_assumptions():
+    x1 = X_SYMS[0]
+    c_real, c_plain = sp.Symbol("keytest_c", real=True), sp.Symbol("keytest_c")
+    # the same expression at n = 1 and n = 2
+    expr = T_SYM * x1 + sp.Rational(1, 7)
+    f1, f2 = (AnalyticFn("f", expr, n, {}) for n in (1, 2))
+    assert _evaluator_pair(f1, f2, [2.0, 3.0]) == (pytest.approx(1.0 + 1 / 7),) * 2
+    # 2.0*x and 2*x are different expressions
+    fa, fb = AnalyticFn("f", 2.0 * x1 * T_SYM**3, 1, {}), AnalyticFn("f", 2 * x1 * T_SYM**3, 1, {})
+    assert fa.expr != fb.expr
+    assert _evaluator_pair(fa, fb, [2.0]) == (0.5, 0.5)
+    # a real parameter symbol and a plain one of the same name
+    fr = AnalyticFn("f", c_real * T_SYM, 1, {c_real: 4.0})
+    fp = AnalyticFn("f", c_plain * T_SYM, 1, {c_plain: 6.0})
+    assert _evaluator_pair(fr, fp, [0.0]) == (2.0, 3.0)
 
 
 # ---------------------------------------------------------------------------

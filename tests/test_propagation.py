@@ -132,9 +132,7 @@ def test_deterministic_dalembert_support_bound():
     total = S.total_energy(init, g)
     x = g.meshgrid()[0]
     mask = np.abs(x) > 0.75
-    from carleman_lab.propagation import _energy_density
-
-    beyond = 0.5 * float(np.sum(_energy_density(u, ut, g)[mask])) * g.cell_volume
+    beyond = 0.5 * float(np.sum(S.energy_density(u, ut, g)[mask])) * g.cell_volume
     assert beyond <= 1e-8 * total
 
 
