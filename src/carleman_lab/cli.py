@@ -4,7 +4,8 @@ One JSON config describes one experiment; every subcommand writes a result
 table (plot-ready long CSV) and a run log, and exits 0 when all of its named
 assertions pass, 1 when one fails (named in the log), 2 on a usage or config
 error (in which case nothing is written).  An ArithmeticError raised during
-the run is a run failure: exit 1, a log naming ``run_error``, and no CSV.
+the run, or a solved field reaching the boundary ring (PropagationError), is a
+run failure: exit 1, a log naming ``run_error``, and no CSV.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .fields import (
     fn_from_spec,
     make_fn,
     make_grid,
-    sample_brownian,
     uniform_stream,
 )
 from .weights import (
@@ -48,6 +48,7 @@ from .weights import (
 from .identities import (
     CutoffSpec,
     RegionSpec,
+    StatisticsError,
     SupportError,
     identity_case,
     conjugation_residual,
@@ -387,7 +388,9 @@ SCHEMAS = {
 SUBCOMMANDS = tuple(sorted(SCHEMAS))
 
 # Operation coverage: every library operation must be reachable from at least
-# one subcommand (verified by tests/test_cli.py).
+# one subcommand (verified by tests/test_cli.py).  The Monte Carlo subcommands
+# solve chunked path ensembles with solver.solve, whose per-step kernel is
+# step_arrays (solver.step wraps it for one WaveState).
 OPERATION_ROUTES = {
     "field_kit.make_grid": ["qv-check", "propagation", "ucp-decay"],
     "field_kit.fd_apply": ["propagation", "ucp-decay"],
@@ -882,18 +885,20 @@ def _run_ucp_decay(cfg: dict):
     phi_center = eval_frame(rho, 0.0, center, params).phi
     norms = {lv: 0.0 for lv in lambdas}
     utt_probe = math.nan
-    for p in range(paths):
-        bpath = sample_brownian(seed, grid.dt, grid.t_max, stream=p)
-        path = _solver.solve(init, coeffs, grid, bpath, stride=stride)
-        if p == 0 and len(path.times) >= 3:
+    for bpaths in _solver.path_chunks(seed, grid, paths):
+        chunk = _solver.solve(init, coeffs, grid, bpaths, stride=stride)
+        if bpaths[0].stream == 0 and len(chunk.times) >= 3:
             mid = tuple(s // 2 for s in grid.shape)
-            utt_probe = fd_apply(path, "utt", (1, mid))
-        for k, (uu, ut) in enumerate(path.snapshots):
-            for lv in lambdas:
-                norms[lv] += (
-                    float(np.sum(th2[lv][k] * (lv**3 * uu**2 + lv * ut**2)))
-                    * grid.cell_volume * grid.dt * stride
-                )
+            utt_probe = fd_apply(chunk, "utt", (1, (0, *mid)))
+        sums = {
+            lv: [_solver.row_sums(th2[lv][k] * (lv**3 * uu**2 + lv * ut**2)) for k, (uu, ut) in enumerate(chunk.snapshots)]
+            for lv in th2
+        }
+        # scalar sums path by path, then snapshot by snapshot; one array sum would reorder them
+        for p in range(len(bpaths)):
+            for k in range(len(chunk.times)):
+                for lv in lambdas:
+                    norms[lv] += float(sums[lv][k][p]) * grid.cell_volume * grid.dt * stride
     rows = []
     prev = None
     monotone = True
@@ -1061,10 +1066,10 @@ def run(
     table = None
     try:
         table, assertions = EXPERIMENTS[subcommand](cfg)
-    except (ConfigurationError, CapabilityError, GeometryError, SupportError) as exc:
+    except (ConfigurationError, CapabilityError, GeometryError, SupportError, StatisticsError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:
+    except (ArithmeticError, _solver.PropagationError) as exc:
         # a failed computation, not a usage error: logged, with no result table
         assertions = [("run_error", False, str(exc))]
     wall = time.perf_counter() - started

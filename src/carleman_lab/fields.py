@@ -256,14 +256,6 @@ class Jet2:
         )
 
 
-def jet_zero(n: int) -> Jet2:
-    return Jet2.make(0.0, 0.0, np.zeros(n), 0.0, np.zeros(n), np.zeros((n, n)))
-
-
-def jet_const(c: float, n: int) -> Jet2:
-    return Jet2.make(c, 0.0, np.zeros(n), 0.0, np.zeros(n), np.zeros((n, n)))
-
-
 def jet_scale(a: Jet2, c: float) -> Jet2:
     return Jet2.make(c * a.value, c * a.grad_t, c * a.grad_x, c * a.hess_tt, c * a.hess_tx, c * a.hess_xx)
 
@@ -276,25 +268,6 @@ def jet_add(a: Jet2, b: Jet2) -> Jet2:
         a.hess_tt + b.hess_tt,
         a.hess_tx + b.hess_tx,
         a.hess_xx + b.hess_xx,
-    )
-
-
-def jet_mul(a: Jet2, b: Jet2) -> Jet2:
-    """Leibniz product to second order."""
-    gx = a.grad_x * b.value + a.value * b.grad_x
-    hxx = (
-        a.hess_xx * b.value
-        + np.outer(a.grad_x, b.grad_x)
-        + np.outer(b.grad_x, a.grad_x)
-        + a.value * b.hess_xx
-    )
-    return Jet2.make(
-        a.value * b.value,
-        a.grad_t * b.value + a.value * b.grad_t,
-        gx,
-        a.hess_tt * b.value + 2.0 * a.grad_t * b.grad_t + a.value * b.hess_tt,
-        a.hess_tx * b.value + a.grad_t * b.grad_x + b.grad_t * a.grad_x + a.value * b.hess_tx,
-        hxx,
     )
 
 
@@ -667,26 +640,39 @@ def _check_interior(shape, index):
             raise StencilError(f"index {index} not interior on axis {j} (size {m})")
 
 
-def laplacian_array(arr: np.ndarray, dx: float) -> np.ndarray:
-    """Second-order central Laplacian on the interior; boundary entries zero."""
+def _shifted(ndim: int, axis: int):
+    """Index tuples selecting the lower, central and upper neighbours along ``axis``."""
+    sl = [slice(None)] * ndim
+    lo, mid, hi = list(sl), list(sl), list(sl)
+    lo[axis], mid[axis], hi[axis] = slice(None, -2), slice(1, -1), slice(2, None)
+    return tuple(lo), tuple(mid), tuple(hi)
+
+
+def zero_ring(arr: np.ndarray, n: int) -> None:
+    """Set the outer node ring of the trailing ``n`` (spatial) axes to zero, in place."""
+    for j in range(n):
+        tail = (slice(None),) * (n - 1 - j)
+        arr[(..., 0) + tail] = 0.0
+        arr[(..., -1) + tail] = 0.0
+
+
+def laplacian_array(arr: np.ndarray, dx: float, n: int) -> np.ndarray:
+    """Second-order central Laplacian over the trailing ``n`` axes; leading axes
+    index independent fields (e.g. Monte Carlo paths).  Boundary entries zero."""
     out = np.zeros_like(arr)
-    if arr.ndim == 1:
-        out[1:-1] = (arr[2:] - 2.0 * arr[1:-1] + arr[:-2]) / dx**2
-    else:
-        out[1:-1, :] += (arr[2:, :] - 2.0 * arr[1:-1, :] + arr[:-2, :]) / dx**2
-        out[:, 1:-1] += (arr[:, 2:] - 2.0 * arr[:, 1:-1] + arr[:, :-2]) / dx**2
-        out[0, :] = out[-1, :] = 0.0
-        out[:, 0] = out[:, -1] = 0.0
+    for axis in range(arr.ndim - n, arr.ndim):
+        lo, mid, hi = _shifted(arr.ndim, axis)
+        out[mid] += (arr[hi] - 2.0 * arr[mid] + arr[lo]) / dx**2
+    zero_ring(out, n)
     return out
 
 
 def gradient_array(arr: np.ndarray, dx: float, axis: int) -> np.ndarray:
-    """Second-order central first derivative along one axis; boundary zero."""
+    """Second-order central first derivative along one axis (spatial axis j of
+    fields with leading path axes is ``j - n``); boundary zero."""
     out = np.zeros_like(arr)
-    sl = [slice(None)] * arr.ndim
-    lo, mid, hi = list(sl), list(sl), list(sl)
-    lo[axis], mid[axis], hi[axis] = slice(None, -2), slice(1, -1), slice(2, None)
-    out[tuple(mid)] = (arr[tuple(hi)] - arr[tuple(lo)]) / (2.0 * dx)
+    lo, mid, hi = _shifted(arr.ndim, axis)
+    out[mid] = (arr[hi] - arr[lo]) / (2.0 * dx)
     return out
 
 
@@ -695,7 +681,8 @@ def fd_apply(target, op: str, index) -> float:
 
     ``target`` is a Field for op in {"laplacian", "grad0", "grad1"}; for
     op == "utt" it is a FieldPath-like object with stride-1 snapshots and
-    ``index`` is (time_index, node_index).
+    ``index`` is (time_index, node_index); for a path ensemble node_index
+    starts with the path's row.
     """
     if op == "utt":
         path, (k, node) = target, index

@@ -25,7 +25,6 @@ from .fields import (
     AnalyticFn,
     ConfigurationError,
     Jet2,
-    jet_chain,
     sample_brownian,
 )
 from .weights import (
@@ -37,6 +36,7 @@ from .weights import (
     eval_VN,
     jacobi_eigenvalues,
 )
+from . import solver as _solver
 
 
 class SupportError(ValueError):
@@ -91,15 +91,6 @@ class CutoffSpec:
 
     def chi_d2(self, phi):
         return _smoothstep_d2((np.asarray(phi, dtype=float) - self.c2) / self.eps) / self.eps**2
-
-    def chi_jet(self, phi_jet: Jet2) -> Jet2:
-        s = (phi_jet.value - self.c2) / self.eps
-        return jet_chain(
-            phi_jet,
-            float(_smoothstep(s)),
-            float(_smoothstep_d1(s)) / self.eps,
-            float(_smoothstep_d2(s)) / self.eps**2,
-        )
 
     @property
     def derivative_maxima(self) -> tuple[float, float]:
@@ -525,6 +516,34 @@ class QvReport:
     passed: bool
 
 
+class _QvSums:
+    """Accumulates, as ``solve`` records each state of one chunk, every path's
+    realized variation, plain increment sum and compensator of v_t.
+    ``theta`` holds (theta, ell_t) at every step time."""
+
+    def __init__(self, grid, samplers, bpaths, theta):
+        self.grid, self.samplers, self.theta = grid, samplers, theta
+        # Python float squares (C pow) can differ from numpy's x * x in the last bit
+        self.dw2 = np.array([[float(x) ** 2 for x in bp.increments] for bp in bpaths])
+        self.emp, self.raw, self.pred = (np.zeros(len(bpaths)) for _ in range(3))
+        self.prev, self.k = None, 0
+
+    def record(self, state):
+        # state ends step k; a final record at t_max repeats the last state
+        prev, k, self.prev = self.prev, self.k, state
+        if prev is None or k >= self.grid.num_steps:
+            return
+        self.k += 1
+        (th0, lt0), (th1, lt1) = self.theta[k], self.theta[k + 1]
+        vol = self.grid.cell_volume
+        diff = _solver.diffusion_arrays(prev.u, prev.ut, prev.time, self.samplers)
+        qv = _solver.row_sums(th0**2 * diff**2)
+        self.emp += qv * self.dw2[:, k] * vol
+        vt0, vt1 = th0 * (lt0 * prev.u + prev.ut), th1 * (lt1 * state.u + state.ut)
+        self.raw += _solver.row_sums((vt1 - vt0) ** 2) * vol
+        self.pred += qv * self.grid.dt * vol
+
+
 def qv_check(
     grid,
     coeffs,
@@ -539,63 +558,37 @@ def qv_check(
 ) -> QvReport:
     """Realized quadratic variation of v_t against its compensator integral.
 
-    v = theta u with theta == 1 when no weight family is given.  Each path's
-    diffusion samples are retained by the solver; the martingale increment of
-    v_t over one step is theta (b1 u_t + b2 u + f) dW, so its realized
-    variation sums theta^2 D^2 dW^2 while the compensator integrates
-    theta^2 D^2 dt.  The drift-biased plain increment sum is reported too;
-    it converges to the same limit as dt shrinks but never vanishes exactly
-    for a nonzero drift, whereas zero diffusion gives exactly zero here.
+    v = theta u with theta == 1 (ell == 0) when no weight family is given.  The
+    martingale increment of v_t over one step is theta (b1 u_t + b2 u + f) dW,
+    so its realized variation sums theta^2 D^2 dW^2 while the compensator
+    integrates theta^2 D^2 dt, with D evaluated from the state the step
+    starts at.  The drift-biased plain increment sum is reported too; it
+    converges to the same limit as dt shrinks but never vanishes exactly for
+    a nonzero drift, whereas zero diffusion gives exactly zero here.  Paths
+    are solved as chunked ensembles and the three sums are accumulated per
+    path, step by step, as the solve runs.
     """
-    from . import solver as _solver
-
     if paths < min_paths:
         raise StatisticsError(f"qv_check needs at least {min_paths} paths, got {paths}")
-    mesh = grid.meshgrid()
+    theta = [(1.0, 0.0)] * (grid.num_steps + 1)
     if family is not None and params is not None:
-        tgrid = np.arange(grid.num_steps + 1) * grid.dt
-        lt_of_t = []
-        th_of_t = []
-        for tv in tgrid:
-            qq = family.quantities(np.full(grid.shape, tv), list(mesh), params)
-            zero = (0,) * grid.n
-            lt_of_t.append(qq["ell"][(1, *zero)])
-            th_of_t.append(np.exp(qq["ell"][(0, *zero)]))
-    emp_vals = np.empty(paths)
-    raw_vals = np.empty(paths)
-    pred_vals = np.empty(paths)
-    vol = grid.cell_volume
-    for p in range(paths):
-        bpath = sample_brownian(seed, grid.dt, grid.t_max, stream=p)
-        path = _solver.solve(
-            _solver.initial_state(grid, u0_fn, u1_fn, coeffs),
-            coeffs,
-            grid,
-            bpath,
-            stride=1,
-            keep_diffusion=True,
-            support_guard=False,
+        mesh, zero = list(grid.meshgrid()), (0,) * grid.n
+        theta = []
+        for tv in np.arange(grid.num_steps + 1) * grid.dt:
+            ell = family.quantities(np.full(grid.shape, tv), mesh, params)["ell"]
+            theta.append((np.exp(ell[(0, *zero)]), ell[(1, *zero)]))
+    samplers = _solver.make_samplers(coeffs, grid)
+    init = _solver.initial_state(grid, u0_fn, u1_fn, coeffs)
+    chunks = [
+        _solver.solve(
+            init, coeffs, grid, bpaths, stride=1, support_guard=False,
+            out=_QvSums(grid, samplers, bpaths, theta),
         )
-        emp = 0.0
-        raw = 0.0
-        pred = 0.0
-        for k in range(len(path.times) - 1):
-            u_k, ut_k = path.snapshots[k]
-            u_k1, ut_k1 = path.snapshots[k + 1]
-            if family is not None and params is not None:
-                vt_k = th_of_t[k] * (lt_of_t[k] * u_k + ut_k)
-                vt_k1 = th_of_t[k + 1] * (lt_of_t[k + 1] * u_k1 + ut_k1)
-                weight = th_of_t[k] ** 2
-            else:
-                vt_k, vt_k1 = ut_k, ut_k1
-                weight = 1.0
-            dw2 = float(bpath.increments[k]) ** 2
-            emp += float(np.sum(weight * path.diffusion[k] ** 2)) * dw2 * vol
-            raw += float(np.sum((vt_k1 - vt_k) ** 2)) * vol
-            pred += float(np.sum(weight * path.diffusion[k] ** 2)) * grid.dt * vol
-        emp_vals[p] = emp
-        raw_vals[p] = raw
-        pred_vals[p] = pred
+        for bpaths in _solver.path_chunks(seed, grid, paths)
+    ]
+    emp_vals = np.concatenate([c.emp for c in chunks])
+    raw_vals = np.concatenate([c.raw for c in chunks])
+    pred_vals = np.concatenate([c.pred for c in chunks])
     emp_mean = float(np.mean(emp_vals))
     pred_mean = float(np.mean(pred_vals))
     se = float(np.std(emp_vals, ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0

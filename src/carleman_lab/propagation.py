@@ -10,13 +10,11 @@ leaks one cell per step, so the discrete claim is checked against a fixed
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import AnalyticFn, ConfigurationError, Grid, sample_brownian
+from .fields import AnalyticFn, ConfigurationError, Grid
 from . import solver as _solver
 
 
@@ -24,14 +22,9 @@ DEFAULT_HALO_CELLS = 3
 
 
 def worker_count() -> int:
-    """Worker cap from CARLEMAN_LAB_THREADS (default: min(4, cpu count))."""
-    env = os.environ.get("CARLEMAN_LAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigurationError(f"CARLEMAN_LAB_THREADS={env!r} is not an integer") from exc
-    return max(1, min(4, os.cpu_count() or 1))
+    """Always 1: paths are stepped as chunked ensembles in the calling thread.
+    Kept only because the benchmark's environment record reads it."""
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +133,24 @@ class EnergyTrace:
     gronwall_constant: float
 
 
-def _check_support_of_data(fn: AnalyticFn | None, grid: Grid, support: SupportSet, tol: float = 1e-12):
+class _ChunkEnergies:
+    """Keeps, per state ``solve`` records for one chunk, each path's mollified
+    local energy and raw energy outside the halo-inflated cone."""
+
+    def __init__(self, d: np.ndarray, grid: Grid, mollifier: Mollifier, halo_cells: int):
+        self.d, self.grid, self.mollifier = d, grid, mollifier
+        self.halo = halo_cells * grid.dx
+        self.times, self.loc, self.out = [], [], []
+
+    def record(self, state: _solver.WaveState):
+        dens = _solver.energy_density(state.u, state.ut, self.grid)
+        vol = self.grid.cell_volume
+        self.times.append(state.time)
+        self.loc.append(0.5 * _solver.row_sums(self.mollifier(self.d - state.time) * dens) * vol)
+        self.out.append(0.5 * _solver.row_sums(dens[:, self.d > state.time + self.halo]) * vol)
+
+
+def _check_support_of_data(fn: AnalyticFn | None, grid: Grid, d: np.ndarray, tol: float = 1e-12):
     if fn is None:
         return
     vals = np.abs(
@@ -149,7 +159,6 @@ def _check_support_of_data(fn: AnalyticFn | None, grid: Grid, support: SupportSe
     peak = float(np.max(vals))
     if peak == 0.0:
         return
-    d = distance_to_set(grid.node_positions(), support).reshape(grid.shape)
     worst = float(np.max(vals[d > 0.0])) if (d > 0.0).any() else 0.0
     if worst > tol * peak:
         raise ConfigurationError(
@@ -174,37 +183,25 @@ def run_propagation(
 
     Initial data must be supported in K (checked numerically) unless
     ``require_support`` is cleared for a deliberate witness run with a
-    positive trace.  Paths run in a small thread pool capped by
-    CARLEMAN_LAB_THREADS; the reduction order is by path index, so results
-    are independent of scheduling.
+    positive trace.  Paths are stepped in chunks of one ensemble each
+    (``solver.path_chunks``) and every energy is reduced on its own path's
+    row, so results do not depend on the chunk size.
     """
+    d = distance_to_set(grid.node_positions(), support).reshape(grid.shape)
     if require_support:
-        _check_support_of_data(u0_fn, grid, support, tol=1e-12)
-        _check_support_of_data(u1_fn, grid, support, tol=1e-12)
+        _check_support_of_data(u0_fn, grid, d, tol=1e-12)
+        _check_support_of_data(u1_fn, grid, d, tol=1e-12)
     mollifier = mollifier or Mollifier()
     stride = stride or max(1, grid.num_steps // 10)
     init = _solver.initial_state(grid, u0_fn, u1_fn, coeffs)
     e_total0 = _solver.total_energy(init, grid)
-    d = distance_to_set(grid.node_positions(), support).reshape(grid.shape)
-
-    def one_path(p: int):
-        bpath = sample_brownian(seed, grid.dt, grid.t_max, stream=p)
-        path = _solver.solve(init, coeffs, grid, bpath, stride=stride)
-        e_loc, e_out = [], []
-        for tv, (u, ut) in zip(path.times, path.snapshots):
-            dens = _solver.energy_density(u, ut, grid)
-            e_loc.append(0.5 * float(np.sum(mollifier(d - tv) * dens)) * grid.cell_volume)
-            e_out.append(
-                0.5 * float(np.sum(dens[d > tv + halo_cells * grid.dx])) * grid.cell_volume
-            )
-        return np.asarray(path.times), np.asarray(e_loc), np.asarray(e_out)
-
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        results = list(pool.map(one_path, range(paths)))
-
-    times = results[0][0]
-    loc = np.stack([r[1] for r in results])
-    out = np.stack([r[2] for r in results])
+    chunks = [
+        _solver.solve(init, coeffs, grid, bpaths, stride=stride, out=_ChunkEnergies(d, grid, mollifier, halo_cells))
+        for bpaths in _solver.path_chunks(seed, grid, paths)
+    ]
+    times = np.asarray(chunks[0].times)
+    loc = np.concatenate([np.stack(c.loc, axis=1) for c in chunks])
+    out = np.concatenate([np.stack(c.out, axis=1) for c in chunks])
     mean = loc.mean(axis=0)
     se = loc.std(axis=0, ddof=1) / math.sqrt(paths) if paths > 1 else np.zeros_like(mean)
     out_mean = out.mean(axis=0)
@@ -213,7 +210,7 @@ def run_propagation(
     # Gronwall witness: per path, largest (E(t) - E(0)) / int_0^t E; traces at
     # roundoff level are skipped.  Uses the trapezoid rule on snapshot times.
     c_emp = 0.0
-    for _, e_loc, _ in results:
+    for e_loc in loc:
         if float(np.max(e_loc)) <= 1e-10 * max(e_total0, 1e-300):
             continue
         for k in range(1, len(times)):

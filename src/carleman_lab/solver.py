@@ -11,7 +11,7 @@ reach; reaching it is an error, not a reflection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import sympy as sp
@@ -26,11 +26,13 @@ from .fields import (
     gradient_array,
     laplacian_array,
     normal_stream,
+    sample_brownian,
+    zero_ring,
 )
 
 
 class BlowUpError(FloatingPointError):
-    """Non-finite field value during stepping; carries the step index."""
+    """Non-finite field value during stepping; the message names the path and the step."""
 
 
 class PropagationError(RuntimeError):
@@ -84,16 +86,13 @@ class WaveState:
     time: float
 
 
+@dataclass
 class FieldPath:
-    """Snapshots of one solved path plus the noise that drove it."""
+    """Recorded (u, u_t) snapshots of one solved path, or of a path ensemble
+    with a leading path axis."""
 
-    def __init__(self, grid: Grid, brownian: BrownianPath, stride: int):
-        self.grid = grid
-        self.brownian = brownian
-        self.stride = stride
-        self.times: list[float] = []
-        self.snapshots: list[tuple[np.ndarray, np.ndarray]] = []
-        self.diffusion: list[np.ndarray] = []
+    times: list[float] = field(default_factory=list)
+    snapshots: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
     def record(self, state: WaveState):
         if self.times and state.time <= self.times[-1]:
@@ -102,28 +101,12 @@ class FieldPath:
         self.snapshots.append((state.u.copy(), state.ut.copy()))
 
 
-def _zero_ring(arr: np.ndarray):
-    if arr.ndim == 1:
-        arr[0] = arr[-1] = 0.0
-    else:
-        arr[0, :] = arr[-1, :] = 0.0
-        arr[:, 0] = arr[:, -1] = 0.0
-
-
-def _ring_max(arr: np.ndarray, rings: int = 2) -> float:
-    worst = 0.0
-    for r in range(rings):
-        if arr.ndim == 1:
-            worst = max(worst, abs(float(arr[r])), abs(float(arr[-1 - r])))
-        else:
-            worst = max(
-                worst,
-                float(np.max(np.abs(arr[r, :]))),
-                float(np.max(np.abs(arr[-1 - r, :]))),
-                float(np.max(np.abs(arr[:, r]))),
-                float(np.max(np.abs(arr[:, -1 - r]))),
-            )
-    return worst
+def _ring_max(arr: np.ndarray, n: int, rings: int):
+    """Largest |value| within ``rings`` nodes of the boundary of the trailing
+    ``n`` axes, one per leading index (a 0-d array for a single field)."""
+    near = np.ones(arr.shape[arr.ndim - n :], dtype=bool)
+    near[(slice(rings, -rings),) * n] = False
+    return np.abs(arr[..., near]).max(axis=-1)
 
 
 def initial_state(
@@ -131,13 +114,12 @@ def initial_state(
     u0_fn: AnalyticFn | None,
     u1_fn: AnalyticFn | None,
     coeffs: Coefficients | None = None,
-    stagger: bool = True,
 ) -> WaveState:
     """Sample (u0, u1) on the grid.
 
-    With ``stagger`` the velocity is advanced half a step along the drift,
-    matching the staggered structure of the update (u_t lives at half steps);
-    without it the two-level scheme is only first-order accurate in space-time
+    The velocity is advanced half a step along the drift, matching the
+    staggered structure of the update (u_t lives at half steps); without it
+    the two-level scheme is only first-order accurate in space-time
     refinement at fixed CFL ratio.
     """
     mesh = list(grid.meshgrid())
@@ -147,12 +129,11 @@ def initial_state(
     ut = u1_fn.d(zt, mesh, alpha) if u1_fn is not None else np.zeros(grid.shape)
     u = np.asarray(u, dtype=float).reshape(grid.shape).copy()
     ut = np.asarray(ut, dtype=float).reshape(grid.shape).copy()
-    _zero_ring(u)
-    _zero_ring(ut)
-    if stagger:
-        samplers = _make_samplers(coeffs if coeffs is not None else Coefficients(), grid)
-        ut = ut - 0.5 * grid.dt * _drift_arrays(u, ut, 0.0, samplers, grid)
-        _zero_ring(ut)
+    zero_ring(u, grid.n)
+    zero_ring(ut, grid.n)
+    samplers = make_samplers(coeffs if coeffs is not None else Coefficients(), grid)
+    ut = ut - 0.5 * grid.dt * _drift_arrays(u, ut, 0.0, samplers, grid)
+    zero_ring(ut, grid.n)
     return WaveState(u=u, ut=ut, time=0.0)
 
 
@@ -162,23 +143,17 @@ def step(state: WaveState, coeffs: Coefficients, dw: float, grid: Grid) -> WaveS
     ut' = ut + dt (lap u + a1 ut + a2 . grad u + a3 u + g) + (b1 ut + b2 u + f) dW
     u'  = u + dt ut'
     """
-    samplers = _make_samplers(coeffs, grid)
+    samplers = make_samplers(coeffs, grid)
     u, ut = step_arrays(state.u, state.ut, state.time, samplers, dw, grid)
     return WaveState(u=u, ut=ut, time=state.time + grid.dt)
 
 
-def _make_samplers(coeffs: Coefficients, grid: Grid):
+def make_samplers(coeffs: Coefficients, grid: Grid):
+    """Coefficient samplers t -> scalar or grid array, after the noise step-size guard."""
     a2 = tuple(coeffs.a2) + (None,) * (grid.n - len(coeffs.a2))
-    s = {
-        "a1": _coeff_sampler(coeffs.a1, grid)[0],
-        "a2": [_coeff_sampler(c, grid)[0] for c in a2],
-        "a3": _coeff_sampler(coeffs.a3, grid)[0],
-        "b1": _coeff_sampler(coeffs.b1, grid)[0],
-        "b2": _coeff_sampler(coeffs.b2, grid)[0],
-        "f": _coeff_sampler(coeffs.f, grid)[0],
-        "g": _coeff_sampler(coeffs.g, grid)[0],
-    }
-    bound = _coeff_sampler(coeffs.b1, grid)[1]
+    s = {name: _coeff_sampler(getattr(coeffs, name), grid)[0] for name in ("a1", "a3", "b2", "f", "g")}
+    s["a2"] = [_coeff_sampler(c, grid)[0] for c in a2]
+    s["b1"], bound = _coeff_sampler(coeffs.b1, grid)
     if coeffs.b1_bound is not None:
         bound = float(coeffs.b1_bound)
     if bound is None:
@@ -191,14 +166,14 @@ def _make_samplers(coeffs: Coefficients, grid: Grid):
 
 
 def _drift_arrays(u, ut, t, samplers, grid: Grid):
-    drift = laplacian_array(u, grid.dx)
+    drift = laplacian_array(u, grid.dx, grid.n)
     a1 = samplers["a1"](t)
     if not np.isscalar(a1) or a1 != 0.0:
         drift = drift + a1 * ut
     for j, sampler in enumerate(samplers["a2"]):
         a2j = sampler(t)
         if not np.isscalar(a2j) or a2j != 0.0:
-            drift = drift + a2j * gradient_array(u, grid.dx, j)
+            drift = drift + a2j * gradient_array(u, grid.dx, j - grid.n)
     a3 = samplers["a3"](t)
     if not np.isscalar(a3) or a3 != 0.0:
         drift = drift + a3 * u
@@ -208,56 +183,102 @@ def _drift_arrays(u, ut, t, samplers, grid: Grid):
     return drift
 
 
-def step_arrays(u, ut, t, samplers, dw, grid: Grid, diffusion_out: list | None = None):
+def diffusion_arrays(u, ut, t, samplers):
+    """Noise coefficient b1 u_t + b2 u + f of the step taken from (u, ut) at time t."""
+    return samplers["b1"](t) * ut + samplers["b2"](t) * u + samplers["f"](t)
+
+
+def step_arrays(u, ut, t, samplers, dw, grid: Grid):
+    """The per-step kernel.  Fields carry the grid on their trailing axes; with a
+    leading path axis, ``dw`` is the per-path column of increments, shape
+    (paths, 1, ...), so every path sees only its own noise."""
     dt = grid.dt
     drift = _drift_arrays(u, ut, t, samplers, grid)
-    diff = samplers["b1"](t) * ut + samplers["b2"](t) * u + samplers["f"](t)
-    if diffusion_out is not None:
-        diffusion_out.append(np.broadcast_to(np.asarray(diff, dtype=float), u.shape).copy())
-    ut_new = ut + dt * drift + diff * dw
+    ut_new = ut + dt * drift + diffusion_arrays(u, ut, t, samplers) * dw
     u_new = u + dt * ut_new
-    _zero_ring(u_new)
-    _zero_ring(ut_new)
+    zero_ring(u_new, grid.n)
+    zero_ring(ut_new, grid.n)
     return u_new, ut_new
+
+
+def row_sums(arr: np.ndarray) -> np.ndarray:
+    """Per-path sums of a (paths, ...) array.  Rows are made contiguous first, so
+    each equals np.sum of that path's values bit for bit (a strided row, as
+    boolean indexing can return, is summed in another order)."""
+    return np.ascontiguousarray(arr).reshape(len(arr), -1).sum(axis=1)
+
+
+# Monte Carlo paths are solved in chunks of about this many values (paths x
+# nodes): enough paths to amortize the per-step Python overhead, few enough
+# that peak memory does not grow with the path count.
+CHUNK_ELEMENTS = 2**15
+
+
+def path_chunks(seed: int, grid: Grid, paths: int):
+    """Brownian paths of streams 0 .. paths-1, in order, in chunks for ``solve``.
+    Each path has its own counter-based stream, so chunking never changes it."""
+    size = max(1, CHUNK_ELEMENTS // grid.num_nodes)
+    for lo in range(0, paths, size):
+        yield [sample_brownian(seed, grid.dt, grid.t_max, stream=p) for p in range(lo, min(lo + size, paths))]
 
 
 def solve(
     init: WaveState,
     coeffs: Coefficients,
     grid: Grid,
-    path: BrownianPath,
+    path: BrownianPath | list[BrownianPath],
     stride: int = 1,
-    keep_diffusion: bool = False,
     support_guard: bool = True,
     support_tol: float = 1e-12,
-) -> FieldPath:
-    """March the full horizon, recording every ``stride``-th state."""
-    if path.num_steps != grid.num_steps or abs(path.dt - grid.dt) > 1e-12 * grid.dt:
-        raise ConfigurationError("Brownian path discretization does not match the grid")
-    samplers = _make_samplers(coeffs, grid)
-    out = FieldPath(grid, path, stride)
-    u, ut = init.u.copy(), init.ut.copy()
-    if _ring_max(u, 1) > 0.0 or _ring_max(ut, 1) > 0.0:
+    out=None,
+):
+    """March the full horizon, recording the state at t = 0, every ``stride``-th
+    step and t_max.
+
+    ``path`` is one BrownianPath, or a sequence of them stepped as one
+    ``(paths, *grid.shape)`` ensemble whose rows equal single-path solves.
+    Each recorded WaveState (never modified afterwards) goes to ``out.record``,
+    by default a new FieldPath; ``out`` is returned.  Errors name the path.
+    """
+    single = isinstance(path, BrownianPath)
+    bpaths = [path] if single else list(path)
+    for bp in bpaths:
+        if bp.num_steps != grid.num_steps or abs(bp.dt - grid.dt) > 1e-12 * grid.dt:
+            raise ConfigurationError("Brownian path discretization does not match the grid")
+    samplers = make_samplers(coeffs, grid)
+    if _ring_max(init.u, grid.n, 1) > 0.0 or _ring_max(init.ut, grid.n, 1) > 0.0:
         raise ConfigurationError("initial data must vanish on the boundary ring")
-    out.record(WaveState(u=u, ut=ut, time=0.0))
-    diffusion_sink = out.diffusion if keep_diffusion else None
+    out = FieldPath() if out is None else out
+    batch = (len(bpaths),) + grid.shape
+    u, ut = np.broadcast_to(init.u, batch).copy(), np.broadcast_to(init.ut, batch).copy()
+    dw = np.stack([bp.increments for bp in bpaths]).reshape((len(bpaths), grid.num_steps) + (1,) * grid.n)
+    row = 0 if single else slice(None)
+
+    def record(time):
+        out.record(WaveState(u=u[row], ut=ut[row], time=time))
+        return time
+
+    last = record(0.0)
     t = 0.0
     for k in range(grid.num_steps):
-        u, ut = step_arrays(u, ut, t, samplers, float(path.increments[k]), grid, diffusion_sink)
+        u, ut = step_arrays(u, ut, t, samplers, dw[:, k], grid)
         t = (k + 1) * grid.dt
-        if not (np.isfinite(u).all() and np.isfinite(ut).all()):
-            raise BlowUpError(f"non-finite field at step {k + 1} (t = {t})")
+        finite = np.isfinite(u) & np.isfinite(ut)
+        if not finite.all():
+            p = bpaths[int(np.argmin(finite.reshape(len(bpaths), -1).all(axis=1)))].stream
+            raise BlowUpError(f"non-finite field on path {p} at step {k + 1} (t = {t})")
         if (k + 1) % stride == 0 or k + 1 == grid.num_steps:
             if support_guard:
-                scale = max(1.0, float(np.max(np.abs(u))), float(np.max(np.abs(ut))))
-                if _ring_max(u, 3) > support_tol * scale or _ring_max(ut, 3) > support_tol * scale:
-                    raise PropagationError(
-                        f"support reached the boundary ring at t = {t} (step {k + 1})"
-                    )
+                mag = np.maximum(np.abs(u), np.abs(ut))
+                scale = np.maximum(1.0, mag.reshape(len(bpaths), -1).max(axis=1))
+                reached = _ring_max(mag, grid.n, 3) > support_tol * scale
+                if reached.any():
+                    p = bpaths[int(np.argmax(reached))].stream
+                    raise PropagationError(f"support reached the boundary ring on path {p} at t = {t} (step {k + 1})")
             if (k + 1) % stride == 0:
-                out.record(WaveState(u=u, ut=ut, time=t))
-    if out.times[-1] < grid.t_max:
-        out.record(WaveState(u=u, ut=ut, time=grid.t_max))
+                last = record(t)
+    if last < grid.t_max:
+        record(grid.t_max)
     return out
 
 
@@ -266,15 +287,15 @@ def leapfrog_reference(init: WaveState, grid: Grid) -> FieldPath:
     semi-implicit ordering: u^1 = u^0 + dt u_t^0 + dt^2 lap u^0."""
     dt, dx = grid.dt, grid.dx
     u_prev = init.u.copy()
-    u_curr = u_prev + dt * init.ut + dt**2 * laplacian_array(u_prev, dx)
-    _zero_ring(u_curr)
-    out = FieldPath(grid, BrownianPath(0, dt, grid.t_max, np.zeros(grid.num_steps)), 1)
+    u_curr = u_prev + dt * init.ut + dt**2 * laplacian_array(u_prev, dx, grid.n)
+    zero_ring(u_curr, grid.n)
+    out = FieldPath()
     out.record(WaveState(u=u_prev, ut=init.ut.copy(), time=0.0))
     ut = (u_curr - u_prev) / dt
     out.record(WaveState(u=u_curr.copy(), ut=ut, time=dt))
     for k in range(1, grid.num_steps):
-        u_next = 2.0 * u_curr - u_prev + dt**2 * laplacian_array(u_curr, dx)
-        _zero_ring(u_next)
+        u_next = 2.0 * u_curr - u_prev + dt**2 * laplacian_array(u_curr, dx, grid.n)
+        zero_ring(u_next, grid.n)
         ut = (u_next - u_curr) / dt
         out.record(WaveState(u=u_next.copy(), ut=ut, time=(k + 1) * dt))
         u_prev, u_curr = u_curr, u_next
@@ -313,10 +334,11 @@ def manufactured_forcing(u_exact: AnalyticFn, coeffs: Coefficients) -> AnalyticF
 
 
 def energy_density(u: np.ndarray, ut: np.ndarray, grid: Grid) -> np.ndarray:
-    """|grad u|^2 + u_t^2 + u^2 at every node (central differences, boundary zero)."""
-    g2 = np.zeros(grid.shape)
+    """|grad u|^2 + u_t^2 + u^2 at every node (central differences, boundary zero);
+    leading axes of ``u`` and ``ut`` index paths."""
+    g2 = np.zeros(u.shape)
     for j in range(grid.n):
-        g2 += gradient_array(u, grid.dx, j) ** 2
+        g2 += gradient_array(u, grid.dx, j - grid.n) ** 2
     return g2 + ut**2 + u**2
 
 

@@ -570,11 +570,6 @@ class SymMatrix:
         v = np.asarray(vec, dtype=float)
         return float(v @ self.values @ v)
 
-    def __add__(self, other: "SymMatrix") -> "SymMatrix":
-        return SymMatrix(self.values + other.values)
-
-    def __sub__(self, other: "SymMatrix") -> "SymMatrix":
-        return SymMatrix(self.values - other.values)
 
 
 def build_M(rho_jet: Jet2, varrho: float) -> SymMatrix:

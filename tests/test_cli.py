@@ -1,12 +1,13 @@
 import csv
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from carleman_lab import cli
+from carleman_lab import cli, solver
 from carleman_lab.cli import (
     OPERATION_ROUTES,
     ResultTable,
@@ -208,6 +209,60 @@ def test_d2_guard_is_a_run_error_with_and_without_python_O(tmp_path):
     assert proc.returncode == code, proc.stderr
     assert _fail_lines(optimised / "d2-check.log") == fail
     assert not (optimised / "d2-check.csv").exists()
+
+
+def test_support_reaching_the_boundary_is_a_run_error(tmp_path):
+    # unit speed from |x| <= 0.2 reaches the 3-node ring of [-1.5, 1.5] before t = 1.5
+    cfg = tmp_path / "prop.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "experiment": "propagation",
+                "grid": {"bounds": [[-1.5, 1.5]], "dx": 0.02, "dt": 0.01, "t_max": 1.5},
+                "support": {"balls": [{"center": [0.0], "radius": 0.2}]},
+                "u0": {"name": "space_bump4", "params": {"amp": 1.0, "cx1": 0.0, "rx1": 0.2}},
+                "coeffs": {"b1": 0.5},
+                "paths": 3,
+                "seed": 0,
+            }
+        )
+    )
+    out = tmp_path / "out"
+    assert run(str(cfg), "propagation", out_dir=str(out)) == 1
+    fail = _fail_lines(out / "propagation.log")
+    assert len(fail) == 1
+    assert re.fullmatch(
+        r"FAIL run_error: support reached the boundary ring on path 0 at t = [0-9.]+ \(step \d+\)", fail[0]
+    ), fail[0]
+    assert "exit: 1" in (out / "propagation.log").read_text()
+    assert not (out / "propagation.csv").exists()
+
+
+def test_qv_check_below_the_path_minimum_is_a_usage_error(tmp_path):
+    cfg = json.loads((CONFIG_DIR / "qv_check.json").read_text())
+    cfg["paths"] = 5
+    few = tmp_path / "few.json"
+    few.write_text(json.dumps(cfg))
+    out = tmp_path / "config"
+    assert run(str(few), "qv-check", out_dir=str(out)) == 2
+    assert not out.exists()
+    flag = tmp_path / "flag"
+    argv = ["qv-check", "--config", str(CONFIG_DIR / "qv_check.json"), "--paths", "5", "--out", str(flag)]
+    assert cli.main(argv) == 2
+    assert not flag.exists()
+
+
+@pytest.mark.parametrize("chunk_elements", [1, 3000, 2**40])
+def test_monte_carlo_columns_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, chunk_elements):
+    # 1 gives one path per chunk, 3000 uneven multi-path chunks, 2**40 one chunk for all paths
+    runs = [("propagation", "propagation.json", 60), ("qv-check", "qv_check.json", 100), ("ucp-decay", "ucp_decay.json", 20)]
+    for sub, config, paths in runs:
+        assert run(str(CONFIG_DIR / config), sub, out_dir=str(tmp_path / "default"), paths=paths) == 0
+    monkeypatch.setattr(solver, "CHUNK_ELEMENTS", chunk_elements)
+    for sub, config, paths in runs:
+        assert run(str(CONFIG_DIR / config), sub, out_dir=str(tmp_path / "chunked"), paths=paths) == 0
+        default = _columns_without_wall_time(tmp_path / "default" / f"{sub}.csv")
+        assert _columns_without_wall_time(tmp_path / "chunked" / f"{sub}.csv") == default, sub
 
 
 def test_gnuplot_emission(tmp_path):

@@ -235,3 +235,30 @@ def test_step_matches_solve_single_step():
     solved = S.solve(init, co, g, bp)
     assert np.array_equal(stepped.u, solved.snapshots[-1][0])
     assert np.array_equal(stepped.ut, solved.snapshots[-1][1])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_ensemble_rows_equal_single_path_solves(n):
+    g = make_grid([(-1.0, 1.0)] * n, dx=0.1, dt=0.025, t_max=0.5)
+    bump = make_fn("space_bump4", n, amp=1.0, **{f"{k}{j + 1}": v for j in range(n) for k, v in (("cx", 0.0), ("rx", 0.4))})
+    b1 = make_fn("affine", n, c0=0.3, ct=0.5, **{f"cx{j + 1}": 0.0 for j in range(n)})  # 0.3 + 0.5 t
+    co = S.Coefficients(a1=-0.2, a2=(0.3,) * n, a3=0.4, b1=b1, b2=0.2, f=0.05, g=0.1, b1_bound=0.55)
+    init = S.initial_state(g, bump, None, co)
+    paths = [sample_brownian(11, g.dt, g.t_max, stream=p) for p in range(4)]
+    # 20 steps at stride 3: the final state is recorded again at t_max
+    batch = S.solve(init, co, g, paths, stride=3, support_guard=False)
+    assert batch.snapshots[0][0].shape == (4,) + g.shape
+    for p, bp in enumerate(paths):
+        single = S.solve(init, co, g, bp, stride=3, support_guard=False)
+        assert batch.times == single.times
+        for (ub, utb), (us, uts) in zip(batch.snapshots, single.snapshots):
+            assert np.array_equal(ub[p], us) and np.array_equal(utb[p], uts)
+
+
+def test_ensemble_blow_up_names_the_path():
+    g = make_grid([(-1.0, 1.0)], dx=0.1, dt=0.05, t_max=0.5)
+    init = S.initial_state(g, make_fn("space_bump4", 1, amp=1.0, cx1=0.0, rx1=0.4), None)
+    paths = [sample_brownian(1, g.dt, g.t_max, stream=p) for p in range(3)]
+    paths[2] = S.BrownianPath(seed=1, dt=g.dt, t_max=g.t_max, increments=np.full(g.num_steps, 1e300), stream=2)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(S.BlowUpError, match="on path 2 at step"):
+        S.solve(init, S.Coefficients(b2=1.0), g, paths, support_guard=False)
