@@ -59,6 +59,7 @@ from . import solver as _solver
 from .propagation import SupportSet, run_propagation
 from .cones import (
     ConeSpec,
+    ContainmentError,
     GeometryError,
     c3_constant,
     cone_cross_offset,
@@ -961,16 +962,21 @@ def _run_sweep(cfg: dict):
     c3 = c3_constant(alpha, c1)
     t0_off = cone_time_offset(alpha, c3)
     target_t = float(cfg.get("target_t_over_T0", 3.0)) * t0_off
-    states = sweep_cover(alpha, c1, target_t, mesh=float(cfg.get("mesh", 1e-2)), direction=cfg.get("direction"))
+    try:
+        states = sweep_cover(alpha, c1, target_t, mesh=float(cfg.get("mesh", 1e-2)), direction=cfg.get("direction"))
+        contained = (True, f"{len(states)} steps, all hypothesis samples contained")
+    except ContainmentError as exc:
+        states, contained = exc.states, (False, str(exc))
     rows = [
         [s.step, s.radius_offset, s.base_center_norm, s.samples_checked, s.worst_violation, s.min_sample_time]
         for s in states
     ]
     cols = ["step", "radius_offset", "base_center_norm", "samples_checked", "worst_violation", "min_sample_time"]
-    covered = states[-1].radius_offset + math.sqrt(alpha) * t0_off >= math.sqrt(alpha) * target_t
+    reached = states[-1].radius_offset if states else 0.0
+    covered = bool(states) and reached + math.sqrt(alpha) * t0_off >= math.sqrt(alpha) * target_t
     assertions = [
-        ("containment_verified", True, f"{len(states)} steps, all hypothesis samples contained"),
-        ("coverage_reached", covered, f"radius offset {states[-1].radius_offset:.4g}"),
+        ("containment_verified", *contained),
+        ("coverage_reached", covered, f"radius offset {reached:.4g}"),
     ]
     return ResultTable(cols, rows, {}), assertions
 
@@ -1051,15 +1057,16 @@ def run(
     if not isinstance(cfg, dict):
         print("config error: top level must be an object", file=sys.stderr)
         return 2
+    # command-line overrides are part of the config the schema must accept
+    if seed is not None:
+        cfg["seed"] = int(seed)
+    if paths is not None and "paths" in SCHEMAS.get(subcommand, {}).get("properties", {}):
+        cfg["paths"] = int(paths)
     errors = validate_config(cfg, subcommand)
     if errors:
         for e in errors:
             print(f"config error: {e}", file=sys.stderr)
         return 2
-    if seed is not None:
-        cfg["seed"] = int(seed)
-    if paths is not None and "paths" in SCHEMAS[subcommand]["properties"]:
-        cfg["paths"] = int(paths)
     out = Path(out_dir or cfg.get("out_dir") or "out")
 
     started = time.perf_counter()

@@ -19,7 +19,19 @@ from .fields import ConfigurationError
 
 
 class GeometryError(ValueError):
-    """Geometric precondition or containment check failed."""
+    """Geometric precondition failed."""
+
+
+class ContainmentError(Exception):
+    """A sweep step's hypothesis sample lies outside the previously certified
+    region, so the covering argument fails at that step.  ``states`` holds
+    the steps certified before it."""
+
+    def __init__(self, step: int, t: float, x: np.ndarray, states: list):
+        super().__init__(
+            f"step {step}: hypothesis sample (t={t:.6g}, x={x}) lies outside the previously certified region"
+        )
+        self.states = states
 
 
 _K_FRAC = math.sqrt(1.5) - 1.0  # interpolation fraction of the intersection vertex
@@ -191,7 +203,7 @@ def sweep_cover(alpha: float, c1: float, target_t: float, mesh: float = 1e-2, di
 
     Each step's hypothesis surface (boundary of the step's base cone inside
     the step's offset cone) is sampled and verified to lie in the previous
-    step's certified region; a violating sample raises GeometryError.  The
+    step's certified region; a violating sample raises ContainmentError.  The
     schedule runs until the slab at time T0 covers radius sqrt(alpha) target_t.
     """
     c3 = c3_constant(alpha, c1)
@@ -228,10 +240,7 @@ def sweep_cover(alpha: float, c1: float, target_t: float, mesh: float = 1e-2, di
             ok = bool((excess <= 1e-9 * max(1.0, radii.max())).all() and tmin_ok.all())
         if not ok:
             bad = int(np.argmax(-slack if k == 1 else excess))
-            raise GeometryError(
-                f"step {k}: hypothesis sample (t={ts[bad]:.6g}, x={xs[bad]}) "
-                "lies outside the previously certified region"
-            )
+            raise ContainmentError(k, ts[bad], xs[bad], states)
         states.append(
             SweepState(
                 step=k,

@@ -15,6 +15,7 @@ Everything downstream leans on two guarantees made here:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -203,14 +204,22 @@ def make_grid(bounds, dx: float, dt: float, t_max: float, cfl: float | None = No
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Upper-triangle indices of an n x n matrix, built once per n and read-only."""
+    iu = np.triu_indices(n)
+    for a in iu:
+        a.flags.writeable = False
+    return iu
+
+
 def _pack_upper(m: np.ndarray) -> np.ndarray:
-    iu = np.triu_indices(m.shape[0])
-    return np.asarray(m, dtype=float)[iu].copy()
+    return np.asarray(m, dtype=float)[_triu(m.shape[0])]
 
 
 def _unpack_upper(packed: np.ndarray, n: int) -> np.ndarray:
     m = np.zeros((n, n))
-    iu = np.triu_indices(n)
+    iu = _triu(n)
     m[iu] = packed
     m.T[iu] = packed
     return m
@@ -295,34 +304,77 @@ def jet_exp(a: Jet2) -> Jet2:
 T_SYM = sp.Symbol("t", real=True)
 X_SYMS = (sp.Symbol("x1", real=True), sp.Symbol("x2", real=True))
 
-_EVAL_CACHE: dict[tuple, object] = {}
+_SYMBOLIC: dict[tuple, "_Symbolic"] = {}
+_SCALAR_TYPES = (float, int)
+
+
+class _Symbolic:
+    """What every AnalyticFn of one evaluator key (expr, param_syms, n) shares:
+    the unbound-symbol check, made once here, the parameter-name index used by
+    ``with_params``, and the compiled evaluators by multi-index."""
+
+    def __init__(self, name: str, expr: sp.Expr, param_syms: tuple, n: int):
+        free = expr.free_symbols - set(param_syms) - {T_SYM} - set(X_SYMS[:n])
+        if free:
+            raise CapabilityError(f"{name}: unbound symbols {sorted(map(str, free))}")
+        self.expr, self.param_syms, self.n = expr, param_syms, n
+        # full symbol names, then the unambiguous short names after the family prefix
+        self.index = {s.name: i for i, s in enumerate(param_syms)}
+        for i, s in enumerate(param_syms):
+            self.index.setdefault(s.name.split("_", 1)[-1], i)
+        self.evaluators: dict[tuple[int, ...], object] = {}
+
+    def compile(self, alpha: tuple[int, ...]):
+        expr = self.expr
+        if alpha[0]:
+            expr = sp.diff(expr, T_SYM, alpha[0])
+        for j in range(self.n):
+            if alpha[1 + j]:
+                expr = sp.diff(expr, X_SYMS[j], alpha[1 + j])
+        args = (T_SYM, *X_SYMS[: self.n], *self.param_syms)
+        fn = self.evaluators[alpha] = sp.lambdify(args, expr, modules="numpy", cse=True)
+        return fn
+
+
+def _symbolic(name: str, expr: sp.Expr, param_syms: tuple, n: int) -> _Symbolic:
+    key = (expr, param_syms, n)
+    sym = _SYMBOLIC.get(key)
+    if sym is None:
+        sym = _SYMBOLIC[key] = _Symbolic(name, expr, param_syms, n)
+    return sym
 
 
 class AnalyticFn:
     """Closed-form scalar function of (t, x) with exact partial derivatives.
 
-    Parameters of the expression are sympy symbols bound to floats; rebinding
-    via ``with_params`` shares the evaluator cache, so families of
-    identically-shaped functions compile their derivatives once.  A compiled
-    evaluator is keyed by (expr, param_syms, n, multi-index).  Sympy
+    Parameters of the expression are sympy symbols bound to floats.  What
+    depends only on the evaluator key (expr, param_syms, n) is built once per
+    key and shared by every instance with it: the unbound-symbol check, the
+    parameter-name index and the compiled evaluator of each multi-index.  An
+    instance holds only its name, that shared part (``symbolic``) and its
+    value tuple, so ``with_params`` and ``with_values`` rebind values without
+    touching sympy and never recompile.  Sympy
     expressions hash and compare by structure, with symbol assumptions and
     number types included (``2.0*x`` and ``2*x`` are different keys).
     """
 
     def __init__(self, name: str, expr: sp.Expr, n: int, params: dict[sp.Symbol, float]):
+        param_syms = tuple(sorted(params.keys(), key=lambda s: s.name))
         self.name = name
-        self.expr = expr
-        self._n = int(n)
-        self.param_syms = tuple(sorted(params.keys(), key=lambda s: s.name))
-        self.param_values = tuple(float(params[s]) for s in self.param_syms)
-        free = expr.free_symbols - set(self.param_syms) - {T_SYM} - set(X_SYMS[:n])
-        if free:
-            raise CapabilityError(f"{name}: unbound symbols {sorted(map(str, free))}")
-        self._key = (expr, self.param_syms, self._n)
+        self.symbolic = _symbolic(name, expr, param_syms, int(n))
+        self.param_values = tuple(float(params[s]) for s in param_syms)
+
+    @property
+    def expr(self) -> sp.Expr:
+        return self.symbolic.expr
+
+    @property
+    def param_syms(self) -> tuple:
+        return self.symbolic.param_syms
 
     @property
     def n(self) -> int:
-        return self._n
+        return self.symbolic.n
 
     @property
     def params(self) -> dict[str, float]:
@@ -330,32 +382,23 @@ class AnalyticFn:
 
     def with_params(self, **updates: float) -> "AnalyticFn":
         """Rebind parameters by full symbol name or unambiguous short name."""
-        values = dict(zip(self.param_syms, self.param_values))
-        by_name = {s.name: s for s in self.param_syms}
-        for s in self.param_syms:
-            short = s.name.split("_", 1)[-1]
-            if short not in by_name:
-                by_name[short] = s
+        index = self.symbolic.index
+        values = list(self.param_values)
         for k, v in updates.items():
-            if k not in by_name:
+            if k not in index:
                 raise CapabilityError(f"{self.name}: unknown parameter {k!r}")
-            values[by_name[k]] = float(v)
-        return AnalyticFn(self.name, self.expr, self._n, values)
+            values[index[k]] = float(v)
+        return self.with_values(tuple(values))
+
+    def with_values(self, values: tuple[float, ...]) -> "AnalyticFn":
+        """The same function with every parameter value given, in ``param_syms`` order."""
+        fn = AnalyticFn.__new__(AnalyticFn)
+        fn.name, fn.symbolic, fn.param_values = self.name, self.symbolic, values
+        return fn
 
     def _evaluator(self, alpha: tuple[int, ...]):
-        key = (self._key, alpha)
-        fn = _EVAL_CACHE.get(key)
-        if fn is None:
-            expr = self.expr
-            if alpha[0]:
-                expr = sp.diff(expr, T_SYM, alpha[0])
-            for j in range(self._n):
-                if alpha[1 + j]:
-                    expr = sp.diff(expr, X_SYMS[j], alpha[1 + j])
-            args = (T_SYM, *X_SYMS[: self._n], *self.param_syms)
-            fn = sp.lambdify(args, expr, modules="numpy", cse=True)
-            _EVAL_CACHE[key] = fn
-        return fn
+        fn = self.symbolic.evaluators.get(alpha)
+        return self.symbolic.compile(alpha) if fn is None else fn
 
     def d(self, t, x, alpha: tuple[int, ...]):
         """Partial derivative d^alpha f at (t, x).
@@ -365,48 +408,86 @@ class AnalyticFn:
         single coordinate.  Scalar inputs give a float, otherwise an array of
         the broadcast shape.
         """
-        if len(alpha) != self._n + 1:
-            raise CapabilityError(f"{self.name}: multi-index {alpha} does not match n={self._n}")
-        if isinstance(x, (list, tuple)):
-            xs = list(x)
-        else:
-            xs = [x]
-        if len(xs) != self._n:
-            raise CapabilityError(f"{self.name}: expected {self._n} coordinates, got {len(xs)}")
+        n = self.symbolic.n
+        if len(alpha) != n + 1:
+            raise CapabilityError(f"{self.name}: multi-index {alpha} does not match n={n}")
+        xs = x if isinstance(x, (list, tuple)) else (x,)
+        if len(xs) != n:
+            raise CapabilityError(f"{self.name}: expected {n} coordinates, got {len(xs)}")
         out = self._evaluator(alpha)(t, *xs, *self.param_values)
-        scalar_in = np.ndim(t) == 0 and all(np.ndim(v) == 0 for v in xs)
-        if scalar_in:
+        if all(type(v) in _SCALAR_TYPES or np.ndim(v) == 0 for v in (t, *xs)):
             return float(out)
         shape = np.broadcast_shapes(np.shape(t), *[np.shape(v) for v in xs])
         return np.broadcast_to(np.asarray(out, dtype=float), shape).copy()
 
     def value(self, t, x):
-        return self.d(t, x, (0,) * (self._n + 1))
+        return self.d(t, x, multi_indices(self.n).zero)
 
     def __call__(self, t, x):
         return self.value(t, x)
 
     def jet2(self, t: float, x) -> Jet2:
-        n = self._n
+        a = multi_indices(self.n)
         x = np.atleast_1d(np.asarray(x, dtype=float))
         e = lambda alpha: float(self._evaluator(alpha)(t, *x, *self.param_values))
-        zero = (0,) * n
-        unit = lambda j: tuple(1 if k == j else 0 for k in range(n))
-        two = lambda j: tuple(2 if k == j else 0 for k in range(n))
-        pair = lambda j, k: tuple((1 if m == j else 0) + (1 if m == k else 0) for m in range(n))
-        hess = np.zeros((n, n))
-        for j in range(n):
-            hess[j, j] = e((0, *two(j)))
-            for k in range(j + 1, n):
-                hess[j, k] = hess[k, j] = e((0, *pair(j, k)))
+        hess = np.zeros((a.n, a.n))
+        for j in range(a.n):
+            hess[j, j] = e(a.xx[j][j])
+            for k in range(j + 1, a.n):
+                hess[j, k] = hess[k, j] = e(a.xx[j][k])
         return Jet2.make(
-            e((0, *zero)),
-            e((1, *zero)),
-            np.array([e((0, *unit(j))) for j in range(n)]),
-            e((2, *zero)),
-            np.array([e((1, *unit(j))) for j in range(n)]),
+            e(a.zero),
+            e(a.t),
+            np.array([e(a.x[j]) for j in range(a.n)]),
+            e(a.tt),
+            np.array([e(a.tx[j]) for j in range(a.n)]),
             hess,
         )
+
+
+def _alpha(n: int, t_order: int, *axes: int) -> tuple[int, ...]:
+    """Multi-index (t order, x1 order, ..., xn order) with one x order per listed axis."""
+    out = [t_order] + [0] * n
+    for j in axes:
+        out[1 + j] += 1
+    return tuple(out)
+
+
+class MultiIndices:
+    """The multi-indices that jets and expansion coefficients read, for one n.
+
+    ``x[j]`` is d/dx_j, ``tx[j]`` is d/dt d/dx_j, ``xx[j][k]`` is d/dx_j d/dx_k
+    (and ``txx``, ``ttxx`` with one or two more t); ``xkk[k][j]`` is
+    d/dx_k d^2/dx_j^2 and ``xxkk[j][k]`` is d^2/dx_j^2 d^2/dx_k^2.  ``jet2``
+    lists the indices of a second-order jet, ``ell`` those of the ell partials
+    in ``WeightFamily.quantities``.
+    """
+
+    def __init__(self, n: int):
+        r = range(n)
+        self.n = n
+        self.zero, self.t, self.tt, self.ttt, self.tttt = (_alpha(n, k) for k in range(5))
+        self.x, self.tx, self.ttx = (tuple(_alpha(n, k, j) for j in r) for k in range(3))
+        self.xx, self.txx, self.ttxx = (tuple(tuple(_alpha(n, k, j, i) for i in r) for j in r) for k in range(3))
+        self.xkk = tuple(tuple(_alpha(n, 0, k, j, j) for j in r) for k in r)
+        self.xxkk = tuple(tuple(_alpha(n, 0, j, j, k, k) for k in r) for j in r)
+        self.jet2 = (self.zero, self.t, self.tt) + tuple(
+            a for j in r for a in (self.x[j], self.tx[j], *self.xx[j][j:])
+        )
+        ell = [self.zero, self.t, self.tt, self.ttt, self.tttt]
+        for j in r:
+            ell += [self.x[j], self.tx[j], self.ttx[j]]
+            for k in range(j, n):
+                ell += [self.xx[j][k], self.txx[j][k], self.ttxx[j][k]]
+            ell += self.xkk[j]
+        ell += [a for row in self.xxkk for a in row]
+        self.ell = tuple(dict.fromkeys(ell))
+
+
+@functools.cache
+def multi_indices(n: int) -> MultiIndices:
+    """The MultiIndices of dimension n, built once and shared."""
+    return MultiIndices(n)
 
 
 # ---------------------------------------------------------------------------
@@ -580,20 +661,32 @@ _REGISTRY = {
 BUILTIN_NAMES = tuple(sorted(_REGISTRY))
 
 
+_BUILTINS: dict[tuple[str, int], tuple[AnalyticFn, dict[str, int]]] = {}
+
+
 def make_fn(name: str, n: int, **params: float) -> AnalyticFn:
-    """Instantiate a built-in family; unknown names or parameters raise CapabilityError."""
+    """Instantiate a built-in family; unknown names or parameters raise CapabilityError.
+
+    Each (name, n) builds its expression, defaults and short-name index once;
+    an instance only rebinds the value tuple.
+    """
     if name not in _REGISTRY:
         raise CapabilityError(f"unknown built-in function {name!r}; have {BUILTIN_NAMES}")
     if n not in (1, 2):
         raise CapabilityError(f"built-ins support n in (1, 2), got {n}")
-    expr, defaults = _REGISTRY[name](n)
-    by_short = {s.name.split("_", 1)[1]: s for s in defaults}
-    values = dict(defaults)
+    entry = _BUILTINS.get((name, n))
+    if entry is None:
+        expr, defaults = _REGISTRY[name](n)
+        default = AnalyticFn(name, expr, n, defaults)
+        by_short = {s.name.split("_", 1)[1]: i for i, s in enumerate(default.param_syms)}
+        entry = _BUILTINS[(name, n)] = (default, by_short)
+    default, by_short = entry
+    values = list(default.param_values)
     for k, v in params.items():
         if k not in by_short:
             raise CapabilityError(f"{name}: unknown parameter {k!r}; have {sorted(by_short)}")
         values[by_short[k]] = float(v)
-    return AnalyticFn(name, expr, n, values)
+    return default.with_values(tuple(values))
 
 
 def fn_from_spec(spec, n: int) -> AnalyticFn:

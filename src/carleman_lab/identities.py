@@ -25,6 +25,7 @@ from .fields import (
     AnalyticFn,
     ConfigurationError,
     Jet2,
+    multi_indices,
     sample_brownian,
 )
 from .weights import (
@@ -136,29 +137,19 @@ def _report(lhs: float, rhs: float, tol: float, t, x, params) -> IdentityReport:
 
 def _w_derivatives(u_fn: AnalyticFn, cutoff, quant, t, xs, n):
     """Jets of w = chi(phi) u (or plain u) to second order, as arrays."""
-    a0 = (0,) * (n + 1)
-    unit = lambda j: tuple(1 if k == j + 1 else 0 for k in range(n + 1))
-    u = {"v": u_fn.d(t, xs, a0), "t": u_fn.d(t, xs, (1,) + (0,) * n), "tt": u_fn.d(t, xs, (2,) + (0,) * n)}
-    u["x"] = [u_fn.d(t, xs, unit(j)) for j in range(n)]
-    u["tx"] = [u_fn.d(t, xs, tuple(a + b for a, b in zip((1,) + (0,) * n, unit(j)))) for j in range(n)]
-    u["xx"] = [
-        [u_fn.d(t, xs, tuple(a + b for a, b in zip(unit(j), unit(k)))) for k in range(n)]
-        for j in range(n)
-    ]
+    A = multi_indices(n)
+    u = {"v": u_fn.d(t, xs, A.zero), "t": u_fn.d(t, xs, A.t), "tt": u_fn.d(t, xs, A.tt)}
+    u["x"] = [u_fn.d(t, xs, A.x[j]) for j in range(n)]
+    u["tx"] = [u_fn.d(t, xs, A.tx[j]) for j in range(n)]
+    u["xx"] = [[u_fn.d(t, xs, A.xx[j][k]) for k in range(n)] for j in range(n)]
     if cutoff is None:
         return u, None
     phi, phi_t, phi_tt = quant["phi"], quant["phi_t"], quant["phi_tt"]
     phi_x = quant["phi_x"]
     pj = quant["psi"]
-    zero = (0,) * n
-    eT = (1, *zero)
-    ex = lambda j: tuple(1 if k == j else 0 for k in range(n))
-    phi_tx = [pj[(1, *ex(j))] for j in range(n)]  # q has no t-x cross terms
+    phi_tx = [pj[A.tx[j]] for j in range(n)]  # q has no t-x cross terms
     mu = quant["mu"]
-    phi_xx = [
-        [pj[(0, *tuple(ex(j)[m] + ex(k)[m] for m in range(n)))] - (2.0 * mu if j == k else 0.0) for k in range(n)]
-        for j in range(n)
-    ]
+    phi_xx = [[pj[A.xx[j][k]] - (2.0 * mu if j == k else 0.0) for k in range(n)] for j in range(n)]
     s = (np.asarray(phi, dtype=float) - cutoff.c2) / cutoff.eps
     S0, S1, S2 = _smoothstep(s), _smoothstep_d1(s) / cutoff.eps, _smoothstep_d2(s) / cutoff.eps**2
     chi = {
@@ -216,16 +207,12 @@ def assemble(
     quant = family.quantities(t, xs, params)
     quant["mu"] = params.mu
     ell = quant["ell"]
-    zero = (0,) * n
-    ex = lambda j: tuple(1 if k == j else 0 for k in range(n))
-    l0 = ell[(0, *zero)]
-    lt, ltt = ell[(1, *zero)], ell[(2, *zero)]
-    lx = [ell[(0, *ex(j))] for j in range(n)]
-    ltx = [ell[(1, *ex(j))] for j in range(n)]
-    lxx = [
-        [ell[(0, *tuple(ex(min(j, k))[m] + ex(max(j, k))[m] for m in range(n)))] for k in range(n)]
-        for j in range(n)
-    ]
+    A = multi_indices(n)
+    l0 = ell[A.zero]
+    lt, ltt = ell[A.t], ell[A.tt]
+    lx = [ell[A.x[j]] for j in range(n)]
+    ltx = [ell[A.tx[j]] for j in range(n)]
+    lxx = [[ell[A.xx[j][k]] for k in range(n)] for j in range(n)]
     lap_l = sum(lxx[j][j] for j in range(n))
 
     w, w_parts = _w_derivatives(u_fn, cutoff, quant, t, xs, n)
@@ -335,15 +322,12 @@ def assemble(
 
     # exact regrouping of e1 + e2 + e3 + e4 at the canonical Psi
     rj = quant["rho"]
-    r_t, r_tt = rj[(1, *zero)], rj[(2, *zero)]
-    r_x = [rj[(0, *ex(j))] for j in range(n)]
-    r_tx = [rj[(1, *ex(j))] for j in range(n)]
-    r_xx = [
-        [rj[(0, *tuple(ex(min(j, k))[m] + ex(max(j, k))[m] for m in range(n)))] for k in range(n)]
-        for j in range(n)
-    ]
-    psi0 = quant["psi"][(0, *zero)]
-    vr = family.varrho_partial(t, xs, (0, *zero))
+    r_t, r_tt = rj[A.t], rj[A.tt]
+    r_x = [rj[A.x[j]] for j in range(n)]
+    r_tx = [rj[A.tx[j]] for j in range(n)]
+    r_xx = [[rj[A.xx[j][k]] for k in range(n)] for j in range(n)]
+    psi0 = quant["psi"][A.zero]
+    vr = family.varrho_partial(t, xs, A.zero)
     lam, gamma, mu = params.lam, params.gamma, params.mu
     qf_char = 2.0 * lam * gamma**2 * psi0 * (r_t * vt - sum(r_x[j] * vx[j] for j in range(n))) ** 2
     qf_mat = 2.0 * lam * gamma * psi0 * (
@@ -456,11 +440,10 @@ def conjugation_residual(
     out = assemble(family, params, float(t), x, u_fn, cutoff=cutoff)
     n = out["n"]
     ell = out["quant"]["ell"]
-    zero = (0,) * n
-    ex = lambda j: tuple(1 if k == j else 0 for k in range(n))
-    lt, ltt = float(ell[(1, *zero)]), float(ell[(2, *zero)])
-    lx = [float(ell[(0, *ex(j))]) for j in range(n)]
-    lap_l = sum(float(ell[(0, *tuple(2 * ex(j)[m] for m in range(n)))]) for j in range(n))
+    A = multi_indices(n)
+    lt, ltt = float(ell[A.t]), float(ell[A.tt])
+    lx = [float(ell[A.x[j]]) for j in range(n)]
+    lap_l = sum(float(ell[A.xx[j][j]]) for j in range(n))
     v, vt, vtt = float(out["v"]), float(out["vt"]), float(out["vtt"])
     vx = [float(a) for a in out["vx"]]
     lap_v = sum(float(out["vxx"][j][j]) for j in range(n))
@@ -572,11 +555,11 @@ def qv_check(
         raise StatisticsError(f"qv_check needs at least {min_paths} paths, got {paths}")
     theta = [(1.0, 0.0)] * (grid.num_steps + 1)
     if family is not None and params is not None:
-        mesh, zero = list(grid.meshgrid()), (0,) * grid.n
+        mesh, A = list(grid.meshgrid()), multi_indices(grid.n)
         theta = []
         for tv in np.arange(grid.num_steps + 1) * grid.dt:
             ell = family.quantities(np.full(grid.shape, tv), mesh, params)["ell"]
-            theta.append((np.exp(ell[(0, *zero)]), ell[(1, *zero)]))
+            theta.append((np.exp(ell[A.zero]), ell[A.t]))
     samplers = _solver.make_samplers(coeffs, grid)
     init = _solver.initial_state(grid, u0_fn, u1_fn, coeffs)
     chunks = [
@@ -708,22 +691,20 @@ def _structure_min_eig(out, params, support_mask) -> float:
     """min over the support of the smallest eigenvalue of 2 gamma psi M(varrho) + mu I."""
     n = out["n"]
     q = out["quant"]
-    zero = (0,) * n
-    ex = lambda j: tuple(1 if k == j else 0 for k in range(n))
+    A = multi_indices(n)
     rj = q["rho"]
-    psi0 = q["psi"][(0, *zero)]
+    psi0 = q["psi"][A.zero]
     vr = out["varrho0"]
     idx = np.argwhere(support_mask)
     worst = math.inf
     for flat in idx[:: max(1, len(idx) // 2000)]:  # cap the eigen loop at ~2000 nodes
         sel = tuple(flat)
         m = np.zeros((1 + n, 1 + n))
-        m[0, 0] = rj[(2, *zero)][sel] - vr[sel]
+        m[0, 0] = rj[A.tt][sel] - vr[sel]
         for j in range(n):
-            m[0, 1 + j] = m[1 + j, 0] = -rj[(1, *ex(j))][sel]
+            m[0, 1 + j] = m[1 + j, 0] = -rj[A.tx[j]][sel]
             for k in range(j, n):
-                a = (0, *tuple(ex(j)[mm] + ex(k)[mm] for mm in range(n)))
-                m[1 + j, 1 + k] = m[1 + k, 1 + j] = rj[a][sel] + (vr[sel] if j == k else 0.0)
+                m[1 + j, 1 + k] = m[1 + k, 1 + j] = rj[A.xx[j][k]][sel] + (vr[sel] if j == k else 0.0)
         scaled = 2.0 * params.gamma * psi0[sel] * m + params.mu * np.eye(1 + n)
         worst = min(worst, float(jacobi_eigenvalues(scaled)[0]))
     return worst

@@ -35,6 +35,7 @@ from .fields import (
     jet_add,
     jet_exp,
     jet_scale,
+    multi_indices,
     normal_stream,
 )
 
@@ -132,33 +133,41 @@ def _q_partial(t, xs, t0, x0, alpha):
     return np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else 0.0
 
 
-def _unit(n, j):
-    return tuple(1 if k == j else 0 for k in range(n))
-
-
-def _add_alpha(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+_PSI: dict = {}  # rho.symbolic -> (psi = exp(cw_gamma rho) as an AnalyticFn, position of cw_gamma)
 
 
 class WeightFamily:
     """Weights derived from one level function rho and one auxiliary varrho.
 
     varrho may be a float or an AnalyticFn; it enters Psi and the matrix and
-    cubic coefficients, never the weights themselves.
+    cubic coefficients, never the weights themselves.  The sympy tree of
+    psi = exp(cw_gamma rho) and its symbol check are built once per evaluator
+    key of rho (expression, parameter symbols, n); a family then only binds
+    rho's parameter values and gamma, so building one per case and per call
+    creates no sympy objects.
     """
 
     def __init__(self, rho: AnalyticFn, varrho: AnalyticFn | float = 0.0):
         self.rho = rho
         self.n = rho.n
-        if any(s.name.startswith("cw_") for s in rho.param_syms):
-            raise CapabilityError("rho parameter names starting with 'cw_' are reserved")
         self.varrho = varrho
-        self._psi = AnalyticFn(
-            f"psi[{rho.name}]",
-            sp.exp(_GAMMA_SYM * rho.expr),
-            rho.n,
-            {**dict(zip(rho.param_syms, rho.param_values)), _GAMMA_SYM: 1.0},
-        )
+        entry = _PSI.get(rho.symbolic)
+        if entry is None:
+            if any(s.name.startswith("cw_") for s in rho.param_syms):
+                raise CapabilityError("rho parameter names starting with 'cw_' are reserved")
+            psi = AnalyticFn(
+                f"psi[{rho.name}]",
+                sp.exp(_GAMMA_SYM * rho.expr),
+                rho.n,
+                {**dict(zip(rho.param_syms, rho.param_values)), _GAMMA_SYM: 1.0},
+            )
+            entry = _PSI[rho.symbolic] = (psi, psi.param_syms.index(_GAMMA_SYM))
+        self._psi, self._gamma_at = entry
+
+    def psi(self, gamma: float) -> AnalyticFn:
+        """psi = exp(gamma rho) at rho's parameter values."""
+        i, values = self._gamma_at, self.rho.param_values
+        return self._psi.with_values(values[:i] + (float(gamma),) + values[i:])
 
     # -- partial evaluation ------------------------------------------------
 
@@ -219,84 +228,45 @@ class WeightFamily:
         value in the returned dict follows that shape.
         """
         n = self.n
+        A = multi_indices(n)
         lam, gamma, mu, t0, x0 = params.lam, params.gamma, params.mu, params.t0, params.x0
-        psi = self._psi.with_params(cw_gamma=gamma)
+        psi = self.psi(gamma)
         xs = list(xs)
 
-        def L(alpha):
-            return lam * (psi.d(t, xs, alpha) - mu * _q_partial(t, xs, t0, x0, alpha))
+        psi_d = {a: psi.d(t, xs, a) for a in A.ell}
+        ell = {a: lam * (psi_d[a] - mu * _q_partial(t, xs, t0, x0, a)) for a in A.ell}
+        a0, et, ett, ex = A.zero, A.t, A.tt, A.x
 
-        zero = (0,) * n
-        et = (1, *zero)
-        ett = (2, *zero)
-        ex = [(0, *_unit(n, j)) for j in range(n)]
-
-        ell = {
-            (0, *zero): L((0, *zero)),
-            et: L(et),
-            ett: L(ett),
-            (3, *zero): L((3, *zero)),
-            (4, *zero): L((4, *zero)),
-        }
-        for j in range(n):
-            ell[ex[j]] = L(ex[j])
-            ell[_add_alpha(et, ex[j])] = L(_add_alpha(et, ex[j]))
-            ell[_add_alpha(ett, ex[j])] = L(_add_alpha(ett, ex[j]))
-            for k in range(j, n):
-                a_jk = _add_alpha(ex[j], ex[k])
-                ell[a_jk] = L(a_jk)
-                ell[_add_alpha(et, a_jk)] = L(_add_alpha(et, a_jk))
-                ell[_add_alpha(ett, a_jk)] = L(_add_alpha(ett, a_jk))
-            for k in range(n):
-                tri = _add_alpha(ex[j], _add_alpha(ex[k], ex[k]))
-                if tri not in ell:
-                    ell[tri] = L(tri)
-        # fourth order, pure spatial: sum_jk d_jj d_kk
-        for j in range(n):
-            for k in range(n):
-                quad = _add_alpha(_add_alpha(ex[j], ex[j]), _add_alpha(ex[k], ex[k]))
-                if quad not in ell:
-                    ell[quad] = L(quad)
-
-        def Lg(alpha):
-            return ell[alpha]
-
-        ell_t, ell_tt = Lg(et), Lg(ett)
-        ell_x = [Lg(ex[j]) for j in range(n)]
-        ell_tx = [Lg(_add_alpha(et, ex[j])) for j in range(n)]
-        ell_xx = [[Lg(_add_alpha(ex[min(j, k)], ex[max(j, k)])) for k in range(n)] for j in range(n)]
+        ell_t, ell_tt = ell[et], ell[ett]
+        ell_x = [ell[ex[j]] for j in range(n)]
+        ell_tx = [ell[A.tx[j]] for j in range(n)]
+        ell_xx = [[ell[A.xx[j][k]] for k in range(n)] for j in range(n)]
         lap_ell = sum(ell_xx[j][j] for j in range(n))
-        lap_ell_t = sum(Lg(_add_alpha(et, _add_alpha(ex[j], ex[j]))) for j in range(n))
-        lap_ell_tt = sum(Lg(_add_alpha(ett, _add_alpha(ex[j], ex[j]))) for j in range(n))
-        lap_ell_x = [
-            sum(Lg(_add_alpha(ex[k], _add_alpha(ex[j], ex[j]))) for j in range(n)) for k in range(n)
-        ]
-        laplap_ell = sum(
-            Lg(_add_alpha(_add_alpha(ex[j], ex[j]), _add_alpha(ex[k], ex[k])))
-            for j in range(n)
-            for k in range(n)
-        )
-        ell_ttt = Lg((3, *zero))
-        ell_tttt = Lg((4, *zero))
-        ell_ttx = [Lg(_add_alpha(ett, ex[j])) for j in range(n)]
+        lap_ell_t = sum(ell[A.txx[j][j]] for j in range(n))
+        lap_ell_tt = sum(ell[A.ttxx[j][j]] for j in range(n))
+        lap_ell_x = [sum(ell[A.xkk[k][j]] for j in range(n)) for k in range(n)]
+        laplap_ell = sum(ell[A.xxkk[j][k]] for j in range(n) for k in range(n))
+        ell_ttt = ell[A.ttt]
+        ell_tttt = ell[A.tttt]
+        ell_ttx = [ell[A.ttx[j]] for j in range(n)]
 
         # psi and varrho jets for the product rule in Psi derivatives
-        pj = {a: psi.d(t, xs, a) for a in self._jet2_alphas()}
-        vr = {a: self.varrho_partial(t, xs, a) for a in self._jet2_alphas()}
-        pv = pj[(0, *zero)] * vr[(0, *zero)]
-        pv_t = pj[et] * vr[(0, *zero)] + pj[(0, *zero)] * vr[et]
+        pj = {a: psi_d[a] for a in A.jet2}
+        vr = {a: self.varrho_partial(t, xs, a) for a in A.jet2}
+        pv = pj[a0] * vr[a0]
+        pv_t = pj[et] * vr[a0] + pj[a0] * vr[et]
         pv_tt = (
-            pj[ett] * vr[(0, *zero)]
+            pj[ett] * vr[a0]
             + 2.0 * pj[et] * vr[et]
-            + pj[(0, *zero)] * vr[ett]
+            + pj[a0] * vr[ett]
         )
         pv_x = [
-            pj[ex[j]] * vr[(0, *zero)] + pj[(0, *zero)] * vr[ex[j]] for j in range(n)
+            pj[ex[j]] * vr[a0] + pj[a0] * vr[ex[j]] for j in range(n)
         ]
         lap_pv = sum(
-            pj[_add_alpha(ex[j], ex[j])] * vr[(0, *zero)]
+            pj[A.xx[j][j]] * vr[a0]
             + 2.0 * pj[ex[j]] * vr[ex[j]]
-            + pj[(0, *zero)] * vr[_add_alpha(ex[j], ex[j])]
+            + pj[a0] * vr[A.xx[j][j]]
             for j in range(n)
         )
 
@@ -336,8 +306,8 @@ class WeightFamily:
         # transported quantities built on psi alone
         psi_t, psi_tt = pj[et], pj[ett]
         psi_x = [pj[ex[j]] for j in range(n)]
-        psi_tx = [pj[_add_alpha(et, ex[j])] for j in range(n)]
-        psi_xx = [[pj[_add_alpha(ex[min(j, k)], ex[max(j, k)])] for k in range(n)] for j in range(n)]
+        psi_tx = [pj[A.tx[j]] for j in range(n)]
+        psi_xx = [[pj[A.xx[j][k]] for k in range(n)] for j in range(n)]
         dt_ = np.asarray(t, dtype=float) - t0 if np.ndim(t) else (t - t0)
         dxs = [np.asarray(xs[j], dtype=float) - x0[j] if np.ndim(xs[j]) else (xs[j] - x0[j]) for j in range(n)]
 
@@ -366,15 +336,15 @@ class WeightFamily:
             for k in range(n)
         ]
 
-        vr0 = vr[(0, *zero)]
-        psi0 = pj[(0, *zero)]
+        vr0 = vr[a0]
+        psi0 = pj[a0]
         d2_div = 2.0 * gamma * psi0 * vr0 * p + p_t * psi_t - sum(p_x[k] * psi_x[k] for k in range(n))
 
-        r = {a: self.rho.d(t, xs, a) for a in self._jet2_alphas()}
+        r = {a: self.rho.d(t, xs, a) for a in A.jet2}
         r_t, r_tt = r[et], r[ett]
         r_x = [r[ex[j]] for j in range(n)]
-        r_tx = [r[_add_alpha(et, ex[j])] for j in range(n)]
-        r_xx = [[r[_add_alpha(ex[min(j, k)], ex[max(j, k)])] for k in range(n)] for j in range(n)]
+        r_tx = [r[A.tx[j]] for j in range(n)]
+        r_xx = [[r[A.xx[j][k]] for k in range(n)] for j in range(n)]
         char = r_t**2 - sum(v * v for v in r_x)
         qform = (
             (r_tt - vr0) * r_t**2
@@ -401,7 +371,7 @@ class WeightFamily:
             - sum(d1_x[k] * psi_x[k] for k in range(n))
         )
 
-        phi = psi0 - mu * _q_partial(t, xs, t0, x0, (0, *zero))
+        phi = psi0 - mu * _q_partial(t, xs, t0, x0, a0)
         phi_t = psi_t - 2.0 * mu * dt_
         phi_tt = psi_tt - 2.0 * mu
         phi_x = [psi_x[j] - 2.0 * mu * dxs[j] for j in range(n)]
@@ -429,16 +399,6 @@ class WeightFamily:
             "phi_tt": phi_tt,
             "phi_x": phi_x,
         }
-
-    def _jet2_alphas(self):
-        n = self.n
-        out = [(0,) * (n + 1), (1,) + (0,) * n, (2,) + (0,) * n]
-        for j in range(n):
-            out.append((0, *_unit(n, j)))
-            out.append((1, *_unit(n, j)))
-            for k in range(j, n):
-                out.append((0, *_add_alpha(_unit(n, j), _unit(n, k))))
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import collections
 import csv
 import json
 import re
@@ -5,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from carleman_lab import cli, solver
@@ -187,6 +189,42 @@ def test_identity_check_assembles_each_case_once(tmp_path, monkeypatch):
     assert len(calls) == 5
 
 
+def test_identity_check_builds_each_registry_entry_once(tmp_path, monkeypatch):
+    from carleman_lab import fields
+
+    monkeypatch.setattr(fields, "_BUILTINS", {}, raising=False)
+    built = collections.Counter()
+    for name, entry in list(fields._REGISTRY.items()):
+        def counting(n, name=name, entry=entry):
+            built[(name, n)] += 1
+            return entry(n)
+
+        monkeypatch.setitem(fields._REGISTRY, name, counting)
+    assert run(str(CONFIG_DIR / "identity_check.json"), "identity-check", out_dir=str(tmp_path / "out")) == 0
+    assert set(built) == {("trig_product", 1), ("quadratic", 1), ("affine", 1), ("exp_quadratic", 1)}
+    assert max(built.values()) == 1
+
+
+def test_identity_check_checks_symbols_once_per_evaluator_key(tmp_path, monkeypatch):
+    from carleman_lab import fields, weights
+
+    # start from empty caches, so the 200 cases make every check themselves
+    for module, cache in ((fields, "_BUILTINS"), (fields, "_SYMBOLIC"), (weights, "_PSI")):
+        monkeypatch.setattr(module, cache, {})
+    checked = collections.Counter()
+    check = fields._Symbolic.__init__
+
+    def counting(self, name, expr, param_syms, n):
+        checked[(expr, param_syms, n)] += 1
+        check(self, name, expr, param_syms, n)
+
+    monkeypatch.setattr(fields._Symbolic, "__init__", counting)
+    assert run(str(CONFIG_DIR / "identity_check.json"), "identity-check", out_dir=str(tmp_path / "out")) == 0
+    # three rho kinds and w, then psi = exp(gamma rho) for each rho kind
+    assert len(checked) == 7
+    assert max(checked.values()) == 1
+
+
 def _fail_lines(log_path):
     return [line for line in log_path.read_text().splitlines() if line.startswith("FAIL")]
 
@@ -250,6 +288,51 @@ def test_qv_check_below_the_path_minimum_is_a_usage_error(tmp_path):
     argv = ["qv-check", "--config", str(CONFIG_DIR / "qv_check.json"), "--paths", "5", "--out", str(flag)]
     assert cli.main(argv) == 2
     assert not flag.exists()
+
+
+@pytest.mark.parametrize("subcommand, config, paths", [
+    ("propagation", "propagation.json", 0),
+    ("ucp-decay", "ucp_decay.json", 0),
+    ("qv-check", "qv_check.json", 0),
+    ("inequality-scan", "inequality_scan_t42.json", -1),
+])
+def test_paths_below_the_schema_minimum_is_a_usage_error(tmp_path, subcommand, config, paths):
+    out = tmp_path / "out"
+    argv = [subcommand, "--config", str(CONFIG_DIR / config), "--paths", str(paths), "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert not out.exists()
+
+
+def test_sweep_containment_violation_is_a_named_run_failure(tmp_path, monkeypatch):
+    from carleman_lab import cones
+
+    real = cones._sample_intersection
+    calls = []
+
+    def displaced(*args):
+        # step 2's hypothesis samples move one unit outwards, off the certified slab
+        ts, xs = real(*args)
+        calls.append(1)
+        return (ts, xs + np.sign(xs)) if len(calls) == 2 else (ts, xs)
+
+    monkeypatch.setattr(cones, "_sample_intersection", displaced)
+    out = tmp_path / "out"
+    assert run(str(CONFIG_DIR / "sweep.json"), "sweep", out_dir=str(out)) == 1
+    fail = _fail_lines(out / "sweep.log")
+    assert fail[0].startswith("FAIL containment_verified: step 2: hypothesis sample (t="), fail
+    assert fail[1].startswith("FAIL coverage_reached"), fail
+    with open(out / "sweep.csv") as fh:
+        assert [r["step"] for r in csv.DictReader(fh)] == ["1"]
+
+
+def test_sweep_precondition_stays_a_usage_error(tmp_path):
+    cfg = json.loads((CONFIG_DIR / "sweep.json").read_text())
+    cfg["target_t_over_T0"] = 0.5
+    low = tmp_path / "low.json"
+    low.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run(str(low), "sweep", out_dir=str(out)) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("chunk_elements", [1, 3000, 2**40])

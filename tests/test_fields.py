@@ -5,7 +5,6 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from carleman_lab import fields
 from carleman_lab.fields import (
     BUILTIN_NAMES,
     AnalyticFn,
@@ -134,41 +133,55 @@ def test_builtin_list_is_stable():
     assert "radial_norm" in BUILTIN_NAMES
 
 
-def test_parameter_values_share_compiled_evaluators():
+@pytest.fixture
+def compiles(monkeypatch):
+    """Expressions compiled by sympy.lambdify while the test runs."""
+    calls, real = [], sp.lambdify
+
+    def counting(args, expr, *rest, **kwargs):
+        calls.append(expr)
+        return real(args, expr, *rest, **kwargs)
+
+    monkeypatch.setattr(sp, "lambdify", counting)
+    return calls
+
+
+def test_parameter_values_share_compiled_evaluators(compiles):
     make_fn("gaussian_bump", 1).jet2(0.1, [0.2])
-    before = len(fields._EVAL_CACHE)
+    before = len(compiles)
     a = make_fn("gaussian_bump", 1, amp=2.0, a=3.0)
     b = make_fn("gaussian_bump", 1, amp=0.5, tc=0.1)
     rebound = a.with_params(cx1=0.3)
-    for fn in (a, b, rebound):
+    rebuilt = AnalyticFn("g", a.expr, 1, dict(zip(a.param_syms, a.param_values)))
+    for fn in (a, b, rebound, rebuilt):
         fn.jet2(0.1, [0.2])
-    assert len(fields._EVAL_CACHE) == before
+    assert len(compiles) == before
     assert rebound.value(0.0, [0.3]) == pytest.approx(2.0)
 
 
-def _evaluator_pair(f, g, x):
-    before = len(fields._EVAL_CACHE)
+def _evaluator_pair(compiles, f, g, x):
+    before = len(compiles)
     ef, eg = f._evaluator((0,) * (f.n + 1)), g._evaluator((0,) * (g.n + 1))
     assert ef is not eg
-    assert len(fields._EVAL_CACHE) == before + 2
+    assert len(compiles) == before + 2
     return f.value(0.5, x[: f.n]), g.value(0.5, x[: g.n])
 
 
-def test_evaluator_key_separates_dimension_number_type_and_assumptions():
+def test_evaluator_key_separates_dimension_number_type_and_assumptions(compiles):
     x1 = X_SYMS[0]
     c_real, c_plain = sp.Symbol("keytest_c", real=True), sp.Symbol("keytest_c")
     # the same expression at n = 1 and n = 2
     expr = T_SYM * x1 + sp.Rational(1, 7)
     f1, f2 = (AnalyticFn("f", expr, n, {}) for n in (1, 2))
-    assert _evaluator_pair(f1, f2, [2.0, 3.0]) == (pytest.approx(1.0 + 1 / 7),) * 2
+    assert _evaluator_pair(compiles, f1, f2, [2.0, 3.0]) == (pytest.approx(1.0 + 1 / 7),) * 2
     # 2.0*x and 2*x are different expressions
     fa, fb = AnalyticFn("f", 2.0 * x1 * T_SYM**3, 1, {}), AnalyticFn("f", 2 * x1 * T_SYM**3, 1, {})
     assert fa.expr != fb.expr
-    assert _evaluator_pair(fa, fb, [2.0]) == (0.5, 0.5)
+    assert _evaluator_pair(compiles, fa, fb, [2.0]) == (0.5, 0.5)
     # a real parameter symbol and a plain one of the same name
     fr = AnalyticFn("f", c_real * T_SYM, 1, {c_real: 4.0})
     fp = AnalyticFn("f", c_plain * T_SYM, 1, {c_plain: 6.0})
-    assert _evaluator_pair(fr, fp, [0.0]) == (2.0, 3.0)
+    assert _evaluator_pair(compiles, fr, fp, [0.0]) == (2.0, 3.0)
 
 
 # ---------------------------------------------------------------------------

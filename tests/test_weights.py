@@ -56,6 +56,28 @@ def test_frame_chain_rule_derivatives(rho_trig, params):
     assert abs(fr.phi_jet.hess_tt - expected_tt) <= 1e-12 * max(1.0, abs(expected_tt))
 
 
+def _scalars(value):
+    if isinstance(value, dict):
+        return [v for item in value.values() for v in _scalars(item)]
+    if isinstance(value, list):
+        return [v for item in value for v in _scalars(item)]
+    return [value]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_scalar_evaluation_gives_python_floats(n, varrho_quad):
+    # numpy scalars would round powers differently from the Python floats
+    # that the numeric columns are made of
+    rho = make_fn("trig_product", n, amp=0.1, wt=1.1, wx1=0.9, pt=0.2, px1=0.4)
+    x = [0.51, -0.2][:n]
+    assert type(rho.d(0.37, x, (1,) + (1,) * n)) is float
+    params = WeightParams(lam=3.0, gamma=1.7, mu=0.35, t0=0.1, x0=(0.2,) * n)
+    for varrho in ([0.8, varrho_quad] if n == 1 else [0.8]):
+        values = _scalars(WeightFamily(rho, varrho).quantities(0.37, x, params))
+        assert len(values) > 40
+        assert {type(v) for v in values} == {float}
+
+
 def test_frame_psi_is_one_at_center_on_level_set():
     # rho vanishes at the center, so psi there is exactly one
     rho = make_fn("char_linear", 1)  # t - x, zero at (0, 0)
