@@ -545,6 +545,11 @@ def _draw_identity_case(u: np.ndarray, n: int):
 # uniform numbers reserved per randomized case, by n (upper bound on the 13 + 6 n consumed)
 _CASE_DRAWS = {1: 24, 2: 30}
 
+# conjugation-check draws up to _SEARCH_ATTEMPTS cases per transition point; its
+# stream is laid out (blocks, cases, _SEARCH_BLOCK, draws), so raising the
+# attempt count appends blocks and leaves the earlier attempts' draws unchanged
+_SEARCH_ATTEMPTS, _SEARCH_BLOCK = 32, 8
+
 
 # ---------------------------------------------------------------------------
 # Experiments
@@ -585,7 +590,8 @@ def _run_conjugation_check(cfg: dict):
     seed = cfg.get("seed", 0)
     cut_cfg = cfg.get("cutoff", {"c2": 0.5, "eps": 0.3})
     cutoff = CutoffSpec(c2=float(cut_cfg["c2"]), eps=float(cut_cfg["eps"]))
-    u = _stream(seed, cases * 8 * (_CASE_DRAWS[n] + 1), tag=2).reshape(cases, 8, -1)
+    draws = _CASE_DRAWS[n] + 1
+    u = _stream(seed, _SEARCH_ATTEMPTS * cases * draws, tag=2).reshape(-1, cases, _SEARCH_BLOCK, draws)
     rows = []
     worst = 0.0
     found = 0
@@ -594,19 +600,20 @@ def _run_conjugation_check(cfg: dict):
         # transition band (c2, c2 + eps); retry with fresh draws if the
         # convexification term cannot reach the band there
         hit = None
-        for attempt in range(8):
-            rho, varrho, w, params, t, x = _draw_identity_case(u[i, attempt, :-1], n)
+        for attempt in range(_SEARCH_ATTEMPTS):
+            draw = u[attempt // _SEARCH_BLOCK, i, attempt % _SEARCH_BLOCK]
+            rho, varrho, w, params, t, x = _draw_identity_case(draw[:-1], n)
             fam = WeightFamily(rho, varrho)
-            psi = float(fam.quantities(t, x, replace(params, mu=0.0))["phi"])
+            psi = float(fam.phi(t, x, replace(params, mu=0.0)))
             q = (t - params.t0) ** 2 + sum((xj - cj) ** 2 for xj, cj in zip(x, params.x0))
-            target = cutoff.c2 + (0.15 + 0.7 * float(u[i, attempt, -1])) * cutoff.eps
+            target = cutoff.c2 + (0.15 + 0.7 * float(draw[-1])) * cutoff.eps
             if q < 1e-8 or psi <= target:
                 continue
             mu = (psi - target) / q
             if mu > 4.0:
                 continue
             params = replace(params, mu=mu)
-            phi = float(fam.quantities(t, x, params)["phi"])
+            phi = float(fam.phi(t, x, params))
             if cutoff.c2 + 0.02 * cutoff.eps < phi < cutoff.c2 + 0.98 * cutoff.eps:
                 hit = (rho, varrho, w, params, t, x, fam, phi)
                 break
@@ -647,10 +654,9 @@ def _run_expansion_check(cfg: dict):
             q = fam.quantities(t, x, replace(params, lam=float(lv)))
             a_vals.append(float(q["a"]))
             b_vals.append(float(q["b"]))
-        q0 = fam.quantities(t, x, params)
         frame = eval_frame(rho, t, x, params, varrho)
         dq = eval_D(frame, rho, varrho, params)
-        a_direct = float(q0["p"]) + dq.d1
+        a_direct = float(q["p"]) + dq.d1  # p depends on psi alone, not on lambda
         b_direct = dq.d2_matrix + dq.d3
         a_fit = float(npoly.polyfit(lambdas / scale, np.asarray(a_vals), 2)[2]) / scale**2
         b_fit = float(npoly.polyfit(lambdas / scale, np.asarray(b_vals), 3)[3]) / scale**3
@@ -876,10 +882,7 @@ def _run_ucp_decay(cfg: dict):
     ]
     if snap_times[-1] < grid.t_max:
         snap_times.append(grid.t_max)
-    phis = [
-        np.asarray(family.quantities(np.full(grid.shape, tv), mesh, params)["phi"], dtype=float)
-        for tv in snap_times
-    ]
+    phis = [np.asarray(family.phi(np.full(grid.shape, tv), mesh, params), dtype=float) for tv in snap_times]
     phi_max = max(float(np.max(p)) for p in phis)
     th2 = {lv: [np.exp(2.0 * lv * (p - phi_max)) for p in phis] for lv in lambdas}
     center = [grid.x_lo[j] + 0.5 * (grid.x_hi[j] - grid.x_lo[j]) for j in range(grid.n)]

@@ -99,9 +99,7 @@ def c3_constant(alpha: float, c1: float) -> float:
         raise ConfigurationError(f"alpha must lie in (0, 1]; got {alpha}")
     if c1 <= 0.0:
         raise ConfigurationError(f"c1 must be positive; got {c1}")
-    branch1 = 8.0 * (alpha - 2.0) ** 2 / (c1**4 * alpha)
-    branch2 = 32.0**2 / (2.0 * c1**4 * alpha**3)
-    return max(branch1, branch2) + 1.0
+    return max(c3_branches(alpha, c1)) + 1.0
 
 
 def c3_branches(alpha: float, c1: float) -> tuple[float, float]:

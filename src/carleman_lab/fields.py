@@ -204,33 +204,13 @@ def make_grid(bounds, dx: float, dt: float, t_max: float, cfl: float | None = No
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
-def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Upper-triangle indices of an n x n matrix, built once per n and read-only."""
-    iu = np.triu_indices(n)
-    for a in iu:
-        a.flags.writeable = False
-    return iu
-
-
-def _pack_upper(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m, dtype=float)[_triu(m.shape[0])]
-
-
-def _unpack_upper(packed: np.ndarray, n: int) -> np.ndarray:
-    m = np.zeros((n, n))
-    iu = _triu(n)
-    m[iu] = packed
-    m.T[iu] = packed
-    return m
-
-
 @dataclass(frozen=True)
 class Jet2:
     """Value plus first and second space-time derivatives at one point.
 
-    The spatial Hessian is stored as its upper triangle, so symmetry is exact
-    by construction.
+    ``make`` is the only constructor: it rejects a spatial Hessian that is
+    not exactly symmetric and stores a read-only copy of the whole matrix as
+    ``hess_xx``, so every reader sees the same symmetric matrix.
     """
 
     value: float
@@ -238,30 +218,27 @@ class Jet2:
     grad_x: np.ndarray
     hess_tt: float
     hess_tx: np.ndarray
-    hess_xx_upper: np.ndarray
+    hess_xx: np.ndarray
 
     @property
     def n(self) -> int:
         return self.grad_x.size
 
-    @property
-    def hess_xx(self) -> np.ndarray:
-        return _unpack_upper(self.hess_xx_upper, self.n)
-
     @staticmethod
     def make(value, grad_t, grad_x, hess_tt, hess_tx, hess_xx) -> "Jet2":
         grad_x = np.atleast_1d(np.asarray(grad_x, dtype=float))
         hess_tx = np.atleast_1d(np.asarray(hess_tx, dtype=float))
-        hess_xx = np.atleast_2d(np.asarray(hess_xx, dtype=float))
+        hess_xx = np.atleast_2d(np.array(hess_xx, dtype=float))
         if not np.array_equal(hess_xx, hess_xx.T):
             raise ValueError("hess_xx must be exactly symmetric")
+        hess_xx.flags.writeable = False
         return Jet2(
             value=float(value),
             grad_t=float(grad_t),
             grad_x=grad_x,
             hess_tt=float(hess_tt),
             hess_tx=hess_tx,
-            hess_xx_upper=_pack_upper(hess_xx),
+            hess_xx=hess_xx,
         )
 
 
@@ -789,19 +766,11 @@ def fd_apply(target, op: str, index) -> float:
     arr = field.array()
     index = tuple(np.atleast_1d(index))
     _check_interior(arr.shape, index)
-    dx = field.grid.dx
     if op == "laplacian":
-        total = 0.0
-        for axis in range(arr.ndim):
-            up = tuple(i + (1 if a == axis else 0) for a, i in enumerate(index))
-            dn = tuple(i - (1 if a == axis else 0) for a, i in enumerate(index))
-            total += (arr[up] - 2.0 * arr[index] + arr[dn]) / dx**2
-        return float(total)
+        return float(laplacian_array(arr, field.grid.dx, arr.ndim)[index])
     if op.startswith("grad"):
         axis = int(op[4:])
         if axis >= arr.ndim:
             raise StencilError(f"gradient axis {axis} out of range for n={arr.ndim}")
-        up = tuple(i + (1 if a == axis else 0) for a, i in enumerate(index))
-        dn = tuple(i - (1 if a == axis else 0) for a, i in enumerate(index))
-        return float((arr[up] - arr[dn]) / (2.0 * dx))
+        return float(gradient_array(arr, field.grid.dx, axis)[index])
     raise ConfigurationError(f"unknown stencil op {op!r}")

@@ -150,8 +150,7 @@ def _w_derivatives(u_fn: AnalyticFn, cutoff, quant, t, xs, n):
     phi_tx = [pj[A.tx[j]] for j in range(n)]  # q has no t-x cross terms
     mu = quant["mu"]
     phi_xx = [[pj[A.xx[j][k]] - (2.0 * mu if j == k else 0.0) for k in range(n)] for j in range(n)]
-    s = (np.asarray(phi, dtype=float) - cutoff.c2) / cutoff.eps
-    S0, S1, S2 = _smoothstep(s), _smoothstep_d1(s) / cutoff.eps, _smoothstep_d2(s) / cutoff.eps**2
+    S0, S1, S2 = cutoff.chi(phi), cutoff.chi_d1(phi), cutoff.chi_d2(phi)
     chi = {
         "v": S0,
         "t": S1 * phi_t,

@@ -133,6 +133,11 @@ def _q_partial(t, xs, t0, x0, alpha):
     return np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else 0.0
 
 
+def _phi(psi0, t, xs, params: WeightParams):
+    """phi = psi - mu q, from psi's value at (t, xs)."""
+    return psi0 - params.mu * _q_partial(t, xs, params.t0, params.x0, (0,) * (len(xs) + 1))
+
+
 _PSI: dict = {}  # rho.symbolic -> (psi = exp(cw_gamma rho) as an AnalyticFn, position of cw_gamma)
 
 
@@ -168,6 +173,11 @@ class WeightFamily:
         """psi = exp(gamma rho) at rho's parameter values."""
         i, values = self._gamma_at, self.rho.param_values
         return self._psi.with_values(values[:i] + (float(gamma),) + values[i:])
+
+    def phi(self, t, xs, params: WeightParams):
+        """phi = psi - mu q at (t, xs) (scalars or broadcastable arrays), alone."""
+        xs = list(xs)
+        return _phi(self.psi(params.gamma).d(t, xs, multi_indices(self.n).zero), t, xs, params)
 
     # -- partial evaluation ------------------------------------------------
 
@@ -371,7 +381,7 @@ class WeightFamily:
             - sum(d1_x[k] * psi_x[k] for k in range(n))
         )
 
-        phi = psi0 - mu * _q_partial(t, xs, t0, x0, a0)
+        phi = _phi(psi0, t, xs, params)
         phi_t = psi_t - 2.0 * mu * dt_
         phi_tt = psi_tt - 2.0 * mu
         phi_x = [psi_x[j] - 2.0 * mu * dxs[j] for j in range(n)]

@@ -189,6 +189,45 @@ def test_identity_check_assembles_each_case_once(tmp_path, monkeypatch):
     assert len(calls) == 5
 
 
+def _count_quantities(monkeypatch) -> list:
+    from carleman_lab.weights import WeightFamily
+
+    calls = []
+    original = WeightFamily.quantities
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(WeightFamily, "quantities", counting)
+    return calls
+
+
+def test_conjugation_check_evaluates_quantities_once_per_found_case(tmp_path, monkeypatch):
+    calls = _count_quantities(monkeypatch)
+    cfg = tmp_path / "conj.json"
+    cfg.write_text(json.dumps({"experiment": "conjugation-check", "cases": 10, "seed": 0}))
+    assert run(str(cfg), "conjugation-check", out_dir=str(tmp_path / "out")) == 0
+    rows = list(csv.DictReader(open(tmp_path / "out" / "conjugation-check.csv")))
+    assert len(rows) == 10
+    assert len(calls) == 10
+
+
+def test_expansion_check_evaluates_quantities_seven_times_per_sample(tmp_path, monkeypatch):
+    calls = _count_quantities(monkeypatch)
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"experiment": "expansion-check", "samples": 4, "seed": 0}))
+    assert run(str(cfg), "expansion-check", out_dir=str(tmp_path / "out")) == 0
+    # six lambda values, then eval_D
+    assert len(calls) == 4 * 7
+
+
+def test_conjugation_check_finds_every_transition_point_on_seed_1(tmp_path):
+    out = tmp_path / "out"
+    assert run(str(CONFIG_DIR / "conjugation_check.json"), "conjugation-check", out_dir=str(out), seed=1) == 0
+    assert "PASS transition_points_found: 100 of 100" in (out / "conjugation-check.log").read_text()
+
+
 def test_identity_check_builds_each_registry_entry_once(tmp_path, monkeypatch):
     from carleman_lab import fields
 

@@ -11,9 +11,12 @@ from carleman_lab.fields import (
     CapabilityError,
     ConfigurationError,
     Field,
+    Jet2,
     StencilError,
     fd_apply,
     field_from_fn,
+    gradient_array,
+    laplacian_array,
     make_fn,
     make_grid,
     normal_stream,
@@ -91,6 +94,20 @@ _SMOOTH_BUILTINS = [
     "affine", "quadratic", "trig_product", "exp_quadratic", "gaussian_bump",
     "plane_wave", "standing_wave", "char_linear", "char_exp_flat", "cone_level",
 ]
+
+
+def test_jet_rejects_an_asymmetric_hessian():
+    with pytest.raises(ValueError, match="symmetric"):
+        Jet2.make(0.0, 0.0, [0.0, 0.0], 0.0, [0.0, 0.0], [[1.0, 2.0], [2.0 + 1e-15, 1.0]])
+
+
+def test_jet_hessian_is_a_read_only_copy():
+    hess = np.array([[1.0, 2.0], [2.0, 3.0]])
+    jet = Jet2.make(0.0, 0.0, [0.0, 0.0], 0.0, [0.0, 0.0], hess)
+    hess[0, 0] = 9.0
+    assert jet.hess_xx[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        jet.hess_xx[0, 1] = 5.0
 
 
 @pytest.mark.parametrize("name", _SMOOTH_BUILTINS)
@@ -223,6 +240,22 @@ def test_stencil_rejects_boundary_index():
         fd_apply(fld, "laplacian", (0,))
     with pytest.raises(StencilError):
         fd_apply(fld, "grad0", (8,))
+
+
+@pytest.mark.parametrize("bounds", [[(-1.0, 1.0)], [(-1.0, 1.0), (0.0, 1.5)]])
+def test_fd_apply_reads_the_array_stencils_at_every_interior_node(bounds):
+    g = make_grid(bounds, dx=0.25, dt=0.125, t_max=1.0)
+    fld = Field(g, uniform_stream(3, g.num_nodes) - 0.5)
+    arr = fld.array()
+    lap = laplacian_array(arr, g.dx, g.n)
+    grads = [gradient_array(arr, g.dx, j) for j in range(g.n)]
+    for idx in np.ndindex(*(m - 2 for m in g.shape)):
+        node = tuple(i + 1 for i in idx)
+        assert fd_apply(fld, "laplacian", node) == lap[node]
+        for j in range(g.n):
+            assert fd_apply(fld, f"grad{j}", node) == grads[j][node]
+    with pytest.raises(StencilError):
+        fd_apply(fld, f"grad{g.n}", (1,) * g.n)
 
 
 def test_field_length_validated():
