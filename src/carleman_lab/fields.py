@@ -2,12 +2,16 @@
 
 Everything downstream leans on two guarantees made here:
 
-* ``AnalyticFn`` carries closed-form partial derivatives of any order,
-  generated symbolically once and cached as compiled numpy callables keyed by
-  the sympy expression itself, its parameter symbols, the dimension n and the
-  multi-index.  Parameter values are call arguments, so rebinding them never
-  recompiles.  Identity checks therefore see exact jets, not finite
-  differences.
+* ``AnalyticFn`` carries closed-form partial derivatives of any order.  Each
+  evaluator is a numpy function exec'd from the source sympy's ``lambdify``
+  writes for one (family, multi-index), compiled once and shared by every
+  instance of the family.  A family is a registry entry or psi of one at a
+  dimension n, or else the sympy expression itself with its parameter
+  symbols.  The sources the bundled runs need are shipped in
+  ``_frozen_evaluators`` (written by ``scripts/freeze_evaluators.py``), so
+  those runs never import sympy; any other source is generated on demand.
+  Parameter values are call arguments, so rebinding them never recompiles.
+  Identity checks therefore see exact jets, not finite differences.
 * ``sample_brownian`` produces a platform-independent increment stream from a
   counter-based generator with an explicit normal transform; the algorithm
   and its constants live in one block below.
@@ -16,11 +20,14 @@ Everything downstream leans on two guarantees made here:
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
-import sympy as sp
+
+from . import _frozen_evaluators
 
 
 class ConfigurationError(ValueError):
@@ -278,76 +285,163 @@ def jet_exp(a: Jet2) -> Jet2:
 # Analytic functions with exact jets
 # ---------------------------------------------------------------------------
 
-T_SYM = sp.Symbol("t", real=True)
-X_SYMS = (sp.Symbol("x1", real=True), sp.Symbol("x2", real=True))
+@functools.cache
+def _coordinates():
+    """The sympy symbols t and (x1, x2); sympy is imported on first use."""
+    import sympy as sp
+
+    return sp.Symbol("t", real=True), (sp.Symbol("x1", real=True), sp.Symbol("x2", real=True))
+
+
+def __getattr__(name):
+    # T_SYM and X_SYMS: made when first read, so that importing this module does not import sympy
+    if name == "T_SYM":
+        return _coordinates()[0]
+    if name == "X_SYMS":
+        return _coordinates()[1]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _SYMBOLIC: dict[tuple, "_Symbolic"] = {}
 _SCALAR_TYPES = (float, int)
+_UNBOUND = object()
+
+
+def _numpy_names(fn) -> dict[str, str]:
+    """{global name: numpy attribute} for each global name a lambdify'd function reads.
+
+    Each must be bound in lambdify's namespace to an object of the numpy
+    module, so that the source exec'd against those objects computes exactly
+    what the lambdify'd function does; any other name raises CapabilityError.
+    """
+    names = {}
+    for name in fn.__code__.co_names:
+        obj = fn.__globals__.get(name, _UNBOUND)
+        attrs = [a for a, v in vars(np).items() if v is obj]
+        if not attrs:
+            raise CapabilityError(f"generated evaluator reads {name!r}, which is not a numpy object")
+        names[name] = name if name in attrs else attrs[0]
+    return names
+
+
+def _load_evaluator(source: str, names: dict[str, str]):
+    """The function a lambdify source defines, its global names bound to numpy
+    attributes.  Every evaluator is made here, frozen or freshly generated."""
+    namespace = {name: getattr(np, attr) for name, attr in names.items()}
+    exec(source, namespace)
+    return namespace["_lambdifygenerated"]
 
 
 class _Symbolic:
-    """What every AnalyticFn of one evaluator key (expr, param_syms, n) shares:
-    the unbound-symbol check, made once here, the parameter-name index used by
-    ``with_params``, and the compiled evaluators by multi-index."""
+    """What every AnalyticFn of one family shares, keyed by ``(family, n)``.
 
-    def __init__(self, name: str, expr: sp.Expr, param_syms: tuple, n: int):
-        free = expr.free_symbols - set(param_syms) - {T_SYM} - set(X_SYMS[:n])
-        if free:
-            raise CapabilityError(f"{name}: unbound symbols {sorted(map(str, free))}")
-        self.expr, self.param_syms, self.n = expr, param_syms, n
-        # full symbol names, then the unambiguous short names after the family prefix
-        self.index = {s.name: i for i, s in enumerate(param_syms)}
-        for i, s in enumerate(param_syms):
-            self.index.setdefault(s.name.split("_", 1)[-1], i)
+    ``family`` is a registry name, ``("psi", family)`` for psi = exp(cw_gamma
+    rho) on a family of rho, or ``(expr, param_syms)`` for a function made
+    from a sympy expression.  The shared part is the sorted parameter names
+    and their index for ``with_params``, whether the function depends on t,
+    and the evaluators by multi-index.  An evaluator's source comes from the
+    frozen table when it has one, and is generated with sympy otherwise.  The
+    sympy tree is built by ``tree()`` on first use and checked then for
+    unbound symbols; a run served by the table never builds it.
+    """
+
+    def __init__(self, name: str, key: tuple, param_names: tuple[str, ...], depends_on_t: bool, build):
+        self.name, self.key, self.n = name, key, key[1]
+        self.param_names, self.depends_on_t = param_names, depends_on_t
+        self._build, self._tree = build, None
+        # full parameter names, then the unambiguous short names after the family prefix
+        self.index = {nm: i for i, nm in enumerate(param_names)}
+        for i, nm in enumerate(param_names):
+            self.index.setdefault(nm.split("_", 1)[-1], i)
         self.evaluators: dict[tuple[int, ...], object] = {}
 
-    def compile(self, alpha: tuple[int, ...]):
-        expr = self.expr
+    def tree(self) -> tuple:
+        """(sympy expression, parameter symbols in ``param_names`` order)."""
+        if self._tree is None:
+            expr, param_syms = self._build()
+            t, xs = _coordinates()
+            free = expr.free_symbols - set(param_syms) - {t} - set(xs[: self.n])
+            if free:
+                raise CapabilityError(f"{self.name}: unbound symbols {sorted(map(str, free))}")
+            self._tree = expr, param_syms
+        return self._tree
+
+    def source(self, alpha: tuple[int, ...]) -> tuple[str, dict[str, str]]:
+        """lambdify's numpy source of d^alpha of the tree, and ``_numpy_names`` of it."""
+        import sympy as sp
+
+        t, xs = _coordinates()
+        expr, param_syms = self.tree()
         if alpha[0]:
-            expr = sp.diff(expr, T_SYM, alpha[0])
+            expr = sp.diff(expr, t, alpha[0])
         for j in range(self.n):
             if alpha[1 + j]:
-                expr = sp.diff(expr, X_SYMS[j], alpha[1 + j])
-        args = (T_SYM, *X_SYMS[: self.n], *self.param_syms)
-        fn = self.evaluators[alpha] = sp.lambdify(args, expr, modules="numpy", cse=True)
+                expr = sp.diff(expr, xs[j], alpha[1 + j])
+        fn = sp.lambdify((t, *xs[: self.n], *param_syms), expr, modules="numpy", cse=True)
+        return inspect.getsource(fn), _numpy_names(fn)
+
+    def compile(self, alpha: tuple[int, ...]):
+        source = _frozen_evaluators.SOURCES.get(self.key, {}).get(alpha)
+        names = _frozen_evaluators.NAMES
+        if source is None:
+            source, names = self.source(alpha)
+        fn = self.evaluators[alpha] = _load_evaluator(source, names)
         return fn
 
 
-def _symbolic(name: str, expr: sp.Expr, param_syms: tuple, n: int) -> _Symbolic:
-    key = (expr, param_syms, n)
+def family(name: str, key: tuple, param_names: tuple[str, ...], depends_on_t: bool, build) -> _Symbolic:
+    """The shared part of family ``key``, made on its first request; ``build()``
+    returns its sympy tree (see ``_Symbolic``)."""
     sym = _SYMBOLIC.get(key)
     if sym is None:
-        sym = _SYMBOLIC[key] = _Symbolic(name, expr, param_syms, n)
+        sym = _SYMBOLIC[key] = _Symbolic(name, key, param_names, depends_on_t, build)
     return sym
 
 
 class AnalyticFn:
     """Closed-form scalar function of (t, x) with exact partial derivatives.
 
-    Parameters of the expression are sympy symbols bound to floats.  What
-    depends only on the evaluator key (expr, param_syms, n) is built once per
-    key and shared by every instance with it: the unbound-symbol check, the
-    parameter-name index and the compiled evaluator of each multi-index.  An
-    instance holds only its name, that shared part (``symbolic``) and its
-    value tuple, so ``with_params`` and ``with_values`` rebind values without
-    touching sympy and never recompile.  Sympy
-    expressions hash and compare by structure, with symbol assumptions and
-    number types included (``2.0*x`` and ``2*x`` are different keys).
+    An instance holds its name, the part its whole family shares
+    (``symbolic``, see ``_Symbolic``) and its parameter values in the order of
+    the family's sorted parameter names, so ``with_params`` and
+    ``with_values`` rebind values without touching sympy and never recompile.
+
+    The constructor makes a function from a sympy expression whose parameters
+    are symbols bound to floats.  It is a family of its own, keyed by the
+    expression and its parameter symbols; sympy expressions hash and compare
+    by structure, with symbol assumptions and number types included
+    (``2.0*x`` and ``2*x`` are different families).  Registry functions
+    (``make_fn``) and psi (``weights.WeightFamily``) are keyed by name
+    instead, and build no sympy tree until something reads ``expr``.
     """
 
-    def __init__(self, name: str, expr: sp.Expr, n: int, params: dict[sp.Symbol, float]):
+    def __init__(self, name: str, expr, n: int, params: dict):
         param_syms = tuple(sorted(params.keys(), key=lambda s: s.name))
         self.name = name
-        self.symbolic = _symbolic(name, expr, param_syms, int(n))
+        self.symbolic = family(
+            name,
+            ((expr, param_syms), int(n)),
+            tuple(s.name for s in param_syms),
+            expr.has(_coordinates()[0]),
+            lambda: (expr, param_syms),
+        )
+        self.symbolic.tree()  # the unbound-symbol check, once per family
         self.param_values = tuple(float(params[s]) for s in param_syms)
 
+    @staticmethod
+    def of_family(name: str, symbolic: _Symbolic, values: tuple[float, ...]) -> "AnalyticFn":
+        """An instance of an existing family, with every parameter value given."""
+        fn = AnalyticFn.__new__(AnalyticFn)
+        fn.name, fn.symbolic, fn.param_values = name, symbolic, values
+        return fn
+
     @property
-    def expr(self) -> sp.Expr:
-        return self.symbolic.expr
+    def expr(self):
+        return self.symbolic.tree()[0]
 
     @property
     def param_syms(self) -> tuple:
-        return self.symbolic.param_syms
+        return self.symbolic.tree()[1]
 
     @property
     def n(self) -> int:
@@ -355,7 +449,7 @@ class AnalyticFn:
 
     @property
     def params(self) -> dict[str, float]:
-        return {s.name: v for s, v in zip(self.param_syms, self.param_values)}
+        return dict(zip(self.symbolic.param_names, self.param_values))
 
     def with_params(self, **updates: float) -> "AnalyticFn":
         """Rebind parameters by full symbol name or unambiguous short name."""
@@ -368,10 +462,8 @@ class AnalyticFn:
         return self.with_values(tuple(values))
 
     def with_values(self, values: tuple[float, ...]) -> "AnalyticFn":
-        """The same function with every parameter value given, in ``param_syms`` order."""
-        fn = AnalyticFn.__new__(AnalyticFn)
-        fn.name, fn.symbolic, fn.param_values = self.name, self.symbolic, values
-        return fn
+        """The same function with every parameter value given, in ``param_names`` order."""
+        return AnalyticFn.of_family(self.name, self.symbolic, values)
 
     def _evaluator(self, alpha: tuple[int, ...]):
         fn = self.symbolic.evaluators.get(alpha)
@@ -470,169 +562,140 @@ def multi_indices(n: int) -> MultiIndices:
 # ---------------------------------------------------------------------------
 # Registry of built-in function families
 #
-# Parameter symbols are namespaced per family so that instances share compiled
-# evaluators; names starting with "cw_" are reserved for weight construction.
+# Each entry declares its parameters and their defaults in plain Python and
+# builds its sympy expression only on request.  Parameter names carry a
+# per-family prefix; names starting with "cw_" are reserved for weight
+# construction.
 # ---------------------------------------------------------------------------
 
 
-def _syms(family: str, names: str):
-    return [sp.Symbol(f"{family}_{nm}", real=True) for nm in names.split()]
+class _Entry:
+    """One registry family: a parameter prefix, the defaults by short name,
+    whether it depends on t, and ``build(sp, t, xs, p)``, which makes the
+    sympy expression from the coordinate symbols and the parameter symbols
+    ``p`` (by short name).  A default given as a pair declares one parameter
+    per axis, cut to the first n: ``cx=(0.0, 0.0)`` declares ``cx1``, ``cx2``
+    and gives ``p.cx`` as a list."""
+
+    def __init__(self, prefix: str, build, depends_on_t: bool = True, **defaults):
+        self.prefix, self.build, self.depends_on_t, self.defaults = prefix, build, depends_on_t, defaults
+
+    def __call__(self, n: int):
+        """(defaults by full parameter name, depends on t, tree builder) at dimension n."""
+        short = {}
+        for k, v in self.defaults.items():
+            short.update({f"{k}{j + 1}": v[j] for j in range(n)} if isinstance(v, tuple) else {k: v})
+
+        def build():
+            import sympy as sp
+
+            t, xs = _coordinates()
+            syms = {k: sp.Symbol(f"{self.prefix}_{k}", real=True) for k in short}
+            p = SimpleNamespace(**{
+                k: [syms[f"{k}{j + 1}"] for j in range(n)] if isinstance(v, tuple) else syms[k]
+                for k, v in self.defaults.items()
+            })
+            return self.build(sp, t, xs[:n], p), tuple(sorted(syms.values(), key=lambda s: s.name))
+
+        return {f"{self.prefix}_{k}": float(v) for k, v in short.items()}, self.depends_on_t, build
 
 
-def _registry_entry_affine(n):
-    c0, ct = _syms("aff", "c0 ct")
-    cx = _syms("aff", "cx1 cx2")[:n]
-    expr = c0 + ct * T_SYM + sum(c * x for c, x in zip(cx, X_SYMS[:n]))
-    defaults = {c0: 0.0, ct: 1.0, **{c: -1.0 for c in cx}}
-    return expr, defaults
+def _affine(sp, t, xs, p):
+    return p.c0 + p.ct * t + sum(c * x for c, x in zip(p.cx, xs))
 
 
-def _registry_entry_quadratic(n):
-    c0, ct, qtt = _syms("quad", "c0 ct qtt")
-    cx = _syms("quad", "cx1 cx2")[:n]
-    qx = _syms("quad", "qx1 qx2")[:n]
-    expr = (
-        c0
-        + ct * T_SYM
-        + qtt * T_SYM**2 / 2
-        + sum(c * x for c, x in zip(cx, X_SYMS[:n]))
-        + sum(q * x**2 / 2 for q, x in zip(qx, X_SYMS[:n]))
+def _quadratic(sp, t, xs, p):
+    return (
+        p.c0
+        + p.ct * t
+        + p.qtt * t**2 / 2
+        + sum(c * x for c, x in zip(p.cx, xs))
+        + sum(q * x**2 / 2 for q, x in zip(p.qx, xs))
     )
-    defaults = {c0: 0.0, ct: 0.0, qtt: 1.0, **{c: 0.0 for c in cx}, **{q: -1.0 for q in qx}}
-    return expr, defaults
 
 
-def _registry_entry_trig_product(n):
-    amp, wt, pt = _syms("trig", "amp wt pt")
-    wx = _syms("trig", "wx1 wx2")[:n]
-    px = _syms("trig", "px1 px2")[:n]
-    expr = amp * sp.sin(wt * T_SYM + pt)
-    for w, p, x in zip(wx, px, X_SYMS[:n]):
-        expr *= sp.cos(w * x + p)
-    defaults = {amp: 1.0, wt: 1.0, pt: 0.3, **{w: 1.0 for w in wx}, **{p: 0.0 for p in px}}
-    return expr, defaults
+def _trig_product(sp, t, xs, p):
+    expr = p.amp * sp.sin(p.wt * t + p.pt)
+    for w, ph, x in zip(p.wx, p.px, xs):
+        expr *= sp.cos(w * x + ph)
+    return expr
 
 
-def _registry_entry_exp_quadratic(n):
-    amp, att, bt = _syms("expq", "amp att bt")
-    ax = _syms("expq", "ax1 ax2")[:n]
-    bx = _syms("expq", "bx1 bx2")[:n]
-    expr = amp * sp.exp(
-        att * T_SYM**2 / 2
-        + bt * T_SYM
-        + sum(a * x**2 / 2 for a, x in zip(ax, X_SYMS[:n]))
-        + sum(b * x for b, x in zip(bx, X_SYMS[:n]))
+def _exp_quadratic(sp, t, xs, p):
+    return p.amp * sp.exp(
+        p.att * t**2 / 2
+        + p.bt * t
+        + sum(a * x**2 / 2 for a, x in zip(p.ax, xs))
+        + sum(b * x for b, x in zip(p.bx, xs))
     )
-    defaults = {amp: 1.0, att: -0.5, bt: 0.0, **{a: -0.5 for a in ax}, **{b: 0.0 for b in bx}}
-    return expr, defaults
 
 
-def _registry_entry_gaussian_bump(n):
-    amp, a, tc = _syms("gauss", "amp a tc")
-    cx = _syms("gauss", "cx1 cx2")[:n]
-    at = _syms("gauss", "at")[0]
-    q = at * (T_SYM - tc) ** 2 + sum((x - c) ** 2 for c, x in zip(cx, X_SYMS[:n]))
-    expr = amp * sp.exp(-a * q)
-    defaults = {amp: 1.0, a: 8.0, tc: 0.0, at: 0.0, **{c: 0.0 for c in cx}}
-    return expr, defaults
+def _gaussian_bump(sp, t, xs, p):
+    q = p.at * (t - p.tc) ** 2 + sum((x - c) ** 2 for c, x in zip(p.cx, xs))
+    return p.amp * sp.exp(-p.a * q)
 
 
-def _registry_entry_plane_wave(n):
-    amp, k, c, p = _syms("pw", "amp k c p")
-    expr = amp * sp.sin(k * (X_SYMS[0] - c * T_SYM) + p)
-    defaults = {amp: 1.0, k: math.pi, c: 1.0, p: 0.0}
-    return expr, defaults
+def _plane_wave(sp, t, xs, p):
+    return p.amp * sp.sin(p.k * (xs[0] - p.c * t) + p.p)
 
 
-def _registry_entry_standing_wave(n):
+def _standing_wave(sp, t, xs, p):
     # 1-D mode; in n = 2 it is constant along the second axis.
-    amp, k = _syms("sw", "amp k")
-    expr = amp * sp.sin(k * X_SYMS[0]) * sp.cos(k * T_SYM)
-    defaults = {amp: 1.0, k: math.pi}
-    return expr, defaults
+    return p.amp * sp.sin(p.k * xs[0]) * sp.cos(p.k * t)
 
 
-def _registry_entry_bump4(n):
+def _bump4(sp, t, xs, p):
     """C^3 compact bump ((1 - q)_+)^4 with anisotropic space-time radii."""
-    amp, tc, rt = _syms("bump", "amp tc rt")
-    cx = _syms("bump", "cx1 cx2")[:n]
-    rx = _syms("bump", "rx1 rx2")[:n]
-    q = ((T_SYM - tc) / rt) ** 2 + sum(((x - c) / r) ** 2 for c, r, x in zip(cx, rx, X_SYMS[:n]))
-    expr = amp * sp.Piecewise(((1 - q) ** 4, q < 1), (0.0, True))
-    defaults = {amp: 1.0, tc: 0.0, rt: 1.0, **{c: 0.0 for c in cx}, **{r: 0.25 for r in rx}}
-    return expr, defaults
+    q = ((t - p.tc) / p.rt) ** 2 + sum(((x - c) / r) ** 2 for c, r, x in zip(p.cx, p.rx, xs))
+    return p.amp * sp.Piecewise(((1 - q) ** 4, q < 1), (0.0, True))
 
 
-def _registry_entry_space_bump4(n):
+def _space_bump4(sp, t, xs, p):
     """Time-independent C^3 compact bump, for initial data."""
-    amp = _syms("sbump", "amp")[0]
-    cx = _syms("sbump", "cx1 cx2")[:n]
-    rx = _syms("sbump", "rx1 rx2")[:n]
-    q = sum(((x - c) / r) ** 2 for c, r, x in zip(cx, rx, X_SYMS[:n]))
-    expr = amp * sp.Piecewise(((1 - q) ** 4, q < 1), (0.0, True))
-    defaults = {amp: 1.0, **{c: 0.0 for c in cx}, **{r: 0.2 for r in rx}}
-    return expr, defaults
+    q = sum(((x - c) / r) ** 2 for c, r, x in zip(p.cx, p.rx, xs))
+    return p.amp * sp.Piecewise(((1 - q) ** 4, q < 1), (0.0, True))
 
 
-def _registry_entry_char_linear(n):
+def _char_linear(sp, t, xs, p):
     """t - u . x; characteristic level set when |u| = 1."""
-    ux = _syms("chl", "ux1 ux2")[:n]
-    expr = T_SYM - sum(u * x for u, x in zip(ux, X_SYMS[:n]))
-    defaults = {u: (1.0 if j == 0 else 0.0) for j, u in enumerate(ux)}
-    return expr, defaults
+    return t - sum(u * x for u, x in zip(p.ux, xs))
 
 
-def _registry_entry_char_exp_flat(n):
+def _char_exp_flat(sp, t, xs, p):
     """exp(tau t) - exp(tau x1); graph form of a flat characteristic surface."""
-    tau = _syms("chef", "tau")[0]
-    expr = sp.exp(tau * T_SYM) - sp.exp(tau * X_SYMS[0])
-    defaults = {tau: 1.0}
-    return expr, defaults
+    return sp.exp(p.tau * t) - sp.exp(p.tau * xs[0])
 
 
-def _registry_entry_char_exp_radial(n):
+def _char_exp_radial(sp, t, xs, p):
     """exp(tau t) - exp(tau |x|); radial graph form, smooth away from x = 0."""
-    if n < 2:
-        tau = _syms("cher", "tau")[0]
-        expr = sp.exp(tau * T_SYM) - sp.exp(tau * sp.sqrt(X_SYMS[0] ** 2))
-        return expr, {tau: 1.0}
-    tau = _syms("cher", "tau")[0]
-    expr = sp.exp(tau * T_SYM) - sp.exp(tau * sp.sqrt(X_SYMS[0] ** 2 + X_SYMS[1] ** 2))
-    return expr, {tau: 1.0}
+    return sp.exp(p.tau * t) - sp.exp(p.tau * sp.sqrt(sum(x**2 for x in xs)))
 
 
-def _registry_entry_radial_norm(n):
+def _radial_norm(sp, t, xs, p):
     """|x - c|; smooth away from the center, unit gradient."""
-    cx = _syms("rad", "cx1 cx2")[:n]
-    expr = sp.sqrt(sum((x - c) ** 2 for c, x in zip(cx, X_SYMS[:n])))
-    defaults = {c: 0.0 for c in cx}
-    return expr, defaults
+    return sp.sqrt(sum((x - c) ** 2 for c, x in zip(p.cx, xs)))
 
 
-def _registry_entry_cone_level(n):
+def _cone_level(sp, t, xs, p):
     """a (t - t0)^2 / 2 - |x - c|^2; the hyperboloid level function."""
-    a, t0 = _syms("cone", "a t0")
-    cx = _syms("cone", "cx1 cx2")[:n]
-    expr = a * (T_SYM - t0) ** 2 / 2 - sum((x - c) ** 2 for c, x in zip(cx, X_SYMS[:n]))
-    defaults = {a: 0.5, t0: 0.0, **{c: 0.0 for c in cx}}
-    return expr, defaults
+    return p.a * (t - p.t0) ** 2 / 2 - sum((x - c) ** 2 for c, x in zip(p.cx, xs))
 
 
 _REGISTRY = {
-    "affine": _registry_entry_affine,
-    "quadratic": _registry_entry_quadratic,
-    "trig_product": _registry_entry_trig_product,
-    "exp_quadratic": _registry_entry_exp_quadratic,
-    "gaussian_bump": _registry_entry_gaussian_bump,
-    "plane_wave": _registry_entry_plane_wave,
-    "standing_wave": _registry_entry_standing_wave,
-    "bump4": _registry_entry_bump4,
-    "space_bump4": _registry_entry_space_bump4,
-    "char_linear": _registry_entry_char_linear,
-    "char_exp_flat": _registry_entry_char_exp_flat,
-    "char_exp_radial": _registry_entry_char_exp_radial,
-    "radial_norm": _registry_entry_radial_norm,
-    "cone_level": _registry_entry_cone_level,
+    "affine": _Entry("aff", _affine, c0=0.0, ct=1.0, cx=(-1.0, -1.0)),
+    "quadratic": _Entry("quad", _quadratic, c0=0.0, ct=0.0, qtt=1.0, cx=(0.0, 0.0), qx=(-1.0, -1.0)),
+    "trig_product": _Entry("trig", _trig_product, amp=1.0, wt=1.0, pt=0.3, wx=(1.0, 1.0), px=(0.0, 0.0)),
+    "exp_quadratic": _Entry("expq", _exp_quadratic, amp=1.0, att=-0.5, bt=0.0, ax=(-0.5, -0.5), bx=(0.0, 0.0)),
+    "gaussian_bump": _Entry("gauss", _gaussian_bump, amp=1.0, a=8.0, tc=0.0, at=0.0, cx=(0.0, 0.0)),
+    "plane_wave": _Entry("pw", _plane_wave, amp=1.0, k=math.pi, c=1.0, p=0.0),
+    "standing_wave": _Entry("sw", _standing_wave, amp=1.0, k=math.pi),
+    "bump4": _Entry("bump", _bump4, amp=1.0, tc=0.0, rt=1.0, cx=(0.0, 0.0), rx=(0.25, 0.25)),
+    "space_bump4": _Entry("sbump", _space_bump4, depends_on_t=False, amp=1.0, cx=(0.0, 0.0), rx=(0.2, 0.2)),
+    "char_linear": _Entry("chl", _char_linear, ux=(1.0, 0.0)),
+    "char_exp_flat": _Entry("chef", _char_exp_flat, tau=1.0),
+    "char_exp_radial": _Entry("cher", _char_exp_radial, tau=1.0),
+    "radial_norm": _Entry("rad", _radial_norm, depends_on_t=False, cx=(0.0, 0.0)),
+    "cone_level": _Entry("cone", _cone_level, a=0.5, t0=0.0, cx=(0.0, 0.0)),
 }
 
 BUILTIN_NAMES = tuple(sorted(_REGISTRY))
@@ -644,8 +707,8 @@ _BUILTINS: dict[tuple[str, int], tuple[AnalyticFn, dict[str, int]]] = {}
 def make_fn(name: str, n: int, **params: float) -> AnalyticFn:
     """Instantiate a built-in family; unknown names or parameters raise CapabilityError.
 
-    Each (name, n) builds its expression, defaults and short-name index once;
-    an instance only rebinds the value tuple.
+    Each (name, n) reads its registry entry's declaration once; an instance
+    only rebinds the value tuple.
     """
     if name not in _REGISTRY:
         raise CapabilityError(f"unknown built-in function {name!r}; have {BUILTIN_NAMES}")
@@ -653,9 +716,11 @@ def make_fn(name: str, n: int, **params: float) -> AnalyticFn:
         raise CapabilityError(f"built-ins support n in (1, 2), got {n}")
     entry = _BUILTINS.get((name, n))
     if entry is None:
-        expr, defaults = _REGISTRY[name](n)
-        default = AnalyticFn(name, expr, n, defaults)
-        by_short = {s.name.split("_", 1)[1]: i for i, s in enumerate(default.param_syms)}
+        defaults, depends_on_t, build = _REGISTRY[name](n)
+        names = tuple(sorted(defaults))
+        sym = family(name, (name, n), names, depends_on_t, build)
+        default = AnalyticFn.of_family(name, sym, tuple(defaults[k] for k in names))
+        by_short = {nm.split("_", 1)[1]: i for i, nm in enumerate(names)}
         entry = _BUILTINS[(name, n)] = (default, by_short)
     default, by_short = entry
     values = list(default.param_values)

@@ -557,7 +557,7 @@ def qv_check(
         mesh, A = list(grid.meshgrid()), multi_indices(grid.n)
         theta = []
         for tv in np.arange(grid.num_steps + 1) * grid.dt:
-            ell = family.quantities(np.full(grid.shape, tv), mesh, params)["ell"]
+            ell = family.ell(np.full(grid.shape, tv), mesh, params, (A.zero, A.t))
             theta.append((np.exp(ell[A.zero]), ell[A.t]))
     samplers = _solver.make_samplers(coeffs, grid)
     init = _solver.initial_state(grid, u0_fn, u1_fn, coeffs)

@@ -14,15 +14,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import sympy as sp
 
 from .fields import (
     AnalyticFn,
     BrownianPath,
     ConfigurationError,
     Grid,
-    T_SYM,
-    X_SYMS,
     gradient_array,
     laplacian_array,
     normal_stream,
@@ -50,7 +47,7 @@ def _coeff_sampler(coeff, grid: Grid):
     if isinstance(coeff, AnalyticFn):
         mesh = list(grid.meshgrid())
         alpha = (0,) * (grid.n + 1)
-        if coeff.expr.has(T_SYM):
+        if coeff.symbolic.depends_on_t:
             return lambda t: coeff.d(np.full(grid.shape, t), mesh, alpha), None
         frozen = coeff.d(np.zeros(grid.shape), mesh, alpha)
         bound = float(np.max(np.abs(frozen)))
@@ -314,6 +311,10 @@ def manufactured_forcing(u_exact: AnalyticFn, coeffs: Coefficients) -> AnalyticF
     for c in coeffs.a2:
         if c is not None and not np.isscalar(c):
             raise ConfigurationError("manufactured forcing needs scalar a2 entries")
+    import sympy as sp
+
+    from .fields import T_SYM, X_SYMS
+
     n = u_exact.n
     expr = sp.diff(u_exact.expr, T_SYM, 2)
     for j in range(n):

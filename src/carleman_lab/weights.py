@@ -23,15 +23,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import sympy as sp
 
 from .fields import (
     AnalyticFn,
     CapabilityError,
     ConfigurationError,
     Jet2,
-    T_SYM,
-    X_SYMS,
+    family,
     jet_add,
     jet_exp,
     jet_scale,
@@ -45,7 +43,6 @@ class RangeError(OverflowError):
 
 
 _EXP_MAX = 700.0  # log of largest finite double, with margin
-_GAMMA_SYM = sp.Symbol("cw_gamma", real=True)
 
 
 @dataclass(frozen=True)
@@ -133,23 +130,43 @@ def _q_partial(t, xs, t0, x0, alpha):
     return np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else 0.0
 
 
-def _phi(psi0, t, xs, params: WeightParams):
-    """phi = psi - mu q, from psi's value at (t, xs)."""
-    return psi0 - params.mu * _q_partial(t, xs, params.t0, params.x0, (0,) * (len(xs) + 1))
+def _phi(psi_d, t, xs, params: WeightParams, alpha=None):
+    """d^alpha phi = d^alpha psi - mu d^alpha q, from psi's partial at (t, xs);
+    alpha defaults to the value."""
+    alpha = (0,) * (len(xs) + 1) if alpha is None else alpha
+    return psi_d - params.mu * _q_partial(t, xs, params.t0, params.x0, alpha)
 
 
-_PSI: dict = {}  # rho.symbolic -> (psi = exp(cw_gamma rho) as an AnalyticFn, position of cw_gamma)
+def _psi_family(rho: AnalyticFn):
+    """psi = exp(cw_gamma rho) as a family of its own, keyed by rho's family,
+    and the position of cw_gamma among its parameters."""
+    rho_sym = rho.symbolic
+    if any(nm.startswith("cw_") for nm in rho_sym.param_names):
+        raise CapabilityError("rho parameter names starting with 'cw_' are reserved")
+    names = tuple(sorted(rho_sym.param_names + ("cw_gamma",)))
+
+    def build():
+        import sympy as sp
+
+        gamma = sp.Symbol("cw_gamma", real=True)
+        expr, param_syms = rho_sym.tree()
+        return sp.exp(gamma * expr), tuple(sorted((*param_syms, gamma), key=lambda s: s.name))
+
+    key = (("psi", rho_sym.key[0]), rho_sym.n)
+    return family(f"psi[{rho.name}]", key, names, rho_sym.depends_on_t, build), names.index("cw_gamma")
+
+
+_PSI: dict = {}  # rho.symbolic -> (psi's family, position of cw_gamma)
 
 
 class WeightFamily:
     """Weights derived from one level function rho and one auxiliary varrho.
 
     varrho may be a float or an AnalyticFn; it enters Psi and the matrix and
-    cubic coefficients, never the weights themselves.  The sympy tree of
-    psi = exp(cw_gamma rho) and its symbol check are built once per evaluator
-    key of rho (expression, parameter symbols, n); a family then only binds
-    rho's parameter values and gamma, so building one per case and per call
-    creates no sympy objects.
+    cubic coefficients, never the weights themselves.  psi = exp(cw_gamma
+    rho) is a family of its own, set up once per family of rho; a
+    WeightFamily only binds rho's parameter values and gamma, so building one
+    per case and per call creates no sympy objects.
     """
 
     def __init__(self, rho: AnalyticFn, varrho: AnalyticFn | float = 0.0):
@@ -158,26 +175,23 @@ class WeightFamily:
         self.varrho = varrho
         entry = _PSI.get(rho.symbolic)
         if entry is None:
-            if any(s.name.startswith("cw_") for s in rho.param_syms):
-                raise CapabilityError("rho parameter names starting with 'cw_' are reserved")
-            psi = AnalyticFn(
-                f"psi[{rho.name}]",
-                sp.exp(_GAMMA_SYM * rho.expr),
-                rho.n,
-                {**dict(zip(rho.param_syms, rho.param_values)), _GAMMA_SYM: 1.0},
-            )
-            entry = _PSI[rho.symbolic] = (psi, psi.param_syms.index(_GAMMA_SYM))
+            entry = _PSI[rho.symbolic] = _psi_family(rho)
         self._psi, self._gamma_at = entry
 
     def psi(self, gamma: float) -> AnalyticFn:
         """psi = exp(gamma rho) at rho's parameter values."""
         i, values = self._gamma_at, self.rho.param_values
-        return self._psi.with_values(values[:i] + (float(gamma),) + values[i:])
+        return AnalyticFn.of_family(self._psi.name, self._psi, values[:i] + (float(gamma),) + values[i:])
 
     def phi(self, t, xs, params: WeightParams):
         """phi = psi - mu q at (t, xs) (scalars or broadcastable arrays), alone."""
         xs = list(xs)
         return _phi(self.psi(params.gamma).d(t, xs, multi_indices(self.n).zero), t, xs, params)
+
+    def ell(self, t, xs, params: WeightParams, alphas) -> dict:
+        """{alpha: d^alpha ell} at (t, xs) for the given multi-indices, from psi's partials alone."""
+        psi, xs = self.psi(params.gamma), list(xs)
+        return {a: params.lam * _phi(psi.d(t, xs, a), t, xs, params, a) for a in alphas}
 
     # -- partial evaluation ------------------------------------------------
 
@@ -244,7 +258,7 @@ class WeightFamily:
         xs = list(xs)
 
         psi_d = {a: psi.d(t, xs, a) for a in A.ell}
-        ell = {a: lam * (psi_d[a] - mu * _q_partial(t, xs, t0, x0, a)) for a in A.ell}
+        ell = {a: lam * _phi(psi_d[a], t, xs, params, a) for a in A.ell}
         a0, et, ett, ex = A.zero, A.t, A.tt, A.x
 
         ell_t, ell_tt = ell[et], ell[ett]

@@ -222,6 +222,18 @@ def test_expansion_check_evaluates_quantities_seven_times_per_sample(tmp_path, m
     assert len(calls) == 4 * 7
 
 
+def test_weighted_qv_check_evaluates_no_quantities(tmp_path, monkeypatch):
+    calls = _count_quantities(monkeypatch)
+    cfg = json.loads((CONFIG_DIR / "qv_check.json").read_text())
+    cfg["rho"] = {"name": "char_linear", "params": {"ux1": 1.0}}
+    cfg["weights"] = {"lambdas": [2.0], "gamma": 1.0, "mu": 0.1, "t0": 0.0, "x0": [0.0]}
+    path = tmp_path / "qv.json"
+    path.write_text(json.dumps(cfg))
+    assert run(str(path), "qv-check", out_dir=str(tmp_path / "out")) == 0
+    # theta and ell_t at each of the num_steps + 1 step times come from psi alone
+    assert len(calls) == 0
+
+
 def test_conjugation_check_finds_every_transition_point_on_seed_1(tmp_path):
     out = tmp_path / "out"
     assert run(str(CONFIG_DIR / "conjugation_check.json"), "conjugation-check", out_dir=str(out), seed=1) == 0
@@ -247,21 +259,29 @@ def test_identity_check_builds_each_registry_entry_once(tmp_path, monkeypatch):
 def test_identity_check_checks_symbols_once_per_evaluator_key(tmp_path, monkeypatch):
     from carleman_lab import fields, weights
 
-    # start from empty caches, so the 200 cases make every check themselves
+    # start from empty caches, so the 200 cases set up every family themselves
     for module, cache in ((fields, "_BUILTINS"), (fields, "_SYMBOLIC"), (weights, "_PSI")):
         monkeypatch.setattr(module, cache, {})
-    checked = collections.Counter()
-    check = fields._Symbolic.__init__
+    made, checked = collections.Counter(), collections.Counter()
+    init, tree = fields._Symbolic.__init__, fields._Symbolic.tree
 
-    def counting(self, name, expr, param_syms, n):
-        checked[(expr, param_syms, n)] += 1
-        check(self, name, expr, param_syms, n)
+    def counting_init(self, name, key, *rest):
+        made[key] += 1
+        init(self, name, key, *rest)
 
-    monkeypatch.setattr(fields._Symbolic, "__init__", counting)
+    def counting_tree(self):
+        if self._tree is None:  # the tree is built and its symbols checked now
+            checked[self.key] += 1
+        return tree(self)
+
+    monkeypatch.setattr(fields._Symbolic, "__init__", counting_init)
+    monkeypatch.setattr(fields._Symbolic, "tree", counting_tree)
     assert run(str(CONFIG_DIR / "identity_check.json"), "identity-check", out_dir=str(tmp_path / "out")) == 0
     # three rho kinds and w, then psi = exp(gamma rho) for each rho kind
-    assert len(checked) == 7
-    assert max(checked.values()) == 1
+    assert len(made) == 7
+    assert max(made.values()) == 1
+    assert set(checked) <= set(made)
+    assert all(count == 1 for count in checked.values())
 
 
 def _fail_lines(log_path):

@@ -5,6 +5,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+from carleman_lab import fields
 from carleman_lab.fields import (
     BUILTIN_NAMES,
     AnalyticFn,
@@ -152,14 +153,14 @@ def test_builtin_list_is_stable():
 
 @pytest.fixture
 def compiles(monkeypatch):
-    """Expressions compiled by sympy.lambdify while the test runs."""
-    calls, real = [], sp.lambdify
+    """Sources made into evaluators while the test runs, frozen or generated."""
+    calls, real = [], fields._load_evaluator
 
-    def counting(args, expr, *rest, **kwargs):
-        calls.append(expr)
-        return real(args, expr, *rest, **kwargs)
+    def counting(source, names):
+        calls.append(source)
+        return real(source, names)
 
-    monkeypatch.setattr(sp, "lambdify", counting)
+    monkeypatch.setattr(fields, "_load_evaluator", counting)
     return calls
 
 
@@ -169,11 +170,17 @@ def test_parameter_values_share_compiled_evaluators(compiles):
     a = make_fn("gaussian_bump", 1, amp=2.0, a=3.0)
     b = make_fn("gaussian_bump", 1, amp=0.5, tc=0.1)
     rebound = a.with_params(cx1=0.3)
-    rebuilt = AnalyticFn("g", a.expr, 1, dict(zip(a.param_syms, a.param_values)))
-    for fn in (a, b, rebound, rebuilt):
+    for fn in (a, b, rebound):
         fn.jet2(0.1, [0.2])
     assert len(compiles) == before
     assert rebound.value(0.0, [0.3]) == pytest.approx(2.0)
+    # a function made from an expression is a family of its own, shared by
+    # every function made from the same expression
+    params = dict(zip(a.param_syms, a.param_values))
+    AnalyticFn("g", a.expr, 1, params).jet2(0.1, [0.2])
+    assert len(compiles) == before + 6
+    AnalyticFn("h", a.expr, 1, params).jet2(0.1, [0.2])
+    assert len(compiles) == before + 6
 
 
 def _evaluator_pair(compiles, f, g, x):

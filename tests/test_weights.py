@@ -6,7 +6,7 @@ import numpy.polynomial.polynomial as npoly
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carleman_lab.fields import Jet2, make_fn, uniform_stream
+from carleman_lab.fields import Jet2, make_fn, multi_indices, uniform_stream
 from carleman_lab.weights import (
     ASSUMPTION_PRESETS,
     ConfigurationError,
@@ -76,6 +76,22 @@ def test_scalar_evaluation_gives_python_floats(n, varrho_quad):
         values = _scalars(WeightFamily(rho, varrho).quantities(0.37, x, params))
         assert len(values) > 40
         assert {type(v) for v in values} == {float}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_ell_alone_equals_the_ell_of_quantities(n, varrho_quad):
+    rho = make_fn("trig_product", n, amp=0.1, wt=1.1, wx1=0.9, pt=0.2, px1=0.4)
+    fam = WeightFamily(rho, varrho_quad if n == 1 else 0.8)
+    params = WeightParams(lam=3.0, gamma=1.7, mu=0.35, t0=0.1, x0=(0.2,) * n)
+    mesh = np.meshgrid(*[np.linspace(-0.4, 0.4, 7)] * n, indexing="ij")
+    t = np.full(mesh[0].shape, 0.37)
+    want = fam.quantities(t, mesh, params)["ell"]
+    A = multi_indices(n)
+    for alphas in ((A.zero, A.t), A.ell):
+        got = fam.ell(t, mesh, params, alphas)
+        assert list(got) == list(alphas)
+        for a in alphas:
+            np.testing.assert_array_equal(got[a], want[a])
 
 
 def test_frame_psi_is_one_at_center_on_level_set():
