@@ -3,7 +3,8 @@
 One JSON config describes one experiment; every subcommand writes a result
 table (plot-ready long CSV) and a run log, and exits 0 when all of its named
 assertions pass, 1 when one fails (named in the log), 2 on a usage or config
-error (in which case nothing is written).  An ArithmeticError raised during
+error (in which case nothing is written; a propagation support whose unit-speed
+cone reaches the solver's guard ring is one).  An ArithmeticError raised during
 the run, or a solved field reaching the boundary ring (PropagationError), is a
 run failure: exit 1, a log naming ``run_error``, and no CSV.
 """

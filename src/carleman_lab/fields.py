@@ -775,14 +775,6 @@ def _check_interior(shape, index):
             raise StencilError(f"index {index} not interior on axis {j} (size {m})")
 
 
-def _shifted(ndim: int, axis: int):
-    """Index tuples selecting the lower, central and upper neighbours along ``axis``."""
-    sl = [slice(None)] * ndim
-    lo, mid, hi = list(sl), list(sl), list(sl)
-    lo[axis], mid[axis], hi[axis] = slice(None, -2), slice(1, -1), slice(2, None)
-    return tuple(lo), tuple(mid), tuple(hi)
-
-
 def zero_ring(arr: np.ndarray, n: int) -> None:
     """Set the outer node ring of the trailing ``n`` (spatial) axes to zero, in place."""
     for j in range(n):
@@ -791,13 +783,27 @@ def zero_ring(arr: np.ndarray, n: int) -> None:
         arr[(..., -1) + tail] = 0.0
 
 
+# Stencils shift the flat array by +-s, an axis's stride, so each operation is one contiguous
+# pass; a node whose shifted neighbour lies in another row or path is zeroed afterwards.
+
+
 def laplacian_array(arr: np.ndarray, dx: float, n: int) -> np.ndarray:
     """Second-order central Laplacian over the trailing ``n`` axes; leading axes
     index independent fields (e.g. Monte Carlo paths).  Boundary entries zero."""
-    out = np.zeros_like(arr)
-    for axis in range(arr.ndim - n, arr.ndim):
-        lo, mid, hi = _shifted(arr.ndim, axis)
-        out[mid] += (arr[hi] - 2.0 * arr[mid] + arr[lo]) / dx**2
+    flat = np.ascontiguousarray(arr, dtype=float).ravel()
+    out = np.empty_like(flat)
+    first = arr.ndim - n
+    for axis in range(first, arr.ndim):
+        s = math.prod(arr.shape[axis + 1 :])
+        # (hi - 2 mid + lo) / dx^2, the first axis written straight into ``out``
+        term = out[s:-s] if axis == first else np.empty(flat.size - 2 * s)
+        np.subtract(flat[2 * s :], np.multiply(2.0, flat[s:-s], out=term), out=term)
+        term += flat[: -2 * s]
+        term /= dx**2
+        if axis > first:
+            out[s:-s] += term
+        out[:s] = out[-s:] = 0.0
+    out = out.reshape(arr.shape)
     zero_ring(out, n)
     return out
 
@@ -805,9 +811,12 @@ def laplacian_array(arr: np.ndarray, dx: float, n: int) -> np.ndarray:
 def gradient_array(arr: np.ndarray, dx: float, axis: int) -> np.ndarray:
     """Second-order central first derivative along one axis (spatial axis j of
     fields with leading path axes is ``j - n``); boundary zero."""
-    out = np.zeros_like(arr)
-    lo, mid, hi = _shifted(arr.ndim, axis)
-    out[mid] = (arr[hi] - arr[lo]) / (2.0 * dx)
+    flat = np.ascontiguousarray(arr, dtype=float).ravel()
+    s = math.prod(arr.shape[axis % arr.ndim + 1 :])
+    out = np.empty(arr.shape)
+    mid = out.reshape(-1)[s:-s]
+    np.divide(np.subtract(flat[2 * s :], flat[: -2 * s], out=mid), 2.0 * dx, out=mid)
+    np.moveaxis(out, axis, 0)[[0, -1]] = 0.0
     return out
 
 

@@ -146,8 +146,9 @@ class _ChunkEnergies:
         dens = _solver.energy_density(state.u, state.ut, self.grid)
         vol = self.grid.cell_volume
         self.times.append(state.time)
-        self.loc.append(0.5 * _solver.row_sums(self.mollifier(self.d - state.time) * dens) * vol)
         self.out.append(0.5 * _solver.row_sums(dens[:, self.d > state.time + self.halo]) * vol)
+        dens *= self.mollifier(self.d - state.time)
+        self.loc.append(0.5 * _solver.row_sums(dens) * vol)
 
 
 def _check_support_of_data(fn: AnalyticFn | None, grid: Grid, d: np.ndarray, tol: float = 1e-12):
@@ -183,11 +184,20 @@ def run_propagation(
 
     Initial data must be supported in K (checked numerically) unless
     ``require_support`` is cleared for a deliberate witness run with a
-    positive trace.  Paths are stepped in chunks of one ensemble each
-    (``solver.path_chunks``) and every energy is reduced on its own path's
-    row, so results do not depend on the chunk size.
+    positive trace.  K inflated at unit speed by t_max plus the halo must
+    stay clear of the solver's guard ring, or the run could only end in a
+    ``PropagationError``; that is checked before any step.  Paths are
+    stepped in chunks of one ensemble each (``solver.path_chunks``) and every
+    energy is reduced on its own path's row, so results do not depend on the
+    chunk size.
     """
     d = distance_to_set(grid.node_positions(), support).reshape(grid.shape)
+    reach = grid.t_max + halo_cells * grid.dx
+    if float(np.min(d[_solver.near_boundary(grid.shape, _solver.GUARD_RING)])) <= reach:
+        raise ConfigurationError(
+            f"K inflated by t_max + halo = {reach:.6g} at unit speed reaches the "
+            f"{_solver.GUARD_RING}-node guard ring at the boundary"
+        )
     if require_support:
         _check_support_of_data(u0_fn, grid, d, tol=1e-12)
         _check_support_of_data(u1_fn, grid, d, tol=1e-12)

@@ -39,6 +39,10 @@ class PropagationError(RuntimeError):
 # dt is additionally capped at this multiple of 1/|b1|^2 for multiplicative noise
 NOISE_DT_SAFETY = 0.1
 
+# node layers next to the boundary, per side, in which a field must stay at
+# roundoff level (the support guard of ``solve``)
+GUARD_RING = 3
+
 
 def _coeff_sampler(coeff, grid: Grid):
     """Turn a scalar / AnalyticFn / None coefficient into t -> array-or-scalar."""
@@ -98,12 +102,17 @@ class FieldPath:
         self.snapshots.append((state.u.copy(), state.ut.copy()))
 
 
+def near_boundary(shape: tuple[int, ...], rings: int) -> np.ndarray:
+    """Mask of the nodes of a grid of ``shape`` within ``rings`` nodes of its boundary."""
+    near = np.ones(shape, dtype=bool)
+    near[(slice(rings, -rings),) * len(shape)] = False
+    return near
+
+
 def _ring_max(arr: np.ndarray, n: int, rings: int):
     """Largest |value| within ``rings`` nodes of the boundary of the trailing
     ``n`` axes, one per leading index (a 0-d array for a single field)."""
-    near = np.ones(arr.shape[arr.ndim - n :], dtype=bool)
-    near[(slice(rings, -rings),) * n] = False
-    return np.abs(arr[..., near]).max(axis=-1)
+    return np.abs(arr[..., near_boundary(arr.shape[arr.ndim - n :], rings)]).max(axis=-1)
 
 
 def initial_state(
@@ -163,36 +172,47 @@ def make_samplers(coeffs: Coefficients, grid: Grid):
 
 
 def _drift_arrays(u, ut, t, samplers, grid: Grid):
+    """lap u + a1 u_t + a2 . grad u + a3 u + g, summed in place; zero terms skipped."""
     drift = laplacian_array(u, grid.dx, grid.n)
     a1 = samplers["a1"](t)
     if not np.isscalar(a1) or a1 != 0.0:
-        drift = drift + a1 * ut
+        drift += a1 * ut
     for j, sampler in enumerate(samplers["a2"]):
         a2j = sampler(t)
         if not np.isscalar(a2j) or a2j != 0.0:
-            drift = drift + a2j * gradient_array(u, grid.dx, j - grid.n)
+            drift += a2j * gradient_array(u, grid.dx, j - grid.n)
     a3 = samplers["a3"](t)
     if not np.isscalar(a3) or a3 != 0.0:
-        drift = drift + a3 * u
+        drift += a3 * u
     gsrc = samplers["g"](t)
     if not np.isscalar(gsrc) or gsrc != 0.0:
-        drift = drift + gsrc
+        drift += gsrc
     return drift
 
 
 def diffusion_arrays(u, ut, t, samplers):
-    """Noise coefficient b1 u_t + b2 u + f of the step taken from (u, ut) at time t."""
-    return samplers["b1"](t) * ut + samplers["b2"](t) * u + samplers["f"](t)
+    """Noise coefficient b1 u_t + b2 u + f at (u, ut, t) as a new array; zero b2 and f skipped."""
+    noise = samplers["b1"](t) * ut
+    b2, f = samplers["b2"](t), samplers["f"](t)
+    if not np.isscalar(b2) or b2 != 0.0:
+        noise += b2 * u
+    if not np.isscalar(f) or f != 0.0:
+        noise += f
+    return noise
 
 
 def step_arrays(u, ut, t, samplers, dw, grid: Grid):
     """The per-step kernel.  Fields carry the grid on their trailing axes; with a
     leading path axis, ``dw`` is the per-path column of increments, shape
-    (paths, 1, ...), so every path sees only its own noise."""
+    (paths, 1, ...), so every path sees only its own noise.  u_t' and u' are
+    built in place in the drift's and the noise's new arrays."""
     dt = grid.dt
-    drift = _drift_arrays(u, ut, t, samplers, grid)
-    ut_new = ut + dt * drift + diffusion_arrays(u, ut, t, samplers) * dw
-    u_new = u + dt * ut_new
+    ut_new = _drift_arrays(u, ut, t, samplers, grid)
+    ut_new *= dt
+    ut_new += ut
+    noise = diffusion_arrays(u, ut, t, samplers)
+    ut_new += np.multiply(noise, dw, out=noise)
+    u_new = np.add(np.multiply(ut_new, dt, out=noise), u, out=noise)
     zero_ring(u_new, grid.n)
     zero_ring(ut_new, grid.n)
     return u_new, ut_new
@@ -260,7 +280,9 @@ def solve(
     for k in range(grid.num_steps):
         u, ut = step_arrays(u, ut, t, samplers, dw[:, k], grid)
         t = (k + 1) * grid.dt
-        finite = np.isfinite(u) & np.isfinite(ut)
+        # u' = u + dt u_t' with u finite (or a non-finite initial u kept in u'), so u' is
+        # non-finite wherever u_t' is: checking u' alone finds every blow-up's path and step
+        finite = np.isfinite(u)
         if not finite.all():
             p = bpaths[int(np.argmin(finite.reshape(len(bpaths), -1).all(axis=1)))].stream
             raise BlowUpError(f"non-finite field on path {p} at step {k + 1} (t = {t})")
@@ -268,7 +290,7 @@ def solve(
             if support_guard:
                 mag = np.maximum(np.abs(u), np.abs(ut))
                 scale = np.maximum(1.0, mag.reshape(len(bpaths), -1).max(axis=1))
-                reached = _ring_max(mag, grid.n, 3) > support_tol * scale
+                reached = _ring_max(mag, grid.n, GUARD_RING) > support_tol * scale
                 if reached.any():
                     p = bpaths[int(np.argmax(reached))].stream
                     raise PropagationError(f"support reached the boundary ring on path {p} at t = {t} (step {k + 1})")
@@ -336,11 +358,13 @@ def manufactured_forcing(u_exact: AnalyticFn, coeffs: Coefficients) -> AnalyticF
 
 def energy_density(u: np.ndarray, ut: np.ndarray, grid: Grid) -> np.ndarray:
     """|grad u|^2 + u_t^2 + u^2 at every node (central differences, boundary zero);
-    leading axes of ``u`` and ``ut`` index paths."""
-    g2 = np.zeros(u.shape)
-    for j in range(grid.n):
-        g2 += gradient_array(u, grid.dx, j - grid.n) ** 2
-    return g2 + ut**2 + u**2
+    leading axes of ``u`` and ``ut`` index paths; summed in place in that order."""
+    dens = gradient_array(u, grid.dx, -grid.n)
+    dens *= dens
+    square = np.empty_like(dens)
+    for term in [gradient_array(u, grid.dx, j) for j in range(1 - grid.n, 0)] + [ut, u]:
+        dens += np.square(term, out=square)
+    return dens
 
 
 def total_energy(state: WaveState, grid: Grid) -> float:

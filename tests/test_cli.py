@@ -309,13 +309,30 @@ def test_d2_guard_is_a_run_error_with_and_without_python_O(tmp_path):
 
 
 def test_support_reaching_the_boundary_is_a_run_error(tmp_path):
-    # unit speed from |x| <= 0.2 reaches the 3-node ring of [-1.5, 1.5] before t = 1.5
+    # unit speed from the bump in 0.5 <= x <= 0.9 reaches the 3-node ring of [-1.5, 1.5] before t = 1
+    cfg = json.loads((CONFIG_DIR / "ucp_decay.json").read_text())
+    cfg["grid"] = {"bounds": [[-1.5, 1.5]], "dx": 0.02, "dt": 0.01, "t_max": 1.0}
+    cfg["paths"] = 3
+    path = tmp_path / "ucp.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run(str(path), "ucp-decay", out_dir=str(out)) == 1
+    fail = _fail_lines(out / "ucp-decay.log")
+    assert len(fail) == 1
+    assert re.fullmatch(
+        r"FAIL run_error: support reached the boundary ring on path 0 at t = [0-9.]+ \(step \d+\)", fail[0]
+    ), fail[0]
+    assert "exit: 1" in (out / "ucp-decay.log").read_text()
+    assert not (out / "ucp-decay.csv").exists()
+
+
+def _propagation_config(tmp_path, t_max):
     cfg = tmp_path / "prop.json"
     cfg.write_text(
         json.dumps(
             {
                 "experiment": "propagation",
-                "grid": {"bounds": [[-1.5, 1.5]], "dx": 0.02, "dt": 0.01, "t_max": 1.5},
+                "grid": {"bounds": [[-1.5, 1.5]], "dx": 0.02, "dt": 0.01, "t_max": t_max},
                 "support": {"balls": [{"center": [0.0], "radius": 0.2}]},
                 "u0": {"name": "space_bump4", "params": {"amp": 1.0, "cx1": 0.0, "rx1": 0.2}},
                 "coeffs": {"b1": 0.5},
@@ -324,15 +341,19 @@ def test_support_reaching_the_boundary_is_a_run_error(tmp_path):
             }
         )
     )
+    return cfg
+
+
+def test_propagation_cone_reaching_the_guard_ring_is_a_config_error(tmp_path, capsys):
+    # |x| <= 0.2 inflated by t_max + 3 dx = 1.56 passes x = 1.46, the innermost node of
+    # the 3-node guard ring of [-1.5, 1.5] at dx = 0.02
     out = tmp_path / "out"
-    assert run(str(cfg), "propagation", out_dir=str(out)) == 1
-    fail = _fail_lines(out / "propagation.log")
-    assert len(fail) == 1
-    assert re.fullmatch(
-        r"FAIL run_error: support reached the boundary ring on path 0 at t = [0-9.]+ \(step \d+\)", fail[0]
-    ), fail[0]
-    assert "exit: 1" in (out / "propagation.log").read_text()
-    assert not (out / "propagation.csv").exists()
+    assert run(str(_propagation_config(tmp_path, 1.5)), "propagation", out_dir=str(out)) == 2
+    assert not out.exists()
+    assert "reaches the 3-node guard ring" in capsys.readouterr().err
+    # the scheme's own leakage runs ahead of unit speed, so the preflight is necessary, not sufficient:
+    # at t_max = 1.0 the run still ends in FAIL run_error (exit 1), at 0.8 it passes
+    assert run(str(_propagation_config(tmp_path, 0.8)), "propagation", out_dir=str(out)) == 0
 
 
 def test_qv_check_below_the_path_minimum_is_a_usage_error(tmp_path):

@@ -265,6 +265,52 @@ def test_fd_apply_reads_the_array_stencils_at_every_interior_node(bounds):
         fd_apply(fld, f"grad{g.n}", (1,) * g.n)
 
 
+def _slice_stencils(arr, dx, n):
+    """The stencils written with row-strided slices, one axis at a time: the
+    Laplacian sums (hi - 2 mid + lo) / dx^2 into zeros and then zeroes the
+    ring; each gradient is (hi - lo) / (2 dx), zero at its axis ends."""
+    lap = np.zeros_like(arr)
+    grads = []
+    for axis in range(arr.ndim - n, arr.ndim):
+        lo, mid, hi = (
+            tuple(slice(a, b) if k == axis else slice(None) for k in range(arr.ndim))
+            for a, b in ((None, -2), (1, -1), (2, None))
+        )
+        lap[mid] += (arr[hi] - 2.0 * arr[mid] + arr[lo]) / dx**2
+        grad = np.zeros_like(arr)
+        grad[mid] = (arr[hi] - arr[lo]) / (2.0 * dx)
+        grads.append(grad)
+    inner = (Ellipsis,) + (slice(1, -1),) * n
+    ring = np.ones(arr.shape, dtype=bool)
+    ring[inner] = False
+    lap[ring] = 0.0
+    return lap, grads, ring
+
+
+@pytest.mark.parametrize("shape, n", [((9,), 1), ((3, 9), 1), ((7, 6), 2), ((3, 7, 6), 2)])
+def test_flat_stencils_equal_the_slice_formulas(shape, n):
+    arr = np.random.default_rng(5).standard_normal(shape)
+    dx = 0.1
+    lap_ref, grads_ref, ring = _slice_stencils(arr, dx, n)
+    lap = laplacian_array(arr, dx, n)
+    assert np.array_equal(lap, lap_ref)
+    assert np.all(lap[ring] == 0.0)
+    for j in range(n):
+        grad = gradient_array(arr, dx, j - n)
+        assert np.array_equal(grad, grads_ref[j])
+        ends = np.moveaxis(grad, j - n, 0)
+        assert np.all(ends[0] == 0.0) and np.all(ends[-1] == 0.0)
+    # a strided slice and a transposed view hold the same values in other layouts
+    views = [np.repeat(arr[..., None], 2, axis=-1)[..., 1]]
+    if arr.ndim > 1:
+        views.append(np.ascontiguousarray(arr.T).T)
+    for view in views:
+        assert not view.flags.c_contiguous and np.array_equal(view, arr)
+        assert np.array_equal(laplacian_array(view, dx, n), lap_ref)
+        for j in range(n):
+            assert np.array_equal(gradient_array(view, dx, j - n), grads_ref[j])
+
+
 def test_field_length_validated():
     g = make_grid([(-1.0, 1.0)], dx=0.25, dt=0.125, t_max=1.0)
     with pytest.raises(ConfigurationError):

@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from carleman_lab.fields import ConfigurationError, make_fn, make_grid, sample_brownian
+from carleman_lab.fields import (
+    ConfigurationError,
+    gradient_array,
+    laplacian_array,
+    make_fn,
+    make_grid,
+    sample_brownian,
+    zero_ring,
+)
 from carleman_lab import solver as S
 
 
@@ -262,3 +270,80 @@ def test_ensemble_blow_up_names_the_path():
     paths[2] = S.BrownianPath(seed=1, dt=g.dt, t_max=g.t_max, increments=np.full(g.num_steps, 1e300), stream=2)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(S.BlowUpError, match="on path 2 at step"):
         S.solve(init, S.Coefficients(b2=1.0), g, paths, support_guard=False)
+
+
+# (n, coefficients, u0 amplitude, u1 amplitude, path with huge increments, its increment, message);
+# the messages were recorded from the solver that checked u and u_t for finiteness after every step
+BLOW_UPS = [
+    (1, S.Coefficients(b2=1.0), 1.0, None, 2, 1e300, "non-finite field on path 2 at step 2 (t = 0.1)"),
+    (2, S.Coefficients(b2=1.0), 1.0, None, 2, 1e300, "non-finite field on path 2 at step 2 (t = 0.1)"),
+    # u starts at zero and the overflow starts in u_t, through b1 u_t dW
+    (1, S.Coefficients(b1=1.0), None, 1.0, 1, 1e120, "non-finite field on path 1 at step 3 (t = 0.15000000000000002)"),
+    (2, S.Coefficients(b1=1.0), None, 1.0, 1, 1e120, "non-finite field on path 1 at step 3 (t = 0.15000000000000002)"),
+]
+
+
+@pytest.mark.parametrize("n, co, amp0, amp1, hot, dw, message", BLOW_UPS)
+def test_ensemble_blow_up_reports_the_recorded_path_and_step(n, co, amp0, amp1, hot, dw, message):
+    g = make_grid([(-1.0, 1.0)] * n, dx=0.1, dt=0.05, t_max=0.5)
+
+    def bump(amp):
+        if amp is None:
+            return None
+        return make_fn("space_bump4", n, amp=amp, **{f"{k}{j + 1}": v for j in range(n) for k, v in (("cx", 0.0), ("rx", 0.4))})
+
+    init = S.initial_state(g, bump(amp0), bump(amp1))
+    paths = [sample_brownian(1, g.dt, g.t_max, stream=p) for p in range(3)]
+    paths[hot] = S.BrownianPath(seed=1, dt=g.dt, t_max=g.t_max, increments=np.full(g.num_steps, dw), stream=hot)
+    with np.errstate(all="ignore"), pytest.raises(S.BlowUpError) as info:
+        S.solve(init, co, g, paths, support_guard=False)
+    assert str(info.value) == message
+
+
+def _textbook_step(u, ut, t, samplers, dw, grid):
+    """ut + dt (lap u + a1 ut + a2 . grad u + a3 u + g) + (b1 ut + b2 u + f) dW and
+    u + dt ut', with every term evaluated, zero or not, and the ring zeroed after."""
+    drift = laplacian_array(u, grid.dx, grid.n) + samplers["a1"](t) * ut
+    for j, a2j in enumerate(samplers["a2"]):
+        drift = drift + a2j(t) * gradient_array(u, grid.dx, j - grid.n)
+    drift = drift + samplers["a3"](t) * u + samplers["g"](t)
+    ut_new = ut + grid.dt * drift + (samplers["b1"](t) * ut + samplers["b2"](t) * u + samplers["f"](t)) * dw
+    u_new = u + grid.dt * ut_new
+    zero_ring(u_new, grid.n)
+    zero_ring(ut_new, grid.n)
+    return u_new, ut_new
+
+
+def _kernel_coefficients(case, n):
+    if case == "all_zero":
+        return S.Coefficients()
+    if case == "b1_only":
+        return S.Coefficients(b1=0.5)
+    # space_bump4 is declared time independent, so its samplers hand out one cached array
+    frozen = make_fn("space_bump4", n, amp=0.5, **{f"{k}{j + 1}": v for j in range(n) for k, v in (("cx", 0.1), ("rx", 0.6))})
+    timed = make_fn("affine", n, c0=-0.1, ct=0.7, **{f"cx{j + 1}": 0.3 * (j + 1) for j in range(n)})
+    a2 = (frozen, 0.3)[:n]
+    return S.Coefficients(a1=-0.2, a2=a2, a3=timed, b1=frozen, b2=0.2, f=timed, g=frozen)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("case", ["mixed", "b1_only", "all_zero"])
+def test_step_kernel_equals_the_textbook_expression_and_aliases_nothing(case, n):
+    g = make_grid([(-1.0, 1.0)] * n, dx=0.2, dt=0.05, t_max=0.5)
+    samplers = S.make_samplers(_kernel_coefficients(case, n), g)
+    rng = np.random.default_rng(7)
+    u, ut = (rng.standard_normal((3,) + g.shape) for _ in range(2))
+    zero_ring(u, n)
+    zero_ring(ut, n)
+    dw = rng.standard_normal((3,) + (1,) * n)
+    t = 0.3
+    frozen = [s(t) for s in [samplers[k] for k in ("a1", "a3", "b1", "b2", "f", "g")] + samplers["a2"]]
+    frozen = [a for a in frozen if isinstance(a, np.ndarray)]
+    before = [a.copy() for a in (u, ut, dw, *frozen)]
+    u_new, ut_new = S.step_arrays(u, ut, t, samplers, dw, g)
+    u_ref, ut_ref = _textbook_step(u, ut, t, samplers, dw, g)
+    assert np.array_equal(u_new, u_ref) and np.array_equal(ut_new, ut_ref)
+    assert all(np.array_equal(a, b) for a, b in zip((u, ut, dw, *frozen), before))
+    assert not np.shares_memory(u_new, ut_new)
+    for out in (u_new, ut_new):
+        assert not any(np.shares_memory(out, a) for a in (u, ut, dw, *frozen))
