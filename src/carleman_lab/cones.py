@@ -36,6 +36,11 @@ class ContainmentError(Exception):
 
 _K_FRAC = math.sqrt(1.5) - 1.0  # interpolation fraction of the intersection vertex
 
+# relative width of the boundary band of ``membership``
+BOUNDARY_TOL = 1e-12
+# relative residual ``vertex`` accepts in the separation and the defining equations
+VERTEX_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class ConeSpec:
@@ -72,20 +77,20 @@ class ConeSpec:
         out = self.a_eff * (t - self.apex_t) ** 2 - r2 - self.offset
         return float(out[0]) if out.shape == (1,) and np.ndim(t) == 0 else out
 
-def membership(t: float, x, cone: ConeSpec, tol: float = 1e-12) -> str:
+def membership(t: float, x, cone: ConeSpec) -> str:
     """Classify a point as 'inside', 'boundary', or 'outside' (t < apex is outside).
 
-    The boundary band is tol relative to the magnitudes entering the defining
-    expression, so exact apex evaluations classify as boundary.
+    The boundary band is BOUNDARY_TOL relative to the magnitudes entering the
+    defining expression, so exact apex evaluations classify as boundary.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     r2 = float(np.sum((x - np.asarray(cone.apex_x)) ** 2))
     quad = cone.a_eff * (t - cone.apex_t) ** 2
     scale = max(1.0, abs(quad), r2, cone.offset)
-    if t < cone.apex_t - tol * scale:
+    if t < cone.apex_t - BOUNDARY_TOL * scale:
         return "outside"
     val = quad - r2 - cone.offset
-    if abs(val) <= tol * scale:
+    if abs(val) <= BOUNDARY_TOL * scale:
         return "boundary"
     return "inside" if val > 0.0 else "outside"
 
@@ -120,7 +125,7 @@ def cone_cross_offset(c3: float) -> float:
     return 2.0 * math.sqrt(c3) * _K_FRAC
 
 
-def vertex(t0: float, x0, x1, alpha: float, c3: float, tol: float = 1e-9):
+def vertex(t0: float, x0, x1, alpha: float, c3: float):
     """Minimal-time point (t2, x2) of the boundary intersection.
 
     Requires |x1 - x0|^2 = 4 c3 (within 1e-9 relative); the result is verified
@@ -131,15 +136,15 @@ def vertex(t0: float, x0, x1, alpha: float, c3: float, tol: float = 1e-9):
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
     sep2 = float(np.sum((x1 - x0) ** 2))
-    if abs(sep2 - 4.0 * c3) > tol * max(1.0, 4.0 * c3):
+    if abs(sep2 - 4.0 * c3) > VERTEX_TOL * max(1.0, 4.0 * c3):
         raise GeometryError(f"|x1 - x0|^2 = {sep2} but 4 c3 = {4.0 * c3}")
     t2 = t0 + cone_time_offset(alpha, c3)
     x2 = x1 + _K_FRAC * (x0 - x1)
     r1 = alpha * (t2 - t0) ** 2 - float(np.sum((x2 - x0) ** 2))
     r2 = 0.5 * alpha * (t2 - t0) ** 2 - float(np.sum((x2 - x1) ** 2)) - c3
     scale = max(1.0, alpha * (t2 - t0) ** 2, c3)
-    if abs(r1) > tol * scale or abs(r2) > tol * scale:
-        raise GeometryError(f"vertex residuals ({r1}, {r2}) exceed {tol} relative")
+    if abs(r1) > VERTEX_TOL * scale or abs(r2) > VERTEX_TOL * scale:
+        raise GeometryError(f"vertex residuals ({r1}, {r2}) exceed {VERTEX_TOL} relative")
     return float(t2), x2
 
 

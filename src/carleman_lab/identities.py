@@ -485,12 +485,14 @@ def identity_vn_values(
 # Quadratic-variation bookkeeping (Monte Carlo)
 # ---------------------------------------------------------------------------
 
+# fewest paths whose standard error qv_check will judge against a tolerance
+QV_MIN_PATHS = 100
+
 
 @dataclass(frozen=True)
 class QvReport:
     empirical: float           # realized variation of the martingale part
     predicted: float           # compensator integral
-    raw_increment_sum: float   # plain sum of squared v_t increments (drift-biased)
     relative_error: float
     standard_error: float
     paths: int
@@ -500,29 +502,28 @@ class QvReport:
 
 class _QvSums:
     """Accumulates, as ``solve`` records each state of one chunk, every path's
-    realized variation, plain increment sum and compensator of v_t.
-    ``theta`` holds (theta, ell_t) at every step time."""
+    realized variation and compensator of v_t over the step that state starts.
+    ``theta`` holds theta at every step time."""
 
     def __init__(self, grid, samplers, bpaths, theta):
         self.grid, self.samplers, self.theta = grid, samplers, theta
         # Python float squares (C pow) can differ from numpy's x * x in the last bit
         self.dw2 = np.array([[float(x) ** 2 for x in bp.increments] for bp in bpaths])
-        self.emp, self.raw, self.pred = (np.zeros(len(bpaths)) for _ in range(3))
-        self.prev, self.k = None, 0
+        self.emp, self.pred = np.zeros(len(bpaths)), np.zeros(len(bpaths))
+        self.k = 0
 
     def record(self, state):
-        # state ends step k; a final record at t_max repeats the last state
-        prev, k, self.prev = self.prev, self.k, state
-        if prev is None or k >= self.grid.num_steps:
+        # state starts step k; the state at t_max (recorded again if the
+        # last step's time falls short of it) starts none
+        k = self.k
+        if k >= self.grid.num_steps:
             return
         self.k += 1
-        (th0, lt0), (th1, lt1) = self.theta[k], self.theta[k + 1]
+        th = self.theta[k]
         vol = self.grid.cell_volume
-        diff = _solver.diffusion_arrays(prev.u, prev.ut, prev.time, self.samplers)
-        qv = _solver.row_sums(th0**2 * diff**2)
+        diff = _solver.diffusion_arrays(state.u, state.ut, state.time, self.samplers)
+        qv = _solver.row_sums(th**2 * diff**2)
         self.emp += qv * self.dw2[:, k] * vol
-        vt0, vt1 = th0 * (lt0 * prev.u + prev.ut), th1 * (lt1 * state.u + state.ut)
-        self.raw += _solver.row_sums((vt1 - vt0) ** 2) * vol
         self.pred += qv * self.grid.dt * vol
 
 
@@ -536,7 +537,6 @@ def qv_check(
     family: WeightFamily | None = None,
     params: WeightParams | None = None,
     tol: float = 0.05,
-    min_paths: int = 100,
 ) -> QvReport:
     """Realized quadratic variation of v_t against its compensator integral.
 
@@ -544,21 +544,19 @@ def qv_check(
     martingale increment of v_t over one step is theta (b1 u_t + b2 u + f) dW,
     so its realized variation sums theta^2 D^2 dW^2 while the compensator
     integrates theta^2 D^2 dt, with D evaluated from the state the step
-    starts at.  The drift-biased plain increment sum is reported too; it
-    converges to the same limit as dt shrinks but never vanishes exactly for
-    a nonzero drift, whereas zero diffusion gives exactly zero here.  Paths
-    are solved as chunked ensembles and the three sums are accumulated per
-    path, step by step, as the solve runs.
+    starts at; zero diffusion gives exactly zero for both.  Paths are solved
+    as chunked ensembles and both sums are accumulated per path, step by
+    step, as the solve runs.
     """
-    if paths < min_paths:
-        raise StatisticsError(f"qv_check needs at least {min_paths} paths, got {paths}")
-    theta = [(1.0, 0.0)] * (grid.num_steps + 1)
+    if paths < QV_MIN_PATHS:
+        raise StatisticsError(f"qv_check needs at least {QV_MIN_PATHS} paths, got {paths}")
+    theta = [1.0] * (grid.num_steps + 1)
     if family is not None and params is not None:
-        mesh, A = list(grid.meshgrid()), multi_indices(grid.n)
-        theta = []
-        for tv in np.arange(grid.num_steps + 1) * grid.dt:
-            ell = family.ell(np.full(grid.shape, tv), mesh, params, (A.zero, A.t))
-            theta.append((np.exp(ell[A.zero]), ell[A.t]))
+        mesh, zero = list(grid.meshgrid()), multi_indices(grid.n).zero
+        theta = [
+            np.exp(family.ell(np.full(grid.shape, tv), mesh, params, (zero,))[zero])
+            for tv in np.arange(grid.num_steps + 1) * grid.dt
+        ]
     samplers = _solver.make_samplers(coeffs, grid)
     init = _solver.initial_state(grid, u0_fn, u1_fn, coeffs)
     chunks = [
@@ -569,7 +567,6 @@ def qv_check(
         for bpaths in _solver.path_chunks(seed, grid, paths)
     ]
     emp_vals = np.concatenate([c.emp for c in chunks])
-    raw_vals = np.concatenate([c.raw for c in chunks])
     pred_vals = np.concatenate([c.pred for c in chunks])
     emp_mean = float(np.mean(emp_vals))
     pred_mean = float(np.mean(pred_vals))
@@ -580,7 +577,6 @@ def qv_check(
     return QvReport(
         empirical=emp_mean,
         predicted=pred_mean,
-        raw_increment_sum=float(np.mean(raw_vals)),
         relative_error=rel,
         standard_error=se,
         paths=paths,
@@ -645,19 +641,10 @@ class GapScan:
     rows: tuple
     margins: dict
     homogeneity_pair: tuple[float, float]
-    support_max_boundary_ratio: float
 
 
-def _boundary_mask(shape):
-    mask = np.zeros(shape, dtype=bool)
-    for axis in range(len(shape)):
-        sl0 = [slice(None)] * len(shape)
-        sl1 = [slice(None)] * len(shape)
-        sl0[axis] = 0
-        sl1[axis] = -1
-        mask[tuple(sl0)] = True
-        mask[tuple(sl1)] = True
-    return mask
+# largest |w| jet on the region boundary, relative to its peak, that a scan accepts
+SUPPORT_TOL = 1e-10
 
 
 def _support_ratio(out) -> float:
@@ -665,7 +652,7 @@ def _support_ratio(out) -> float:
     peak = float(np.max(w))
     if peak == 0.0:
         return 0.0
-    return float(np.max(w[_boundary_mask(w.shape)])) / peak
+    return float(np.max(w[_solver.near_boundary(w.shape, 1)])) / peak
 
 
 def _qv_expanded(out, params, b1: float, b2: float):
@@ -686,14 +673,13 @@ def _qv_expanded(out, params, b1: float, b2: float):
     return c_vt2, c_v2
 
 
-def _structure_min_eig(out, params, support_mask) -> float:
+def _structure_min_eig(out, params, vr, support_mask) -> float:
     """min over the support of the smallest eigenvalue of 2 gamma psi M(varrho) + mu I."""
     n = out["n"]
     q = out["quant"]
     A = multi_indices(n)
     rj = q["rho"]
     psi0 = q["psi"][A.zero]
-    vr = out["varrho0"]
     idx = np.argwhere(support_mask)
     worst = math.inf
     for flat in idx[:: max(1, len(idx) // 2000)]:  # cap the eigen loop at ~2000 nodes
@@ -707,6 +693,23 @@ def _structure_min_eig(out, params, support_mask) -> float:
         scaled = 2.0 * params.gamma * psi0[sel] * m + params.mu * np.eye(1 + n)
         worst = min(worst, float(jacobi_eigenvalues(scaled)[0]))
     return worst
+
+
+def _margins(preset: str, out, params, varrho0, c0: float, c1: float) -> dict:
+    """T4.2 / T5.1 coefficient margins on the support of w.  They read w's
+    support, phi_t, d2, d3, psi, rho and varrho, none of which depends on lam."""
+    support_mask = np.abs(out["w"]["v"]) > 0.0
+    if preset not in ("T4.2", "T5.1") or not support_mask.any():
+        return {}
+    q = out["quant"]
+    phi_t = q["phi_t"]
+    m1 = 0.5 * phi_t * c1**2 - 11.0 * params.mu - params.gamma * c0 * c1**2 / 4.0
+    m2 = 0.5 * c1**2 * phi_t**3 + q["d2_matrix"] + q["d3"] - params.gamma**3 * c0**3 * c1**2 / 4.0
+    return {
+        "vt_margin": float(np.min(m1[support_mask])),
+        "v_margin": float(np.min(m2[support_mask])),
+        "structure_min_eig": _structure_min_eig(out, params, varrho0, support_mask),
+    }
 
 
 def inequality_gap(
@@ -723,14 +726,15 @@ def inequality_gap(
     b2: float = 0.0,
     paths: int = 0,
     seed: int = 0,
-    support_tol: float = 1e-10,
 ) -> GapScan:
     """Integrated gap of the preset weighted inequality for each lam.
 
     Every term is evaluated exactly from jets; expectations reduce to plain
     integrals on the deterministic surrogate.  With ``paths`` > 0 the
     compensator term is re-weighted by realized squared Brownian increments
-    (mean dt) and the gap is averaged over paths.
+    (mean dt) and the gap is averaged over paths.  Each lam takes one
+    assembly; one more, with w doubled, at the first lam gives the quadratic
+    homogeneity pair.  The margins come from the first assembly.
     """
     if preset not in GAP_PRESETS:
         raise ConfigurationError(f"unknown preset {preset!r}; have {GAP_PRESETS}")
@@ -740,103 +744,72 @@ def inequality_gap(
         b1 = c1
     T, Xs = region.mesh()
     meas = region.measure
+    varrho0 = np.broadcast_to(
+        np.asarray(family.varrho_partial(T, Xs, (0,) * (family.n + 1)), dtype=float), T.shape
+    )
+    qv_weight = 1.0
+    if paths > 0:
+        qv_weight = np.zeros_like(T)
+        for p in range(paths):
+            bw = sample_brownian(seed, region.dt, region.dt * (region.nt - 1), stream=p)
+            inc2 = np.concatenate([bw.increments**2 / region.dt, [1.0]])
+            qv_weight += inc2.reshape((-1,) + (1,) * family.n)
+        qv_weight /= paths
 
-    def scan_for(w_scale: float):
-        rows = []
-        margins: dict = {}
-        support_ratio = 0.0
-        for lam in lambdas:
-            pl = replace(params, lam=float(lam))
-            out = assemble(family, pl, T, Xs, u_fn, cutoff=cutoff, rescale=True, w_scale=w_scale)
-            out["varrho0"] = np.broadcast_to(
-                np.asarray(family.varrho_partial(T, Xs, (0,) * (family.n + 1)), dtype=float), T.shape
+    rows, margins = [], {}
+    # doubling w is exact, so the doubled assembly meets the same support check
+    for lamf, w_scale in [(float(lam), 1.0) for lam in lambdas] + [(float(lambdas[0]), 2.0)]:
+        pl = replace(params, lam=lamf)
+        out = assemble(family, pl, T, Xs, u_fn, cutoff=cutoff, rescale=True, w_scale=w_scale)
+        support_ratio = _support_ratio(out)
+        if support_ratio > SUPPORT_TOL:
+            raise SupportError(f"field support touches the region boundary (ratio {support_ratio:.3g})")
+        if not rows:
+            margins = _margins(preset, out, params, varrho0, c0, c1)
+        vt2, v2 = out["vt"] ** 2, out["v"] ** 2
+        q = out["quant"]
+        d23 = q["d2_matrix"] + q["d3"]
+        c_vt2, c_v2 = _qv_expanded(out, pl, b1, b2)
+        comp = {
+            "qf_char": float(np.sum(out["qf_char"]) * meas),
+            "qf_mat": float(np.sum(out["qf_mat"]) * meas),
+            "mu_terms": float(np.sum(out["mu_terms"]) * meas),
+            "cubic": float(np.sum(lamf**3 * d23 * v2) * meas),
+            "qv": float(np.sum((c_vt2 * vt2 + c_v2 * v2) * qv_weight) * meas),
+            "s_sq": float(np.sum(out["s_sq"]) * meas),
+            "identity_lhs": float(np.sum(out["identity_lhs"]) * meas),
+            "identity_rhs": float(np.sum(out["identity_rhs"]) * meas),
+            "bound": 0.0,
+        }
+        if preset == "T3.2":
+            gap_scaled = float(np.sum((q["b"] - lamf**3 * d23) * v2) * meas)
+        elif preset == "T4.2":
+            comp["bound"] = float(
+                np.sum(
+                    (params.gamma * c0 * c1**2 / 4.0) * lamf * vt2
+                    + (params.gamma**3 * c0**3 * c1**2 / 4.0) * lamf**3 * v2
+                )
+                * meas
             )
-            support_ratio = max(support_ratio, _support_ratio(out))
-            if support_ratio > support_tol:
-                raise SupportError(
-                    f"field support touches the region boundary (ratio {support_ratio:.3g})"
-                )
-            vt2, v2 = out["vt"] ** 2, out["v"] ** 2
-            gradv2 = sum(a**2 for a in out["vx"])
-            q = out["quant"]
-            lamf = float(lam)
-            d23 = q["d2_matrix"] + q["d3"]
-            c_vt2, c_v2 = _qv_expanded(out, pl, b1, b2)
-            if paths > 0:
-                qv_weight = np.zeros_like(T)
-                for p in range(paths):
-                    bw = sample_brownian(seed, region.dt, region.dt * (region.nt - 1), stream=p)
-                    inc2 = np.concatenate([bw.increments**2 / region.dt, [1.0]])
-                    qv_weight += inc2.reshape((-1,) + (1,) * family.n)
-                qv_weight /= paths
-            else:
-                qv_weight = 1.0
-            comp = {
-                "qf_char": float(np.sum(out["qf_char"]) * meas),
-                "qf_mat": float(np.sum(out["qf_mat"]) * meas),
-                "mu_terms": float(np.sum(out["mu_terms"]) * meas),
-                "cubic": float(np.sum(lamf**3 * d23 * v2) * meas),
-                "qv": float(np.sum((c_vt2 * vt2 + c_v2 * v2) * qv_weight) * meas),
-                "s_sq": float(np.sum(out["s_sq"]) * meas),
-                "identity_lhs": float(np.sum(out["identity_lhs"]) * meas),
-                "identity_rhs": float(np.sum(out["identity_rhs"]) * meas),
-                "bound": 0.0,
-            }
-            if preset == "T3.2":
-                gap_scaled = float(np.sum((q["b"] - lamf**3 * d23) * v2) * meas)
-            elif preset == "T4.2":
-                comp["bound"] = float(
-                    np.sum(
-                        (params.gamma * c0 * c1**2 / 4.0) * lamf * vt2
-                        + (params.gamma**3 * c0**3 * c1**2 / 4.0) * lamf**3 * v2
-                    )
-                    * meas
-                )
-                gap_scaled = (
-                    comp["qf_char"] + comp["qf_mat"] + comp["mu_terms"] + comp["cubic"] + comp["qv"] - comp["bound"]
-                )
-            elif preset == "T5.1":
-                phi_t = q["phi_t"]
-                penalty = 3.0 * lamf * np.abs(phi_t) * (
-                    b1**2 * vt2 + (b2 - b1 * lamf * phi_t) ** 2 * v2
-                )
-                comp["bound"] = float(np.sum(penalty) * meas)
-                gap_scaled = (
-                    comp["qf_char"] + comp["qf_mat"] + comp["mu_terms"] + comp["cubic"] - comp["bound"]
-                )
-            else:  # T6.2: mu = 0 so the mu and d3 terms vanish identically
-                gap_scaled = comp["qf_char"] + comp["qf_mat"] + comp["cubic"] + comp["qv"]
-            log_scale = float(out["log_scale"])
-            gap_raw = gap_scaled * math.exp(log_scale) if log_scale < 700.0 else math.inf * np.sign(gap_scaled)
-            rows.append(GapRow(lam=lamf, gap_scaled=gap_scaled, log_scale=log_scale, gap=float(gap_raw), components=comp))
-            if not margins:
-                support_mask = np.abs(out["w"]["v"]) > 0.0
-                if preset in ("T4.2", "T5.1") and support_mask.any():
-                    phi_t = q["phi_t"]
-                    m1 = 0.5 * phi_t * c1**2 - 11.0 * params.mu - params.gamma * c0 * c1**2 / 4.0
-                    m2 = (
-                        0.5 * c1**2 * phi_t**3
-                        + q["d2_matrix"]
-                        + q["d3"]
-                        - params.gamma**3 * c0**3 * c1**2 / 4.0
-                    )
-                    margins = {
-                        "vt_margin": float(np.min(m1[support_mask])),
-                        "v_margin": float(np.min(m2[support_mask])),
-                        "structure_min_eig": _structure_min_eig(out, params, support_mask),
-                    }
-                elif preset == "T6.2" and support_mask.any():
-                    margins = {"min_t_elevation": float(np.min(T[support_mask]))}
-        return rows, margins, support_ratio
-
-    rows, margins, support_ratio = scan_for(1.0)
-    base = rows[0].gap_scaled
-    rows2, _, _ = scan_for(2.0)
-    homogeneity = (4.0 * base, rows2[0].gap_scaled)
+            gap_scaled = (
+                comp["qf_char"] + comp["qf_mat"] + comp["mu_terms"] + comp["cubic"] + comp["qv"] - comp["bound"]
+            )
+        elif preset == "T5.1":
+            phi_t = q["phi_t"]
+            penalty = 3.0 * lamf * np.abs(phi_t) * (b1**2 * vt2 + (b2 - b1 * lamf * phi_t) ** 2 * v2)
+            comp["bound"] = float(np.sum(penalty) * meas)
+            gap_scaled = (
+                comp["qf_char"] + comp["qf_mat"] + comp["mu_terms"] + comp["cubic"] - comp["bound"]
+            )
+        else:  # T6.2: mu = 0 so the mu and d3 terms vanish identically
+            gap_scaled = comp["qf_char"] + comp["qf_mat"] + comp["cubic"] + comp["qv"]
+        log_scale = float(out["log_scale"])
+        gap_raw = gap_scaled * math.exp(log_scale) if log_scale < 700.0 else math.inf * np.sign(gap_scaled)
+        rows.append(GapRow(lam=lamf, gap_scaled=gap_scaled, log_scale=log_scale, gap=float(gap_raw), components=comp))
+    doubled = rows.pop()
     return GapScan(
         preset=preset,
         rows=tuple(rows),
         margins=margins,
-        homogeneity_pair=homogeneity,
-        support_max_boundary_ratio=support_ratio,
+        homogeneity_pair=(4.0 * rows[0].gap_scaled, doubled.gap_scaled),
     )

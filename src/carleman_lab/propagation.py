@@ -20,6 +20,9 @@ from . import solver as _solver
 
 DEFAULT_HALO_CELLS = 3
 
+# largest |initial datum| outside K, relative to its peak, that counts as supported in K
+DATA_SUPPORT_TOL = 1e-12
+
 
 def worker_count() -> int:
     """Always 1: paths are stepped as chunked ensembles in the calling thread.
@@ -99,16 +102,19 @@ class Mollifier:
         return float(out) if out.ndim == 0 else out
 
 
+# the weight of every local energy
+MOLLIFIER = Mollifier()
+
+
 # ---------------------------------------------------------------------------
 # Local energy and the Monte Carlo trace
 # ---------------------------------------------------------------------------
 
 
-def local_energy(state: _solver.WaveState, support: SupportSet, t: float, grid: Grid, mollifier: Mollifier | None = None) -> float:
+def local_energy(state: _solver.WaveState, support: SupportSet, t: float, grid: Grid) -> float:
     """(1/2) sum cell_volume rho_m(d_K(x) - t) (|grad u|^2 + u_t^2 + u^2)."""
-    mollifier = mollifier or Mollifier()
     d = distance_to_set(grid.node_positions(), support).reshape(grid.shape)
-    weight = mollifier(d - t)
+    weight = MOLLIFIER(d - t)
     dens = _solver.energy_density(state.u, state.ut, grid)
     return 0.5 * float(np.sum(weight * dens)) * grid.cell_volume
 
@@ -137,8 +143,8 @@ class _ChunkEnergies:
     """Keeps, per state ``solve`` records for one chunk, each path's mollified
     local energy and raw energy outside the halo-inflated cone."""
 
-    def __init__(self, d: np.ndarray, grid: Grid, mollifier: Mollifier, halo_cells: int):
-        self.d, self.grid, self.mollifier = d, grid, mollifier
+    def __init__(self, d: np.ndarray, grid: Grid, halo_cells: int):
+        self.d, self.grid = d, grid
         self.halo = halo_cells * grid.dx
         self.times, self.loc, self.out = [], [], []
 
@@ -147,11 +153,11 @@ class _ChunkEnergies:
         vol = self.grid.cell_volume
         self.times.append(state.time)
         self.out.append(0.5 * _solver.row_sums(dens[:, self.d > state.time + self.halo]) * vol)
-        dens *= self.mollifier(self.d - state.time)
+        dens *= MOLLIFIER(self.d - state.time)
         self.loc.append(0.5 * _solver.row_sums(dens) * vol)
 
 
-def _check_support_of_data(fn: AnalyticFn | None, grid: Grid, d: np.ndarray, tol: float = 1e-12):
+def _check_support_of_data(fn: AnalyticFn | None, grid: Grid, d: np.ndarray):
     if fn is None:
         return
     vals = np.abs(
@@ -161,7 +167,7 @@ def _check_support_of_data(fn: AnalyticFn | None, grid: Grid, d: np.ndarray, tol
     if peak == 0.0:
         return
     worst = float(np.max(vals[d > 0.0])) if (d > 0.0).any() else 0.0
-    if worst > tol * peak:
+    if worst > DATA_SUPPORT_TOL * peak:
         raise ConfigurationError(
             f"initial data is not supported in K (relative leak {worst / peak:.3g})"
         )
@@ -177,7 +183,6 @@ def run_propagation(
     seed: int,
     stride: int | None = None,
     halo_cells: int = DEFAULT_HALO_CELLS,
-    mollifier: Mollifier | None = None,
     require_support: bool = True,
 ) -> EnergyTrace:
     """Monte Carlo mean of the mollified outside energy along solved paths.
@@ -199,14 +204,13 @@ def run_propagation(
             f"{_solver.GUARD_RING}-node guard ring at the boundary"
         )
     if require_support:
-        _check_support_of_data(u0_fn, grid, d, tol=1e-12)
-        _check_support_of_data(u1_fn, grid, d, tol=1e-12)
-    mollifier = mollifier or Mollifier()
+        _check_support_of_data(u0_fn, grid, d)
+        _check_support_of_data(u1_fn, grid, d)
     stride = stride or max(1, grid.num_steps // 10)
     init = _solver.initial_state(grid, u0_fn, u1_fn, coeffs)
     e_total0 = _solver.total_energy(init, grid)
     chunks = [
-        _solver.solve(init, coeffs, grid, bpaths, stride=stride, out=_ChunkEnergies(d, grid, mollifier, halo_cells))
+        _solver.solve(init, coeffs, grid, bpaths, stride=stride, out=_ChunkEnergies(d, grid, halo_cells))
         for bpaths in _solver.path_chunks(seed, grid, paths)
     ]
     times = np.asarray(chunks[0].times)

@@ -43,6 +43,9 @@ NOISE_DT_SAFETY = 0.1
 # roundoff level (the support guard of ``solve``)
 GUARD_RING = 3
 
+# that roundoff level, relative to the largest of 1, |u| and |u_t| on the path
+GUARD_TOL = 1e-12
+
 
 def _coeff_sampler(coeff, grid: Grid):
     """Turn a scalar / AnalyticFn / None coefficient into t -> array-or-scalar."""
@@ -246,7 +249,6 @@ def solve(
     path: BrownianPath | list[BrownianPath],
     stride: int = 1,
     support_guard: bool = True,
-    support_tol: float = 1e-12,
     out=None,
 ):
     """March the full horizon, recording the state at t = 0, every ``stride``-th
@@ -290,7 +292,7 @@ def solve(
             if support_guard:
                 mag = np.maximum(np.abs(u), np.abs(ut))
                 scale = np.maximum(1.0, mag.reshape(len(bpaths), -1).max(axis=1))
-                reached = _ring_max(mag, grid.n, GUARD_RING) > support_tol * scale
+                reached = _ring_max(mag, grid.n, GUARD_RING) > GUARD_TOL * scale
                 if reached.any():
                     p = bpaths[int(np.argmax(reached))].stream
                     raise PropagationError(f"support reached the boundary ring on path {p} at t = {t} (step {k + 1})")

@@ -110,10 +110,6 @@ class DQuantities:
     a: float
     b: float
 
-    @property
-    def d2(self) -> float:
-        return self.d2_matrix
-
 
 def _q_partial(t, xs, t0, x0, alpha):
     """Partials of q = (t - t0)^2 + |x - x0|^2 (zero beyond second order)."""
@@ -501,16 +497,21 @@ def eval_VN(v: Jet2, frame: CarlemanFrame, psi_d: PsiDerivatives, a: float) -> t
 # ---------------------------------------------------------------------------
 
 
-def jacobi_eigenvalues(mat: np.ndarray, tol: float = 1e-12, max_sweeps: int = 64) -> np.ndarray:
+# off-diagonal norm, relative to max(1, max |entry|), at which Jacobi stops; and its sweep cap
+JACOBI_TOL = 1e-12
+JACOBI_MAX_SWEEPS = 64
+
+
+def jacobi_eigenvalues(mat: np.ndarray) -> np.ndarray:
     """Eigenvalues of a small symmetric matrix by cyclic Jacobi rotations, ascending."""
     a = np.array(mat, dtype=float)
     m = a.shape[0]
     if a.shape != (m, m) or not np.allclose(a, a.T, atol=0.0, rtol=0.0):
         raise ConfigurationError("jacobi_eigenvalues needs an exactly symmetric square matrix")
     scale = max(1.0, float(np.max(np.abs(a))))
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         off = math.sqrt(sum(a[p, q] ** 2 for p in range(m) for q in range(m) if p != q))
-        if off <= tol * scale:
+        if off <= JACOBI_TOL * scale:
             break
         for p in range(m - 1):
             for q in range(p + 1, m):
@@ -584,8 +585,11 @@ class PsdCertificate:
 
 TAU_CAP = 2.0**20
 
+# smallest eigenvalue of I - Hess(g)/tau that certifies tau
+EIG_FLOOR = 1e-9
 
-def psd_certificate(g_jet: Jet2, seed: int = 0, eig_floor: float = 1e-9, tangent_samples: int = 50) -> PsdCertificate:
+
+def psd_certificate(g_jet: Jet2, seed: int = 0, tangent_samples: int = 50) -> PsdCertificate:
     """Doubling search for tau with I - Hess(g)/tau positive, then a tangent check.
 
     g must be a unit-gradient graph function at the base point (|grad g| = 1
@@ -603,7 +607,7 @@ def psd_certificate(g_jet: Jet2, seed: int = 0, eig_floor: float = 1e-9, tangent
     tau = 1.0
     while True:
         min_eig = float(jacobi_eigenvalues(np.eye(n) - hess / tau)[0])
-        if min_eig >= eig_floor:
+        if min_eig >= EIG_FLOOR:
             break
         tau *= 2.0
         if tau > TAU_CAP:
@@ -637,13 +641,16 @@ def psd_certificate(g_jet: Jet2, seed: int = 0, eig_floor: float = 1e-9, tangent
     )
 
 
-def certifies(hess: np.ndarray, tau: float, eig_floor: float = 1e-9) -> bool:
+def certifies(hess: np.ndarray, tau: float) -> bool:
     """Whether I - Hess/tau clears the eigenvalue floor (exposed for rejection tests)."""
     n = hess.shape[0]
-    return float(jacobi_eigenvalues(np.eye(n) - np.asarray(hess, dtype=float) / tau)[0]) >= eig_floor
+    return float(jacobi_eigenvalues(np.eye(n) - np.asarray(hess, dtype=float) / tau)[0]) >= EIG_FLOOR
 
 
 ASSUMPTION_PRESETS = ("A2.1", "A2.2", "A2.3")
+
+# eigenvalue band around zero that separates semidefinite from definite
+PSD_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -664,7 +671,6 @@ def assumption_check(
     preset: str,
     c0: float = 0.0,
     b1_norm: float = 0.0,
-    psd_tol: float = 1e-12,
 ) -> AssumptionReport:
     """Matrix positivity report for the three assumption presets.
 
@@ -681,13 +687,13 @@ def assumption_check(
         m = SymMatrix(m.values - 3.0 * abs(rho_t) * b1_norm**2 * np.eye(m.dim))
     min_eig = m.min_eigenvalue()
     if preset == "A2.1":
-        matrix_ok = min_eig >= -psd_tol
+        matrix_ok = min_eig >= -PSD_TOL
         rho_t_required = True
     elif preset == "A2.2":
-        matrix_ok = min_eig > psd_tol
+        matrix_ok = min_eig > PSD_TOL
         rho_t_required = False
     else:
-        matrix_ok = min_eig > psd_tol
+        matrix_ok = min_eig > PSD_TOL
         rho_t_required = True
     rho_t_ok = (rho_t >= c0) if rho_t_required else True
     return AssumptionReport(

@@ -374,3 +374,33 @@ def test_gap_monte_carlo_mode_close_to_surrogate():
     d, m = det.rows[0].components["qv"], mc.rows[0].components["qv"]
     assert abs(m - d) <= 0.25 * abs(d)
     assert mc.rows[0].gap_scaled >= 0.0
+
+
+def _record_calls(monkeypatch, name) -> list:
+    """Wrap identities.<name> so every call appends its keyword arguments."""
+    from carleman_lab import identities
+
+    calls = []
+    original = getattr(identities, name)
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(identities, name, recording)
+    return calls
+
+
+def test_gap_assembles_once_per_lambda_plus_the_doubled_field(monkeypatch):
+    calls = _record_calls(monkeypatch, "assemble")
+    fam, u_fn, params, lambdas, region, cutoff = _t42_setup()
+    inequality_gap("T4.2", u_fn, fam, params, lambdas, region, cutoff=cutoff)
+    assert len(lambdas) == 4
+    assert [c["w_scale"] for c in calls] == [1.0, 1.0, 1.0, 1.0, 2.0]
+
+
+def test_gap_samples_each_brownian_path_once(monkeypatch):
+    calls = _record_calls(monkeypatch, "sample_brownian")
+    fam, u_fn, params, _, region, cutoff = _t42_setup()
+    inequality_gap("T4.2", u_fn, fam, params, [8.0, 16.0], region, cutoff=cutoff, paths=7, seed=3)
+    assert [c["stream"] for c in calls] == list(range(7))
