@@ -34,7 +34,6 @@ from .identities import (  # noqa: F401
 )
 from .solver import (  # noqa: F401
     Coefficients,
-    FieldPath,
     WaveState,
     manufactured_forcing,
     solve,

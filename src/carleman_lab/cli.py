@@ -301,20 +301,24 @@ SCHEMAS = {
         },
         ["rho", "preset", "t", "x"],
     ),
-    "qv-check": _schema(
-        "qv-check",
-        {
-            "grid": _GRID,
-            "coeffs": _COEFFS,
-            "u0": _FNSPEC,
-            "u1": _FNSPEC,
-            "paths": {"type": "integer", "minimum": 1},
-            "tolerance": _NUM,
-            "rho": _FNSPEC,
-            "weights": _WEIGHTS,
-        },
-        ["grid", "coeffs", "u0"],
-    ),
+    "qv-check": {
+        **_schema(
+            "qv-check",
+            {
+                "grid": _GRID,
+                "coeffs": _COEFFS,
+                "u0": _FNSPEC,
+                "u1": _FNSPEC,
+                "paths": {"type": "integer", "minimum": 1},
+                "tolerance": _NUM,
+                "rho": _FNSPEC,
+                "weights": _WEIGHTS,
+            },
+            ["grid", "coeffs", "u0"],
+        ),
+        # the weight theta = e^ell needs both its rho and its parameters
+        "dependentRequired": {"rho": ["weights"], "weights": ["rho"]},
+    },
     "inequality-scan": _schema(
         "inequality-scan",
         {
@@ -391,8 +395,9 @@ SUBCOMMANDS = tuple(sorted(SCHEMAS))
 
 # Operation coverage: every library operation must be reachable from at least
 # one subcommand (verified by tests/test_cli.py).  The Monte Carlo subcommands
-# solve chunked path ensembles with solver.solve, whose per-step kernel is
-# step_arrays (solver.step wraps it for one WaveState).
+# hand all their paths and a per-path reduction to solver.solve, which steps the
+# paths in chunks with step_arrays, the kernel of solver.step; fd_apply is
+# reached through their stencil sanity check.
 OPERATION_ROUTES = {
     "field_kit.make_grid": ["qv-check", "propagation", "ucp-decay"],
     "field_kit.fd_apply": ["propagation", "ucp-decay"],
@@ -745,7 +750,7 @@ def _run_qv_check(cfg: dict):
     u0 = fn_from_spec(cfg["u0"], grid.n)
     u1 = fn_from_spec(cfg["u1"], grid.n) if "u1" in cfg else None
     family = params = None
-    if "rho" in cfg and "weights" in cfg:
+    if "rho" in cfg:
         family = WeightFamily(fn_from_spec(cfg["rho"], grid.n))
         params, _ = _weights_from(cfg["weights"])
     rep = qv_check(
@@ -888,22 +893,24 @@ def _run_ucp_decay(cfg: dict):
     th2 = {lv: [np.exp(2.0 * lv * (p - phi_max)) for p in phis] for lv in lambdas}
     center = [grid.x_lo[j] + 0.5 * (grid.x_hi[j] - grid.x_lo[j]) for j in range(grid.n)]
     phi_center = eval_frame(rho, 0.0, center, params).phi
-    norms = {lv: 0.0 for lv in lambdas}
+    mid = (slice(None),) + tuple(s // 2 for s in grid.shape)
+
+    def reduce(k, state):
+        rows = [_solver.row_sums(th2[lv][k] * (lv**3 * state.u**2 + lv * state.ut**2)) for lv in th2]
+        return (*rows, state.u[mid])
+
+    times, out = _solver.solve(init, coeffs, grid, _solver.brownian_paths(seed, grid, paths), reduce, stride=stride)
+    sums, u_mid = dict(zip(th2, out)), out[-1][0]
     utt_probe = math.nan
-    for bpaths in _solver.path_chunks(seed, grid, paths):
-        chunk = _solver.solve(init, coeffs, grid, bpaths, stride=stride)
-        if bpaths[0].stream == 0 and len(chunk.times) >= 3:
-            mid = tuple(s // 2 for s in grid.shape)
-            utt_probe = fd_apply(chunk, "utt", (1, (0, *mid)))
-        sums = {
-            lv: [_solver.row_sums(th2[lv][k] * (lv**3 * uu**2 + lv * ut**2)) for k, (uu, ut) in enumerate(chunk.snapshots)]
-            for lv in th2
-        }
-        # scalar sums path by path, then snapshot by snapshot; one array sum would reorder them
-        for p in range(len(bpaths)):
-            for k in range(len(chunk.times)):
-                for lv in lambdas:
-                    norms[lv] += float(sums[lv][k][p]) * grid.cell_volume * grid.dt * stride
+    if len(times) >= 3:
+        # second difference of path 0's first three mid-node values
+        utt_probe = float((u_mid[2] - 2.0 * u_mid[1] + u_mid[0]) / float(times[1] - times[0]) ** 2)
+    # scalar sums path by path, then snapshot by snapshot; one array sum would reorder them
+    norms = {lv: 0.0 for lv in lambdas}
+    for p in range(paths):
+        for k in range(len(times)):
+            for lv in lambdas:
+                norms[lv] += float(sums[lv][p, k]) * grid.cell_volume * grid.dt * stride
     rows = []
     prev = None
     monotone = True

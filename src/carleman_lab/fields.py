@@ -820,23 +820,9 @@ def gradient_array(arr: np.ndarray, dx: float, axis: int) -> np.ndarray:
     return out
 
 
-def fd_apply(target, op: str, index) -> float:
-    """Apply a second-order central stencil at one interior node.
-
-    ``target`` is a Field for op in {"laplacian", "grad0", "grad1"}; for
-    op == "utt" it is a FieldPath-like object with stride-1 snapshots and
-    ``index`` is (time_index, node_index); for a path ensemble node_index
-    starts with the path's row.
-    """
-    if op == "utt":
-        path, (k, node) = target, index
-        if not (1 <= k <= len(path.times) - 2):
-            raise StencilError(f"time index {k} not interior (snapshots: {len(path.times)})")
-        dt = path.times[1] - path.times[0]
-        u = [path.snapshots[k + s][0] for s in (-1, 0, 1)]
-        node = tuple(np.atleast_1d(node))
-        return float((u[2][node] - 2.0 * u[1][node] + u[0][node]) / dt**2)
-    field = target
+def fd_apply(field, op: str, index) -> float:
+    """Apply a second-order central stencil at one interior node of a Field,
+    for op in {"laplacian", "grad0", "grad1", ...}."""
     arr = field.array()
     index = tuple(np.atleast_1d(index))
     _check_interior(arr.shape, index)

@@ -500,33 +500,6 @@ class QvReport:
     passed: bool
 
 
-class _QvSums:
-    """Accumulates, as ``solve`` records each state of one chunk, every path's
-    realized variation and compensator of v_t over the step that state starts.
-    ``theta`` holds theta at every step time."""
-
-    def __init__(self, grid, samplers, bpaths, theta):
-        self.grid, self.samplers, self.theta = grid, samplers, theta
-        # Python float squares (C pow) can differ from numpy's x * x in the last bit
-        self.dw2 = np.array([[float(x) ** 2 for x in bp.increments] for bp in bpaths])
-        self.emp, self.pred = np.zeros(len(bpaths)), np.zeros(len(bpaths))
-        self.k = 0
-
-    def record(self, state):
-        # state starts step k; the state at t_max (recorded again if the
-        # last step's time falls short of it) starts none
-        k = self.k
-        if k >= self.grid.num_steps:
-            return
-        self.k += 1
-        th = self.theta[k]
-        vol = self.grid.cell_volume
-        diff = _solver.diffusion_arrays(state.u, state.ut, state.time, self.samplers)
-        qv = _solver.row_sums(th**2 * diff**2)
-        self.emp += qv * self.dw2[:, k] * vol
-        self.pred += qv * self.grid.dt * vol
-
-
 def qv_check(
     grid,
     coeffs,
@@ -544,9 +517,9 @@ def qv_check(
     martingale increment of v_t over one step is theta (b1 u_t + b2 u + f) dW,
     so its realized variation sums theta^2 D^2 dW^2 while the compensator
     integrates theta^2 D^2 dt, with D evaluated from the state the step
-    starts at; zero diffusion gives exactly zero for both.  Paths are solved
-    as chunked ensembles and both sums are accumulated per path, step by
-    step, as the solve runs.
+    starts at; zero diffusion gives exactly zero for both.  ``solver.solve``
+    reduces each recorded state to every path's sum of theta^2 D^2; both sums
+    then accumulate per path in step order.
     """
     if paths < QV_MIN_PATHS:
         raise StatisticsError(f"qv_check needs at least {QV_MIN_PATHS} paths, got {paths}")
@@ -559,15 +532,23 @@ def qv_check(
         ]
     samplers = _solver.make_samplers(coeffs, grid)
     init = _solver.initial_state(grid, u0_fn, u1_fn, coeffs)
-    chunks = [
-        _solver.solve(
-            init, coeffs, grid, bpaths, stride=1, support_guard=False,
-            out=_QvSums(grid, samplers, bpaths, theta),
-        )
-        for bpaths in _solver.path_chunks(seed, grid, paths)
-    ]
-    emp_vals = np.concatenate([c.emp for c in chunks])
-    pred_vals = np.concatenate([c.pred for c in chunks])
+    bpaths = _solver.brownian_paths(seed, grid, paths)
+
+    def reduce(k, state):
+        # the record at t_max (twice, if the last step's time falls short of it) starts no step
+        if k >= grid.num_steps:
+            return (np.zeros(len(state.u)),)
+        diff = _solver.diffusion_arrays(state.u, state.ut, state.time, samplers)
+        return (_solver.row_sums(theta[k] ** 2 * diff**2),)
+
+    _, (qv,) = _solver.solve(init, coeffs, grid, bpaths, reduce, support_guard=False)
+    # Python float squares (C pow) can differ from numpy's x * x in the last bit
+    dw2 = np.array([[float(x) ** 2 for x in bp.increments] for bp in bpaths])
+    vol = grid.cell_volume
+    emp_vals, pred_vals = np.zeros(paths), np.zeros(paths)
+    for k in range(grid.num_steps):
+        emp_vals += qv[:, k] * dw2[:, k] * vol
+        pred_vals += qv[:, k] * grid.dt * vol
     emp_mean = float(np.mean(emp_vals))
     pred_mean = float(np.mean(pred_vals))
     se = float(np.std(emp_vals, ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0

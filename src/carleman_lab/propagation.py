@@ -111,20 +111,30 @@ MOLLIFIER = Mollifier()
 # ---------------------------------------------------------------------------
 
 
+def _energies(u: np.ndarray, ut: np.ndarray, d: np.ndarray, t: float, grid: Grid, halo_cells: int):
+    """Per path of (paths, *grid.shape) fields at time t: the mollified local energy
+    (1/2) sum cell_volume rho_m(d_K(x) - t) (|grad u|^2 + u_t^2 + u^2), and the
+    raw energy strictly outside K_{t + halo}; ``d`` is d_K at every node."""
+    dens = _solver.energy_density(u, ut, grid)
+    vol = grid.cell_volume
+    outside = 0.5 * _solver.row_sums(dens[:, d > t + halo_cells * grid.dx]) * vol
+    dens *= MOLLIFIER(d - t)
+    return 0.5 * _solver.row_sums(dens) * vol, outside
+
+
+def _one_path_energies(state: _solver.WaveState, support: SupportSet, t: float, grid: Grid, halo_cells: int):
+    d = distance_to_set(grid.node_positions(), support).reshape(grid.shape)
+    return _energies(state.u[None], state.ut[None], d, t, grid, halo_cells)
+
+
 def local_energy(state: _solver.WaveState, support: SupportSet, t: float, grid: Grid) -> float:
     """(1/2) sum cell_volume rho_m(d_K(x) - t) (|grad u|^2 + u_t^2 + u^2)."""
-    d = distance_to_set(grid.node_positions(), support).reshape(grid.shape)
-    weight = MOLLIFIER(d - t)
-    dens = _solver.energy_density(state.u, state.ut, grid)
-    return 0.5 * float(np.sum(weight * dens)) * grid.cell_volume
+    return float(_one_path_energies(state, support, t, grid, DEFAULT_HALO_CELLS)[0][0])
 
 
 def outside_energy(state: _solver.WaveState, support: SupportSet, t: float, grid: Grid, halo_cells: int = DEFAULT_HALO_CELLS) -> float:
     """Unmollified energy strictly outside K_{t + halo} (halo in grid cells)."""
-    d = distance_to_set(grid.node_positions(), support).reshape(grid.shape)
-    mask = d > t + halo_cells * grid.dx
-    dens = _solver.energy_density(state.u, state.ut, grid)
-    return 0.5 * float(np.sum(dens[mask])) * grid.cell_volume
+    return float(_one_path_energies(state, support, t, grid, halo_cells)[1][0])
 
 
 @dataclass
@@ -137,24 +147,6 @@ class EnergyTrace:
     total_initial: float
     paths: int
     gronwall_constant: float
-
-
-class _ChunkEnergies:
-    """Keeps, per state ``solve`` records for one chunk, each path's mollified
-    local energy and raw energy outside the halo-inflated cone."""
-
-    def __init__(self, d: np.ndarray, grid: Grid, halo_cells: int):
-        self.d, self.grid = d, grid
-        self.halo = halo_cells * grid.dx
-        self.times, self.loc, self.out = [], [], []
-
-    def record(self, state: _solver.WaveState):
-        dens = _solver.energy_density(state.u, state.ut, self.grid)
-        vol = self.grid.cell_volume
-        self.times.append(state.time)
-        self.out.append(0.5 * _solver.row_sums(dens[:, self.d > state.time + self.halo]) * vol)
-        dens *= MOLLIFIER(self.d - state.time)
-        self.loc.append(0.5 * _solver.row_sums(dens) * vol)
 
 
 def _check_support_of_data(fn: AnalyticFn | None, grid: Grid, d: np.ndarray):
@@ -191,10 +183,9 @@ def run_propagation(
     ``require_support`` is cleared for a deliberate witness run with a
     positive trace.  K inflated at unit speed by t_max plus the halo must
     stay clear of the solver's guard ring, or the run could only end in a
-    ``PropagationError``; that is checked before any step.  Paths are
-    stepped in chunks of one ensemble each (``solver.path_chunks``) and every
-    energy is reduced on its own path's row, so results do not depend on the
-    chunk size.
+    ``PropagationError``; that is checked before any step.  ``solver.solve``
+    reduces every recorded state to each path's two energies, so results do
+    not depend on its chunk size.
     """
     d = distance_to_set(grid.node_positions(), support).reshape(grid.shape)
     reach = grid.t_max + halo_cells * grid.dx
@@ -209,13 +200,11 @@ def run_propagation(
     stride = stride or max(1, grid.num_steps // 10)
     init = _solver.initial_state(grid, u0_fn, u1_fn, coeffs)
     e_total0 = _solver.total_energy(init, grid)
-    chunks = [
-        _solver.solve(init, coeffs, grid, bpaths, stride=stride, out=_ChunkEnergies(d, grid, halo_cells))
-        for bpaths in _solver.path_chunks(seed, grid, paths)
-    ]
-    times = np.asarray(chunks[0].times)
-    loc = np.concatenate([np.stack(c.loc, axis=1) for c in chunks])
-    out = np.concatenate([np.stack(c.out, axis=1) for c in chunks])
+    times, (loc, out) = _solver.solve(
+        init, coeffs, grid, _solver.brownian_paths(seed, grid, paths),
+        lambda k, state: _energies(state.u, state.ut, d, state.time, grid, halo_cells),
+        stride=stride,
+    )
     mean = loc.mean(axis=0)
     se = loc.std(axis=0, ddof=1) / math.sqrt(paths) if paths > 1 else np.zeros_like(mean)
     out_mean = out.mean(axis=0)

@@ -11,7 +11,7 @@ reach; reaching it is an error, not a reflection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,21 +88,6 @@ class WaveState:
     u: np.ndarray
     ut: np.ndarray
     time: float
-
-
-@dataclass
-class FieldPath:
-    """Recorded (u, u_t) snapshots of one solved path, or of a path ensemble
-    with a leading path axis."""
-
-    times: list[float] = field(default_factory=list)
-    snapshots: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
-
-    def record(self, state: WaveState):
-        if self.times and state.time <= self.times[-1]:
-            raise ConfigurationError("snapshot times must be strictly increasing")
-        self.times.append(state.time)
-        self.snapshots.append((state.u.copy(), state.ut.copy()))
 
 
 def near_boundary(shape: tuple[int, ...], rings: int) -> np.ndarray:
@@ -234,47 +219,24 @@ def row_sums(arr: np.ndarray) -> np.ndarray:
 CHUNK_ELEMENTS = 2**15
 
 
-def path_chunks(seed: int, grid: Grid, paths: int):
-    """Brownian paths of streams 0 .. paths-1, in order, in chunks for ``solve``.
-    Each path has its own counter-based stream, so chunking never changes it."""
-    size = max(1, CHUNK_ELEMENTS // grid.num_nodes)
-    for lo in range(0, paths, size):
-        yield [sample_brownian(seed, grid.dt, grid.t_max, stream=p) for p in range(lo, min(lo + size, paths))]
+def brownian_paths(seed: int, grid: Grid, paths: int) -> list[BrownianPath]:
+    """Brownian paths of streams 0 .. paths-1, in order.  Each path has its own
+    counter-based stream, so the chunking of ``solve`` never changes it."""
+    return [sample_brownian(seed, grid.dt, grid.t_max, stream=p) for p in range(paths)]
 
 
-def solve(
-    init: WaveState,
-    coeffs: Coefficients,
-    grid: Grid,
-    path: BrownianPath | list[BrownianPath],
-    stride: int = 1,
-    support_guard: bool = True,
-    out=None,
-):
-    """March the full horizon, recording the state at t = 0, every ``stride``-th
-    step and t_max.
-
-    ``path`` is one BrownianPath, or a sequence of them stepped as one
-    ``(paths, *grid.shape)`` ensemble whose rows equal single-path solves.
-    Each recorded WaveState (never modified afterwards) goes to ``out.record``,
-    by default a new FieldPath; ``out`` is returned.  Errors name the path.
-    """
-    single = isinstance(path, BrownianPath)
-    bpaths = [path] if single else list(path)
-    for bp in bpaths:
-        if bp.num_steps != grid.num_steps or abs(bp.dt - grid.dt) > 1e-12 * grid.dt:
-            raise ConfigurationError("Brownian path discretization does not match the grid")
-    samplers = make_samplers(coeffs, grid)
-    if _ring_max(init.u, grid.n, 1) > 0.0 or _ring_max(init.ut, grid.n, 1) > 0.0:
-        raise ConfigurationError("initial data must vanish on the boundary ring")
-    out = FieldPath() if out is None else out
+def _march(init: WaveState, samplers, grid: Grid, bpaths, reduce, stride: int, support_guard: bool):
+    """Step one ``(paths, *grid.shape)`` ensemble over the full horizon; returns the
+    times of the states at t = 0, every ``stride``-th step and t_max, and ``reduce``
+    of each, called while that state is current so that no field outlives its step."""
     batch = (len(bpaths),) + grid.shape
     u, ut = np.broadcast_to(init.u, batch).copy(), np.broadcast_to(init.ut, batch).copy()
     dw = np.stack([bp.increments for bp in bpaths]).reshape((len(bpaths), grid.num_steps) + (1,) * grid.n)
-    row = 0 if single else slice(None)
+    times, records = [], []
 
     def record(time):
-        out.record(WaveState(u=u[row], ut=ut[row], time=time))
+        records.append(reduce(len(times), WaveState(u=u, ut=ut, time=time)))
+        times.append(time)
         return time
 
     last = record(0.0)
@@ -300,27 +262,61 @@ def solve(
                 last = record(t)
     if last < grid.t_max:
         record(grid.t_max)
-    return out
+    return times, records
 
 
-def leapfrog_reference(init: WaveState, grid: Grid) -> FieldPath:
+def solve(
+    init: WaveState,
+    coeffs: Coefficients,
+    grid: Grid,
+    paths: list[BrownianPath],
+    reduce,
+    stride: int = 1,
+    support_guard: bool = True,
+):
+    """March every Brownian path over the full horizon, recording the state at
+    t = 0, every ``stride``-th step and t_max.
+
+    Paths are stepped in chunks of about ``CHUNK_ELEMENTS`` values, each one
+    ``(chunk, *grid.shape)`` ensemble whose rows equal single-path solves.
+    ``reduce(k, state)`` maps the k-th recorded state of a chunk (never
+    modified afterwards) to a tuple of per-path rows.  Returns the record times
+    and, per output of ``reduce``, one ``(paths, records, ...)`` array.  Errors
+    name the path by its stream.
+    """
+    if not paths:
+        raise ConfigurationError("solve needs at least one Brownian path")
+    for bp in paths:
+        if bp.num_steps != grid.num_steps or abs(bp.dt - grid.dt) > 1e-12 * grid.dt:
+            raise ConfigurationError("Brownian path discretization does not match the grid")
+    samplers = make_samplers(coeffs, grid)
+    if _ring_max(init.u, grid.n, 1) > 0.0 or _ring_max(init.ut, grid.n, 1) > 0.0:
+        raise ConfigurationError("initial data must vanish on the boundary ring")
+    size = max(1, CHUNK_ELEMENTS // grid.num_nodes)
+    chunks = []
+    for lo in range(0, len(paths), size):
+        times, records = _march(init, samplers, grid, paths[lo : lo + size], reduce, stride, support_guard)
+        chunks.append([np.stack(rows, axis=1) for rows in zip(*records)])
+    return np.asarray(times), tuple(np.concatenate(parts) for parts in zip(*chunks))
+
+
+def leapfrog_reference(init: WaveState, grid: Grid):
     """Three-level leapfrog for the free wave, first step matched to the
-    semi-implicit ordering: u^1 = u^0 + dt u_t^0 + dt^2 lap u^0."""
+    semi-implicit ordering: u^1 = u^0 + dt u_t^0 + dt^2 lap u^0.  Returns
+    every step's time and (u, u_t) in the shape ``solve`` gives one path."""
     dt, dx = grid.dt, grid.dx
     u_prev = init.u.copy()
     u_curr = u_prev + dt * init.ut + dt**2 * laplacian_array(u_prev, dx, grid.n)
     zero_ring(u_curr, grid.n)
-    out = FieldPath()
-    out.record(WaveState(u=u_prev, ut=init.ut.copy(), time=0.0))
-    ut = (u_curr - u_prev) / dt
-    out.record(WaveState(u=u_curr.copy(), ut=ut, time=dt))
-    for k in range(1, grid.num_steps):
+    us, uts = [u_prev, u_curr], [init.ut, (u_curr - u_prev) / dt]
+    for _ in range(1, grid.num_steps):
         u_next = 2.0 * u_curr - u_prev + dt**2 * laplacian_array(u_curr, dx, grid.n)
         zero_ring(u_next, grid.n)
-        ut = (u_next - u_curr) / dt
-        out.record(WaveState(u=u_next.copy(), ut=ut, time=(k + 1) * dt))
+        us.append(u_next)
+        uts.append((u_next - u_curr) / dt)
         u_prev, u_curr = u_curr, u_next
-    return out
+    times = np.arange(grid.num_steps + 1) * dt
+    return times, (np.stack(us)[None], np.stack(uts)[None])
 
 
 def manufactured_forcing(u_exact: AnalyticFn, coeffs: Coefficients) -> AnalyticFn:

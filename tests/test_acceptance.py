@@ -189,6 +189,10 @@ def test_criterion_7_finite_propagation_speed_monte_carlo():
     _ok(7, "finite propagation speed", f"outside/initial {ratio:.3e} over 200 paths in {elapsed:.1f}s")
 
 
+def _snapshots(k, state):
+    return state.u, state.ut
+
+
 def test_criterion_8_solver_validation():
     # spatial order two on the boundary-compatible standing mode
     u0 = make_fn("standing_wave", 1)
@@ -197,9 +201,9 @@ def test_criterion_8_solver_validation():
     def l2err(dx):
         g = make_grid([(-1.0, 1.0)], dx=dx, dt=dx / 4, t_max=0.4)
         init = S.initial_state(g, u0, None, co)
-        path = S.solve(init, co, g, sample_brownian(1, g.dt, g.t_max), stride=g.num_steps, support_guard=False)
+        _, (u, _) = S.solve(init, co, g, [sample_brownian(1, g.dt, g.t_max)], _snapshots, stride=g.num_steps, support_guard=False)
         exact = u0.d(np.full(g.shape, 0.4), list(g.meshgrid()), (0, 0))
-        return math.sqrt(float(np.sum((path.snapshots[-1][0] - exact) ** 2)) * g.cell_volume)
+        return math.sqrt(float(np.sum((u[0, -1] - exact) ** 2)) * g.cell_volume)
 
     order = math.log2(l2err(0.04) / l2err(0.02))
     assert 1.7 <= order <= 2.3
@@ -207,9 +211,9 @@ def test_criterion_8_solver_validation():
     # zero-noise reduction to the leapfrog reference
     g = make_grid([(-1.0, 1.0)], dx=0.01, dt=0.0025, t_max=0.5)
     init = S.initial_state(g, u0, None, co)
-    path = S.solve(init, co, g, sample_brownian(3, g.dt, g.t_max), stride=g.num_steps, support_guard=False)
-    ref = S.leapfrog_reference(init, g)
-    dev = float(np.max(np.abs(path.snapshots[-1][0] - ref.snapshots[-1][0])))
+    _, (u, _) = S.solve(init, co, g, [sample_brownian(3, g.dt, g.t_max)], _snapshots, stride=g.num_steps, support_guard=False)
+    _, (ref_u, _) = S.leapfrog_reference(init, g)
+    dev = float(np.max(np.abs(u[0, -1] - ref_u[0, -1])))
     assert dev <= 1e-10
 
     # scalar multiplicative-noise second moment

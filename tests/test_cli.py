@@ -234,6 +234,22 @@ def test_weighted_qv_check_evaluates_no_quantities(tmp_path, monkeypatch):
     assert len(calls) == 0
 
 
+@pytest.mark.parametrize("key, value", [
+    ("rho", {"name": "char_linear", "params": {"ux1": 1.0}}),
+    ("weights", {"lambdas": [2.0], "gamma": 1.0, "mu": 0.1, "t0": 0.0, "x0": [0.0]}),
+], ids=["rho", "weights"])
+def test_qv_check_weight_given_by_half_is_a_usage_error(tmp_path, capsys, key, value):
+    # theta = e^ell needs rho and the weight parameters together; either alone used to run unweighted
+    cfg = json.loads((CONFIG_DIR / "qv_check.json").read_text())
+    cfg[key] = value
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run(str(path), "qv-check", out_dir=str(out)) == 2
+    assert not out.exists()
+    assert "config error" in capsys.readouterr().err
+
+
 def test_conjugation_check_finds_every_transition_point_on_seed_1(tmp_path):
     out = tmp_path / "out"
     assert run(str(CONFIG_DIR / "conjugation_check.json"), "conjugation-check", out_dir=str(out), seed=1) == 0

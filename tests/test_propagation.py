@@ -120,14 +120,18 @@ def test_run_propagation_rejects_data_outside_support():
         run_propagation(g, BALL, wide, None, S.Coefficients(), paths=2, seed=1)
 
 
+def _snapshots(k, state):
+    return state.u, state.ut
+
+
 def test_deterministic_dalembert_support_bound():
     # free wave from a bump in |x| <= 0.2: at t = 0.5 the energy beyond 0.75
     # is scheme leakage only
     g = make_grid([(-1.5, 1.5)], dx=0.005, dt=0.0025, t_max=0.5)
     u0 = make_fn("space_bump4", 1, amp=1.0, cx1=0.0, rx1=0.2)
     init = S.initial_state(g, u0, None)
-    path = S.solve(init, S.Coefficients(), g, sample_brownian(1, g.dt, g.t_max), stride=g.num_steps)
-    u, ut = path.snapshots[-1]
+    _, (us, uts) = S.solve(init, S.Coefficients(), g, [sample_brownian(1, g.dt, g.t_max)], _snapshots, stride=g.num_steps)
+    u, ut = us[0, -1], uts[0, -1]
     state = S.WaveState(u=u, ut=ut, time=0.5)
     total = S.total_energy(init, g)
     x = g.meshgrid()[0]

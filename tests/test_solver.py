@@ -19,16 +19,21 @@ def _grid(dx=0.01, dt=None, t_max=0.5, half_width=1.0):
     return make_grid([(-half_width, half_width)], dx=dx, dt=dt or dx / 4, t_max=t_max)
 
 
-def _final_state(path):
-    u, ut = path.snapshots[-1]
-    return S.WaveState(u=u, ut=ut, time=path.times[-1])
+def _snapshots(k, state):
+    return state.u, state.ut
+
+
+def _solve(init, co, g, bp, **kwargs):
+    """One path's record times and recorded u and u_t, without the path axis."""
+    times, (u, ut) = S.solve(init, co, g, [bp], _snapshots, **kwargs)
+    return times, u[0], ut[0]
 
 
 def test_zero_data_stays_zero():
     g = _grid(dx=0.05, t_max=0.25)
     init = S.initial_state(g, None, None)
-    path = S.solve(init, S.Coefficients(), g, sample_brownian(1, g.dt, g.t_max))
-    assert all(np.all(u == 0.0) and np.all(ut == 0.0) for u, ut in path.snapshots)
+    _, u, ut = _solve(init, S.Coefficients(), g, sample_brownian(1, g.dt, g.t_max))
+    assert np.all(u == 0.0) and np.all(ut == 0.0)
 
 
 def test_same_seed_reproduces_path_bitwise():
@@ -36,10 +41,9 @@ def test_same_seed_reproduces_path_bitwise():
     u0 = make_fn("space_bump4", 1, amp=1.0, cx1=0.0, rx1=0.2)
     co = S.Coefficients(b1=0.5)
     init = S.initial_state(g, u0, None, co)
-    p1 = S.solve(init, co, g, sample_brownian(7, g.dt, g.t_max))
-    p2 = S.solve(init, co, g, sample_brownian(7, g.dt, g.t_max))
-    for (u1, ut1), (u2, ut2) in zip(p1.snapshots, p2.snapshots):
-        assert np.array_equal(u1, u2) and np.array_equal(ut1, ut2)
+    _, u1, ut1 = _solve(init, co, g, sample_brownian(7, g.dt, g.t_max))
+    _, u2, ut2 = _solve(init, co, g, sample_brownian(7, g.dt, g.t_max))
+    assert np.array_equal(u1, u2) and np.array_equal(ut1, ut2)
 
 
 def test_manufactured_standing_wave_l2_error_bound():
@@ -48,9 +52,9 @@ def test_manufactured_standing_wave_l2_error_bound():
     co = S.Coefficients()
     g = _grid(dx=0.01, t_max=0.5)
     init = S.initial_state(g, u0, None, co)
-    path = S.solve(init, co, g, sample_brownian(1, g.dt, g.t_max), stride=g.num_steps, support_guard=False)
+    _, u, _ = _solve(init, co, g, sample_brownian(1, g.dt, g.t_max), stride=g.num_steps, support_guard=False)
     exact = u0.d(np.full(g.shape, 0.5), list(g.meshgrid()), (0, 0))
-    err = math.sqrt(float(np.sum((_final_state(path).u - exact) ** 2)) * g.cell_volume)
+    err = math.sqrt(float(np.sum((u[-1] - exact) ** 2)) * g.cell_volume)
     assert err <= 10.0 * (g.dx**2 + g.dt)
 
 
@@ -61,9 +65,9 @@ def test_spatial_order_two():
     def l2err(dx):
         g = _grid(dx=dx, t_max=0.4)
         init = S.initial_state(g, u0, None, co)
-        path = S.solve(init, co, g, sample_brownian(1, g.dt, g.t_max), stride=g.num_steps, support_guard=False)
+        _, u, _ = _solve(init, co, g, sample_brownian(1, g.dt, g.t_max), stride=g.num_steps, support_guard=False)
         exact = u0.d(np.full(g.shape, 0.4), list(g.meshgrid()), (0, 0))
-        return math.sqrt(float(np.sum((_final_state(path).u - exact) ** 2)) * g.cell_volume)
+        return math.sqrt(float(np.sum((u[-1] - exact) ** 2)) * g.cell_volume)
 
     e1, e2 = l2err(0.04), l2err(0.02)
     order = math.log2(e1 / e2)
@@ -79,9 +83,9 @@ def test_temporal_order_one_with_damping():
     def terr(dt):
         g = _grid(dx=0.005, dt=dt, t_max=0.4)
         init = S.initial_state(g, u_exact, None, co)
-        path = S.solve(init, co, g, sample_brownian(1, g.dt, g.t_max), stride=g.num_steps, support_guard=False)
+        _, u, _ = _solve(init, co, g, sample_brownian(1, g.dt, g.t_max), stride=g.num_steps, support_guard=False)
         exact = u_exact.d(np.full(g.shape, 0.4), list(g.meshgrid()), (0, 0))
-        return math.sqrt(float(np.sum((_final_state(path).u - exact) ** 2)) * g.cell_volume)
+        return math.sqrt(float(np.sum((u[-1] - exact) ** 2)) * g.cell_volume)
 
     order = math.log2(terr(0.004) / terr(0.002))
     assert 0.7 <= order <= 1.3
@@ -95,8 +99,8 @@ def test_refinement_halving_dt_first_order_factor():
     def final(dt):
         g = _grid(dx=0.005, dt=dt, t_max=0.4)
         init = S.initial_state(g, u_exact, None, co)
-        path = S.solve(init, co, g, sample_brownian(1, g.dt, g.t_max), stride=g.num_steps, support_guard=False)
-        return _final_state(path).u
+        _, u, _ = _solve(init, co, g, sample_brownian(1, g.dt, g.t_max), stride=g.num_steps, support_guard=False)
+        return u[-1]
 
     f1, f2, f4 = final(0.004), final(0.002), final(0.001)
     ratio = float(np.max(np.abs(f1 - f2)) / np.max(np.abs(f2 - f4)))
@@ -107,10 +111,10 @@ def test_zero_noise_matches_leapfrog_reference():
     g = _grid(dx=0.01, dt=0.0025, t_max=0.5)
     u0 = make_fn("standing_wave", 1)
     init = S.initial_state(g, u0, None)
-    path = S.solve(init, S.Coefficients(), g, sample_brownian(3, g.dt, g.t_max), stride=g.num_steps, support_guard=False)
-    ref = S.leapfrog_reference(init, g)
-    scale = float(np.max(np.abs(ref.snapshots[-1][0])))
-    assert float(np.max(np.abs(path.snapshots[-1][0] - ref.snapshots[-1][0]))) <= 1e-10 * max(1.0, scale)
+    _, u, _ = _solve(init, S.Coefficients(), g, sample_brownian(3, g.dt, g.t_max), stride=g.num_steps, support_guard=False)
+    _, (ref_u, _) = S.leapfrog_reference(init, g)
+    scale = float(np.max(np.abs(ref_u[0, -1])))
+    assert float(np.max(np.abs(u[-1] - ref_u[0, -1]))) <= 1e-10 * max(1.0, scale)
 
 
 def test_scalar_mode_second_moment_matches_exponential():
@@ -124,15 +128,15 @@ def test_solve_linearity_per_path():
     bump_a = make_fn("space_bump4", 1, amp=1.0, cx1=0.0, rx1=0.2)
     bump_b = make_fn("space_bump4", 1, amp=0.5, cx1=0.1, rx1=0.15)
     bp = sample_brownian(9, g.dt, g.t_max)
-    pa = S.solve(S.initial_state(g, bump_a, None, co), co, g, bp, stride=g.num_steps)
-    pb = S.solve(S.initial_state(g, bump_b, None, co), co, g, bp, stride=g.num_steps)
+    _, ua, _ = _solve(S.initial_state(g, bump_a, None, co), co, g, bp, stride=g.num_steps)
+    _, ub, _ = _solve(S.initial_state(g, bump_b, None, co), co, g, bp, stride=g.num_steps)
     both = S.initial_state(g, bump_a, None, co)
     other = S.initial_state(g, bump_b, None, co)
     both.u = both.u + other.u
     both.ut = both.ut + other.ut
-    pc = S.solve(both, co, g, bp, stride=g.num_steps)
-    diff = np.max(np.abs(pc.snapshots[-1][0] - pa.snapshots[-1][0] - pb.snapshots[-1][0]))
-    assert diff <= 1e-10 * max(1.0, float(np.max(np.abs(pc.snapshots[-1][0]))))
+    _, uc, _ = _solve(both, co, g, bp, stride=g.num_steps)
+    diff = np.max(np.abs(uc[-1] - ua[-1] - ub[-1]))
+    assert diff <= 1e-10 * max(1.0, float(np.max(np.abs(uc[-1]))))
 
 
 def test_manufactured_forcing_free_wave_is_zero():
@@ -175,9 +179,9 @@ def test_free_wave_energy_drift_below_one_percent():
     g = make_grid([(-1.0, 1.0)], dx=0.005, dt=0.00125, t_max=1.0)
     u0 = make_fn("standing_wave", 1)
     init = S.initial_state(g, u0, None)
-    path = S.solve(init, S.Coefficients(), g, sample_brownian(1, g.dt, g.t_max), stride=g.num_steps, support_guard=False)
-    e0 = S.total_energy(S.WaveState(*path.snapshots[0], path.times[0]), g)
-    e1 = S.total_energy(S.WaveState(*path.snapshots[-1], path.times[-1]), g)
+    times, u, ut = _solve(init, S.Coefficients(), g, sample_brownian(1, g.dt, g.t_max), stride=g.num_steps, support_guard=False)
+    e0 = S.total_energy(S.WaveState(u[0], ut[0], times[0]), g)
+    e1 = S.total_energy(S.WaveState(u[-1], ut[-1], times[-1]), g)
     assert abs(e1 - e0) / e0 <= 0.01
 
 
@@ -187,7 +191,7 @@ def test_blow_up_reports_step_index():
     init = S.initial_state(g, u0, None)
     co = S.Coefficients(a3=1e10)
     with np.errstate(over="ignore"), pytest.raises(S.BlowUpError, match="step"):
-        S.solve(init, co, g, sample_brownian(1, g.dt, g.t_max), support_guard=False)
+        _solve(init, co, g, sample_brownian(1, g.dt, g.t_max), support_guard=False)
 
 
 def test_support_reach_raises_propagation_error():
@@ -196,21 +200,21 @@ def test_support_reach_raises_propagation_error():
     u0 = make_fn("space_bump4", 1, amp=1.0, cx1=0.5, rx1=0.3)
     init = S.initial_state(g, u0, None)
     with pytest.raises(S.PropagationError):
-        S.solve(init, S.Coefficients(), g, sample_brownian(1, g.dt, g.t_max), stride=5)
+        _solve(init, S.Coefficients(), g, sample_brownian(1, g.dt, g.t_max), stride=5)
 
 
 def test_noise_step_size_guard():
     g = make_grid([(-1.0, 1.0)], dx=0.5, dt=0.25, t_max=0.5)
     init = S.initial_state(g, None, None)
     with pytest.raises(ConfigurationError, match="guard"):
-        S.solve(init, S.Coefficients(b1=2.0), g, sample_brownian(1, g.dt, g.t_max))
+        _solve(init, S.Coefficients(b1=2.0), g, sample_brownian(1, g.dt, g.t_max))
 
 
 def test_boundary_ring_precondition():
     g = make_grid([(-1.0, 1.0)], dx=0.25, dt=0.125, t_max=0.25)
     bad = S.WaveState(u=np.ones(g.shape), ut=np.zeros(g.shape), time=0.0)
     with pytest.raises(ConfigurationError, match="boundary ring"):
-        S.solve(bad, S.Coefficients(), g, sample_brownian(1, g.dt, g.t_max))
+        _solve(bad, S.Coefficients(), g, sample_brownian(1, g.dt, g.t_max))
 
 
 def test_two_dimensional_spatial_order():
@@ -225,9 +229,9 @@ def test_two_dimensional_spatial_order():
     def l2err(dx):
         g = make_grid([(-1.0, 1.0), (-1.0, 1.0)], dx=dx, dt=dx / 4, t_max=0.2)
         init = S.initial_state(g, u2, None, co)
-        path = S.solve(init, co, g, sample_brownian(1, g.dt, g.t_max), stride=g.num_steps, support_guard=False)
+        _, u, _ = _solve(init, co, g, sample_brownian(1, g.dt, g.t_max), stride=g.num_steps, support_guard=False)
         exact = u2.d(np.full(g.shape, 0.2), list(g.meshgrid()), (0, 0, 0))
-        return math.sqrt(float(np.sum((path.snapshots[-1][0] - exact) ** 2)) * g.cell_volume)
+        return math.sqrt(float(np.sum((u[-1] - exact) ** 2)) * g.cell_volume)
 
     order = math.log2(l2err(0.1) / l2err(0.05))
     assert 1.7 <= order <= 2.3
@@ -240,9 +244,9 @@ def test_step_matches_solve_single_step():
     init = S.initial_state(g, u0, None, co)
     bp = sample_brownian(5, g.dt, g.t_max)
     stepped = S.step(init, co, float(bp.increments[0]), g)
-    solved = S.solve(init, co, g, bp)
-    assert np.array_equal(stepped.u, solved.snapshots[-1][0])
-    assert np.array_equal(stepped.ut, solved.snapshots[-1][1])
+    _, u, ut = _solve(init, co, g, bp)
+    assert np.array_equal(stepped.u, u[-1])
+    assert np.array_equal(stepped.ut, ut[-1])
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -254,13 +258,12 @@ def test_ensemble_rows_equal_single_path_solves(n):
     init = S.initial_state(g, bump, None, co)
     paths = [sample_brownian(11, g.dt, g.t_max, stream=p) for p in range(4)]
     # 20 steps at stride 3: the final state is recorded again at t_max
-    batch = S.solve(init, co, g, paths, stride=3, support_guard=False)
-    assert batch.snapshots[0][0].shape == (4,) + g.shape
+    times, (u, ut) = S.solve(init, co, g, paths, _snapshots, stride=3, support_guard=False)
+    assert u.shape == (4, len(times)) + g.shape
     for p, bp in enumerate(paths):
-        single = S.solve(init, co, g, bp, stride=3, support_guard=False)
-        assert batch.times == single.times
-        for (ub, utb), (us, uts) in zip(batch.snapshots, single.snapshots):
-            assert np.array_equal(ub[p], us) and np.array_equal(utb[p], uts)
+        single_times, us, uts = _solve(init, co, g, bp, stride=3, support_guard=False)
+        assert np.array_equal(times, single_times)
+        assert np.array_equal(u[p], us) and np.array_equal(ut[p], uts)
 
 
 def test_ensemble_blow_up_names_the_path():
@@ -269,7 +272,7 @@ def test_ensemble_blow_up_names_the_path():
     paths = [sample_brownian(1, g.dt, g.t_max, stream=p) for p in range(3)]
     paths[2] = S.BrownianPath(seed=1, dt=g.dt, t_max=g.t_max, increments=np.full(g.num_steps, 1e300), stream=2)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(S.BlowUpError, match="on path 2 at step"):
-        S.solve(init, S.Coefficients(b2=1.0), g, paths, support_guard=False)
+        S.solve(init, S.Coefficients(b2=1.0), g, paths, _snapshots, support_guard=False)
 
 
 # (n, coefficients, u0 amplitude, u1 amplitude, path with huge increments, its increment, message);
@@ -296,7 +299,7 @@ def test_ensemble_blow_up_reports_the_recorded_path_and_step(n, co, amp0, amp1, 
     paths = [sample_brownian(1, g.dt, g.t_max, stream=p) for p in range(3)]
     paths[hot] = S.BrownianPath(seed=1, dt=g.dt, t_max=g.t_max, increments=np.full(g.num_steps, dw), stream=hot)
     with np.errstate(all="ignore"), pytest.raises(S.BlowUpError) as info:
-        S.solve(init, co, g, paths, support_guard=False)
+        S.solve(init, co, g, paths, _snapshots, support_guard=False)
     assert str(info.value) == message
 
 
