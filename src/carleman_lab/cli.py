@@ -6,7 +6,21 @@ assertions pass, 1 when one fails (named in the log), 2 on a usage or config
 error (in which case nothing is written; a propagation support whose unit-speed
 cone reaches the solver's guard ring is one).  An ArithmeticError raised during
 the run, or a solved field reaching the boundary ring (PropagationError), is a
-run failure: exit 1, a log naming ``run_error``, and no CSV.
+run failure: exit 1, a log naming ``run_error``, and no CSV.  A result table
+holding ±inf, or NaN outside the columns its subcommand declares in
+``NAN_COLUMNS``, fails ``numbers_finite``: exit 1, and the CSV is written.
+
+Configs are checked against ``SCHEMAS`` by a small validator with the
+semantics of JSON Schema Draft 2020-12 for the keywords the schemas use:
+``type``, ``properties``, ``required``, ``additionalProperties`` (false or a
+schema), ``items``, ``minItems``, ``maxItems``, ``minimum``, ``enum``,
+``const``, ``oneOf`` and ``dependentRequired``.  As there, an integral float
+such as 1.0 is an integer, a bool is neither a number nor an integer, and
+``enum`` and ``const`` tell True apart from 1.  It raises KeyError on any
+other keyword, so a schema cannot use one it would silently skip.
+
+Each subcommand imports the modules it reads when it runs, so a light run
+such as geometry loads neither the weight nor the solver modules.
 """
 
 from __future__ import annotations
@@ -21,8 +35,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
-from jsonschema import Draft202012Validator
 
 from . import __version__
 from .fields import (
@@ -30,44 +42,16 @@ from .fields import (
     BUILTIN_NAMES,
     CapabilityError,
     ConfigurationError,
+    GeometryError,
+    PropagationError,
+    StatisticsError,
+    SupportError,
     field_from_fn,
     fd_apply,
     fn_from_spec,
     make_fn,
     make_grid,
     uniform_stream,
-)
-from .weights import (
-    WeightFamily,
-    WeightParams,
-    assumption_check,
-    build_M,
-    eval_D,
-    eval_frame,
-    psd_certificate,
-)
-from .identities import (
-    CutoffSpec,
-    RegionSpec,
-    StatisticsError,
-    SupportError,
-    identity_case,
-    conjugation_residual,
-    inequality_gap,
-    qv_check,
-)
-from . import solver as _solver
-from .propagation import SupportSet, run_propagation
-from .cones import (
-    ConeSpec,
-    ContainmentError,
-    GeometryError,
-    c3_constant,
-    cone_cross_offset,
-    cone_time_offset,
-    membership,
-    sweep_cover,
-    vertex,
 )
 
 
@@ -443,9 +427,11 @@ def _coeff_value(spec, n):
     return fn_from_spec(spec, n)
 
 
-def _coeffs_from(cfg: dict, n: int) -> _solver.Coefficients:
+def _coeffs_from(cfg: dict, n: int):
+    from . import solver
+
     a2 = tuple(_coeff_value(c, n) for c in cfg.get("a2", []))
-    co = _solver.Coefficients(
+    co = solver.Coefficients(
         a1=_coeff_value(cfg.get("a1"), n),
         a2=a2,
         a3=_coeff_value(cfg.get("a3"), n),
@@ -457,11 +443,13 @@ def _coeffs_from(cfg: dict, n: int) -> _solver.Coefficients:
     )
     if "manufactured_from" in cfg:
         u_exact = fn_from_spec(cfg["manufactured_from"], n)
-        co = replace(co, g=_solver.manufactured_forcing(u_exact, co))
+        co = replace(co, g=solver.manufactured_forcing(u_exact, co))
     return co
 
 
-def _weights_from(cfg: dict) -> tuple[WeightParams, list]:
+def _weights_from(cfg: dict) -> tuple:
+    from .weights import WeightParams
+
     lambdas = cfg.get("lambdas") or [cfg.get("lambda", 8.0)]
     params = WeightParams(
         lam=float(lambdas[0]),
@@ -473,7 +461,9 @@ def _weights_from(cfg: dict) -> tuple[WeightParams, list]:
     return params, [float(v) for v in lambdas]
 
 
-def _region_from(cfg: dict) -> RegionSpec:
+def _region_from(cfg: dict):
+    from .identities import RegionSpec
+
     return RegionSpec(
         t_lo=float(cfg["t_lo"]),
         t_hi=float(cfg["t_hi"]),
@@ -484,7 +474,9 @@ def _region_from(cfg: dict) -> RegionSpec:
     )
 
 
-def _support_from(cfg: dict) -> SupportSet:
+def _support_from(cfg: dict):
+    from .propagation import SupportSet
+
     balls = tuple((tuple(b["center"]), float(b["radius"])) for b in cfg.get("balls", []))
     boxes = tuple((tuple(b["lo"]), tuple(b["hi"])) for b in cfg.get("boxes", []))
     return SupportSet(balls=balls, boxes=boxes)
@@ -506,6 +498,8 @@ def _in(u, lo, hi):
 
 def _draw_identity_case(u: np.ndarray, n: int):
     """One randomized (rho, varrho, w, params, point) with |lam phi| <= 20."""
+    from .weights import WeightParams
+
     iu = iter(u)
     nx = lambda: float(next(iu))
     gamma = _in(nx(), 1.0, 4.0)
@@ -563,6 +557,9 @@ _SEARCH_ATTEMPTS, _SEARCH_BLOCK = 32, 8
 
 
 def _run_identity_check(cfg: dict):
+    from .identities import identity_case
+    from .weights import WeightFamily
+
     cases = cfg.get("cases", 200)
     tol = cfg.get("tolerance", 1e-8)
     n = cfg.get("n", 1)
@@ -590,6 +587,9 @@ def _run_identity_check(cfg: dict):
 
 
 def _run_conjugation_check(cfg: dict):
+    from .identities import CutoffSpec, conjugation_residual
+    from .weights import WeightFamily
+
     cases = cfg.get("cases", 100)
     tol = cfg.get("tolerance", 1e-8)
     n = cfg.get("n", 1)
@@ -643,6 +643,10 @@ def _run_conjugation_check(cfg: dict):
 
 
 def _run_expansion_check(cfg: dict):
+    import numpy.polynomial.polynomial as npoly
+
+    from .weights import WeightFamily, eval_D, eval_frame
+
     samples = cfg.get("samples", 50)
     lambdas = np.asarray(cfg.get("lambdas", [16.0, 32.0, 64.0, 128.0, 256.0, 512.0]))
     tol_a = cfg.get("tol_quadratic", 1e-6)
@@ -679,6 +683,8 @@ def _run_expansion_check(cfg: dict):
 
 
 def _run_d2_check(cfg: dict):
+    from .weights import build_M, eval_D, eval_frame
+
     samples = cfg.get("samples", 500)
     tol = cfg.get("tolerance", 1e-9)
     seed = cfg.get("seed", 0)
@@ -707,6 +713,8 @@ def _run_d2_check(cfg: dict):
 
 
 def _run_psd_check(cfg: dict):
+    from .weights import psd_certificate
+
     x0 = [float(v) for v in cfg["x0"]]
     n = len(x0)
     g_fn = fn_from_spec(cfg["g"], n)
@@ -725,6 +733,8 @@ def _run_psd_check(cfg: dict):
 
 
 def _run_assumption_check(cfg: dict):
+    from .weights import assumption_check
+
     x = [float(v) for v in cfg["x"]]
     n = len(x)
     rho = fn_from_spec(cfg["rho"], n)
@@ -745,6 +755,9 @@ def _run_assumption_check(cfg: dict):
 
 
 def _run_qv_check(cfg: dict):
+    from .identities import qv_check
+    from .weights import WeightFamily
+
     grid = _grid_from(cfg["grid"])
     coeffs = _coeffs_from(cfg["coeffs"], grid.n)
     u0 = fn_from_spec(cfg["u0"], grid.n)
@@ -768,6 +781,9 @@ def _run_qv_check(cfg: dict):
 
 
 def _run_inequality_scan(cfg: dict):
+    from .identities import CutoffSpec, inequality_gap
+    from .weights import WeightFamily
+
     region = _region_from(cfg["region"])
     n = region.n
     rho = fn_from_spec(cfg["rho"], n)
@@ -831,6 +847,8 @@ def _stencil_sanity(grid, u0: AnalyticFn) -> tuple[bool, str]:
 
 
 def _run_propagation(cfg: dict):
+    from .propagation import run_propagation
+
     grid = _grid_from(cfg["grid"])
     support = _support_from(cfg["support"])
     u0 = fn_from_spec(cfg["u0"], grid.n)
@@ -862,6 +880,9 @@ def _run_propagation(cfg: dict):
 
 
 def _run_ucp_decay(cfg: dict):
+    from . import solver
+    from .weights import WeightFamily, eval_frame
+
     grid = _grid_from(cfg["grid"])
     rho = fn_from_spec(cfg["rho"], grid.n)
     family = WeightFamily(rho)
@@ -880,8 +901,8 @@ def _run_ucp_decay(cfg: dict):
     leak = float(np.max(u0_vals[rho0 > 0.0])) if (rho0 > 0.0).any() else 0.0
     data_ok = leak <= 1e-12 * max(1.0, float(np.max(u0_vals)))
 
-    init = _solver.initial_state(grid, u0, u1, coeffs)
-    e0 = _solver.total_energy(init, grid)
+    init = solver.initial_state(grid, u0, u1, coeffs)
+    e0 = solver.total_energy(init, grid)
     stride = max(1, grid.num_steps // 20)
     snap_times = [0.0] + [
         (k + 1) * grid.dt for k in range(grid.num_steps) if (k + 1) % stride == 0
@@ -896,10 +917,11 @@ def _run_ucp_decay(cfg: dict):
     mid = (slice(None),) + tuple(s // 2 for s in grid.shape)
 
     def reduce(k, state):
-        rows = [_solver.row_sums(th2[lv][k] * (lv**3 * state.u**2 + lv * state.ut**2)) for lv in th2]
+        u2, ut2 = state.u**2, state.ut**2
+        rows = [solver.row_sums(th2[lv][k] * (lv**3 * u2 + lv * ut2)) for lv in th2]
         return (*rows, state.u[mid])
 
-    times, out = _solver.solve(init, coeffs, grid, _solver.brownian_paths(seed, grid, paths), reduce, stride=stride)
+    times, out = solver.solve(init, coeffs, grid, solver.brownian_paths(seed, grid, paths), reduce, stride=stride)
     sums, u_mid = dict(zip(th2, out)), out[-1][0]
     utt_probe = math.nan
     if len(times) >= 3:
@@ -931,6 +953,8 @@ def _run_ucp_decay(cfg: dict):
 
 
 def _run_geometry(cfg: dict):
+    from .cones import ConeSpec, c3_constant, cone_cross_offset, cone_time_offset, membership, vertex
+
     alpha = float(cfg["alpha"])
     c1 = float(cfg["c1"])
     seed = cfg.get("seed", 0)
@@ -968,6 +992,8 @@ def _run_geometry(cfg: dict):
 
 
 def _run_sweep(cfg: dict):
+    from .cones import ContainmentError, c3_constant, cone_time_offset, sweep_cover
+
     alpha = float(cfg["alpha"])
     c1 = float(cfg["c1"])
     c3 = c3_constant(alpha, c1)
@@ -1024,6 +1050,32 @@ _GNUPLOT_HINTS = {
 }
 
 
+# columns that may hold NaN by design: inequality-scan's margins when its preset
+# computes none, and ucp-decay's probe when a run records fewer than three snapshots
+NAN_COLUMNS = {
+    "inequality-scan": ("vt_margin", "v_margin", "structure_min_eig"),
+    "ucp-decay": ("utt_probe",),
+}
+
+
+def _numbers_finite(table: ResultTable, nan_ok) -> tuple:
+    """The ``numbers_finite`` assertion: no ±inf anywhere, and NaN only in ``nan_ok``."""
+    floats = [v for row in table.rows for v in row if isinstance(v, (float, np.floating))]
+    bad = []
+    if not all(map(math.isfinite, floats)):  # locate the failures only when there are any
+        bad = [
+            (i, col, v)
+            for i, row in enumerate(table.rows, 1)
+            for col, v in zip(table.columns, row)
+            if isinstance(v, (float, np.floating)) and not math.isfinite(v) and not (math.isnan(v) and col in nan_ok)
+        ]
+    if not bad:
+        return "numbers_finite", True, f"{len(floats)} float cells"
+    i, col, v = bad[0]
+    where = f"{col} is {format_scalar(v)} in row {i} of {len(table.rows)}"
+    return "numbers_finite", False, f"{where}; {len(bad)} of {len(floats)} float cells are not finite"
+
+
 def _emit_gnuplot(subcommand: str, table: ResultTable, csv_path: Path, gp_path: Path):
     xcol, ycol = _GNUPLOT_HINTS.get(subcommand, (table.columns[0], table.columns[-1]))
     xi = table.columns.index(xcol) + 1 if xcol in table.columns else 1
@@ -1044,11 +1096,90 @@ def load_config(path: str) -> dict:
         return json.load(fh)
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "number": _is_number,
+    "integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
+}
+
+
+def _same(a, b) -> bool:
+    """JSON equality, as ``enum`` and ``const`` compare: 1 equals 1.0, not True."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return a == b
+
+
+def _errors(v, schema: dict, path: tuple = ()):
+    """(path, reason) for each way the JSON value ``v`` breaks ``schema``."""
+    obj, arr = isinstance(v, dict), isinstance(v, list)
+    for key, arg in schema.items():
+        if key == "type":
+            if not _TYPES[arg](v):
+                yield path, f"{v!r} is not of type {arg!r}"
+        elif key == "properties":
+            for name, sub in arg.items() if obj else ():
+                if name in v:
+                    yield from _errors(v[name], sub, path + (name,))
+        elif key == "additionalProperties":
+            extra = sorted(k for k in v if k not in schema.get("properties", {})) if obj else []
+            if arg is False and extra:
+                yield path, f"additional properties are not allowed ({', '.join(map(repr, extra))} unexpected)"
+            elif arg is not False:
+                for name in extra:
+                    yield from _errors(v[name], arg, path + (name,))
+        elif key == "required":
+            for name in arg if obj else ():
+                if name not in v:
+                    yield path, f"{name!r} is a required property"
+        elif key == "dependentRequired":
+            for name, needs in arg.items() if obj else ():
+                for need in needs if name in v else ():
+                    if need not in v:
+                        yield path, f"{need!r} is required when {name!r} is given"
+        elif key == "items":
+            for i, item in enumerate(v) if arr else ():
+                yield from _errors(item, arg, path + (i,))
+        elif key == "minItems":
+            if arr and len(v) < arg:
+                yield path, f"{v!r} has fewer than {arg} items"
+        elif key == "maxItems":
+            if arr and len(v) > arg:
+                yield path, f"{v!r} has more than {arg} items"
+        elif key == "minimum":
+            if _is_number(v) and v < arg:
+                yield path, f"{v!r} is less than the minimum of {arg!r}"
+        elif key == "enum":
+            if not any(_same(v, option) for option in arg):
+                yield path, f"{v!r} is not one of {arg!r}"
+        elif key == "const":
+            if not _same(v, arg):
+                yield path, f"{arg!r} was expected"
+        elif key == "oneOf":
+            valid = sum(not any(_errors(v, sub, path)) for sub in arg)
+            if valid != 1:
+                yield path, f"{v!r} is valid under {valid} of the {len(arg)} oneOf schemas, not exactly one"
+        else:
+            raise KeyError(f"schema keyword {key!r} is not supported")
+
+
 def validate_config(cfg: dict, subcommand: str) -> list[str]:
+    """``path: reason`` for each schema violation of ``cfg``; empty when it is valid."""
     if subcommand not in SCHEMAS:
         return [f"unknown subcommand {subcommand!r}"]
-    validator = Draft202012Validator(SCHEMAS[subcommand])
-    return [f"{'/'.join(str(p) for p in e.path) or '<root>'}: {e.message}" for e in validator.iter_errors(cfg)]
+    return [f"{'/'.join(map(str, path)) or '<root>'}: {reason}" for path, reason in _errors(cfg, SCHEMAS[subcommand])]
 
 
 def run(
@@ -1087,7 +1218,7 @@ def run(
     except (ConfigurationError, CapabilityError, GeometryError, SupportError, StatisticsError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, _solver.PropagationError) as exc:
+    except (ArithmeticError, PropagationError) as exc:
         # a failed computation, not a usage error: logged, with no result table
         assertions = [("run_error", False, str(exc))]
     wall = time.perf_counter() - started
@@ -1095,6 +1226,7 @@ def run(
     digest = config_hash(cfg)
     out.mkdir(parents=True, exist_ok=True)
     if table is not None:
+        assertions.append(_numbers_finite(table, NAN_COLUMNS.get(subcommand, ())))
         table.metadata = {"config_hash": digest, "version": __version__, "wall_time_s": wall}
         csv_path = out / f"{subcommand}.csv"
         emit_csv(table, csv_path)

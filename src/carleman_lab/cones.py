@@ -15,11 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ConfigurationError
-
-
-class GeometryError(ValueError):
-    """Geometric precondition failed."""
+from .fields import ConfigurationError, GeometryError
 
 
 class ContainmentError(Exception):

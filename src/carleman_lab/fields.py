@@ -8,8 +8,9 @@ Everything downstream leans on two guarantees made here:
   instance of the family.  A family is a registry entry or psi of one at a
   dimension n, or else the sympy expression itself with its parameter
   symbols.  The sources the bundled runs need are shipped in
-  ``_frozen_evaluators`` (written by ``scripts/freeze_evaluators.py``), so
-  those runs never import sympy; any other source is generated on demand.
+  ``_frozen_evaluators`` (written by ``scripts/freeze_evaluators.py``, and
+  imported on the first evaluator load), so those runs never import sympy;
+  any other source is generated on demand.
   Parameter values are call arguments, so rebinding them never recompiles.
   Identity checks therefore see exact jets, not finite differences.
 * ``sample_brownian`` produces a platform-independent increment stream from a
@@ -27,8 +28,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import _frozen_evaluators
-
 
 class ConfigurationError(ValueError):
     """Invalid grid, step, or parameter configuration."""
@@ -40,6 +39,27 @@ class StencilError(IndexError):
 
 class CapabilityError(RuntimeError):
     """The function registry cannot supply a requested function or derivative."""
+
+
+# The errors below are raised by cones, identities and solver, which re-export
+# them; they live here so that the command line can catch them without
+# importing those modules.
+
+
+class GeometryError(ValueError):
+    """Geometric precondition failed."""
+
+
+class SupportError(ValueError):
+    """Field support touches the integration region boundary."""
+
+
+class StatisticsError(ValueError):
+    """Too few Monte Carlo paths for the requested check."""
+
+
+class PropagationError(RuntimeError):
+    """Field support reached the boundary ring during a run."""
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +401,8 @@ class _Symbolic:
         return inspect.getsource(fn), _numpy_names(fn)
 
     def compile(self, alpha: tuple[int, ...]):
+        from . import _frozen_evaluators
+
         source = _frozen_evaluators.SOURCES.get(self.key, {}).get(alpha)
         names = _frozen_evaluators.NAMES
         if source is None:

@@ -25,6 +25,8 @@ from .fields import (
     AnalyticFn,
     ConfigurationError,
     Jet2,
+    StatisticsError,
+    SupportError,
     multi_indices,
     sample_brownian,
 )
@@ -38,14 +40,6 @@ from .weights import (
     jacobi_eigenvalues,
 )
 from . import solver as _solver
-
-
-class SupportError(ValueError):
-    """Field support touches the integration region boundary."""
-
-
-class StatisticsError(ValueError):
-    """Too few Monte Carlo paths for the requested check."""
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .fields import (
     BrownianPath,
     ConfigurationError,
     Grid,
+    PropagationError,
     gradient_array,
     laplacian_array,
     normal_stream,
@@ -30,10 +31,6 @@ from .fields import (
 
 class BlowUpError(FloatingPointError):
     """Non-finite field value during stepping; the message names the path and the step."""
-
-
-class PropagationError(RuntimeError):
-    """Field support reached the boundary ring during a run."""
 
 
 # dt is additionally capped at this multiple of 1/|b1|^2 for multiplicative noise

@@ -1,6 +1,9 @@
 import collections
 import csv
+import importlib
 import json
+import math
+import os
 import re
 import subprocess
 import sys
@@ -22,7 +25,8 @@ from carleman_lab.cli import (
 )
 
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "scripts" / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "scripts" / "configs"
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +83,43 @@ def test_unknown_keys_rejected():
     cfg["bogus_key"] = 1
     errors = validate_config(cfg, "geometry")
     assert errors and "bogus_key" in errors[0]
+
+
+def _config_errors(tmp_path, capsys, name, subcommand, edit) -> list:
+    """stderr lines of a run of bundled config ``name`` after ``edit(cfg)``, which must exit 2 writing nothing."""
+    cfg = json.loads((CONFIG_DIR / name).read_text())
+    edit(cfg)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run(str(path), subcommand, out_dir=str(out)) == 2
+    assert not out.exists()
+    return capsys.readouterr().err.splitlines()
+
+
+def test_nested_type_error_names_its_path(tmp_path, capsys):
+    errors = _config_errors(tmp_path, capsys, "qv_check.json", "qv-check", lambda c: c["grid"].update(dx="0.02"))
+    assert errors == ["config error: grid/dx: '0.02' is not of type 'number'"]
+
+
+@pytest.mark.parametrize("value", [True, "0.2", {"name": "standing_wave", "oops": 1}], ids=["bool", "string", "bad-spec"])
+def test_coefficient_matching_no_branch_is_a_usage_error(tmp_path, capsys, value):
+    errors = _config_errors(tmp_path, capsys, "qv_check.json", "qv-check", lambda c: c["coeffs"].update(b1=value))
+    assert len(errors) == 1 and errors[0].startswith("config error: coeffs/b1: "), errors
+    assert "valid under 0 of the 3 oneOf schemas" in errors[0]
+
+
+def test_validator_keeps_draft_2020_12_number_semantics():
+    cfg = json.loads((CONFIG_DIR / "identity_check.json").read_text())
+    assert validate_config(dict(cfg, n=1.0, seed=3.0), "identity-check") == []
+    assert validate_config(dict(cfg, n=True), "identity-check") == ["n: True is not one of [1, 2]"]
+    assert validate_config(dict(cfg, seed=False), "identity-check") == ["seed: False is not of type 'integer'"]
+    assert validate_config(dict(cfg, seed=2.5), "identity-check") == ["seed: 2.5 is not of type 'integer'"]
+
+
+def test_validator_refuses_a_keyword_it_does_not_implement():
+    with pytest.raises(KeyError, match="maximum"):
+        list(cli._errors(1, {"maximum": 0}))
 
 
 def test_malformed_config_exits_2_writes_nothing(tmp_path):
@@ -247,7 +288,45 @@ def test_qv_check_weight_given_by_half_is_a_usage_error(tmp_path, capsys, key, v
     out = tmp_path / "out"
     assert run(str(path), "qv-check", out_dir=str(out)) == 2
     assert not out.exists()
-    assert "config error" in capsys.readouterr().err
+    other = "weights" if key == "rho" else "rho"
+    assert capsys.readouterr().err.splitlines() == [f"config error: <root>: '{other}' is required when '{key}' is given"]
+
+
+# a3 = 1e10 at dt 0.034 grows the field to about 1e296 without a step-size guard stopping it
+RUNAWAY_QV = {
+    "experiment": "qv-check",
+    "grid": {"bounds": [[-1.5, 1.5]], "dx": 0.13636363636363635, "dt": 0.03409090909090909, "t_max": 0.75},
+    "coeffs": {"a3": 1e10, "b1": -0.317},
+    "u0": {"name": "space_bump4", "params": {"amp": 1.0, "rx1": 0.02}},
+    "rho": {"name": "char_linear"},
+    "weights": {"lambda": 0.5, "gamma": 1.0, "mu": 1.0, "t0": 0.0, "x0": [0.0]},
+    "paths": 100,
+    "seed": 22,
+    "tolerance": 0.05,
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_runaway_qv_check_fails_numbers_finite_and_keeps_its_csv(tmp_path):
+    path = tmp_path / "runaway.json"
+    path.write_text(json.dumps(RUNAWAY_QV))
+    out = tmp_path / "out"
+    assert run(str(path), "qv-check", out_dir=str(out)) == 1
+    assert _fail_lines(out / "qv-check.log") == [
+        "FAIL numbers_finite: standard_error is inf in row 1 of 1; 1 of 4 float cells are not finite"
+    ]
+    with open(out / "qv-check.csv") as fh:
+        assert [r["standard_error"] for r in csv.DictReader(fh)] == ["inf"]
+
+
+def test_numbers_finite_allows_nan_only_in_declared_columns():
+    table = ResultTable(["lambda", "utt_probe"], [[1.0, math.nan], [2.0, np.float64(math.nan)]], {})
+    assert cli._numbers_finite(table, cli.NAN_COLUMNS["ucp-decay"]) == ("numbers_finite", True, "4 float cells")
+    name, passed, detail = cli._numbers_finite(table, ())
+    assert not passed and detail == "utt_probe is nan in row 1 of 2; 2 of 4 float cells are not finite"
+    table = ResultTable(["lambda", "utt_probe"], [[1.0, 0.5], [2.0, np.float64(-math.inf)]], {})
+    name, passed, detail = cli._numbers_finite(table, ("utt_probe",))
+    assert not passed and detail.startswith("utt_probe is -inf in row 2 of 2;")
 
 
 def test_conjugation_check_finds_every_transition_point_on_seed_1(tmp_path):
@@ -565,3 +644,47 @@ def test_manufactured_drift_reachable_from_propagation(tmp_path):
         )
     )
     assert run(str(cfg), "propagation", out_dir=str(tmp_path / "out")) == 0
+
+
+# ---------------------------------------------------------------------------
+# cold start: a run imports only the modules it reads
+# ---------------------------------------------------------------------------
+
+_GEOMETRY_CHILD = """
+import json, sys
+import carleman_lab.cli as cli
+code = cli.main(["geometry", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "carleman_lab")]))
+"""
+
+
+def test_geometry_run_loads_only_the_modules_it_reads(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", _GEOMETRY_CHILD, str(CONFIG_DIR / "geometry.json"), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    code, modules = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0
+    assert set(modules) <= {"carleman_lab", "carleman_lab.cli", "carleman_lab.fields", "carleman_lab.cones"}, modules
+
+
+def test_run_errors_keep_their_module_names_and_are_the_fields_classes():
+    from carleman_lab import cones, fields, identities
+
+    assert cones.GeometryError is fields.GeometryError
+    assert identities.SupportError is fields.SupportError
+    assert identities.StatisticsError is fields.StatisticsError
+    assert solver.PropagationError is fields.PropagationError
+
+
+def test_package_exports_resolve_to_their_modules():
+    import carleman_lab
+    from carleman_lab import WeightFamily, cones, propagation, run_propagation, vertex, weights
+
+    assert (WeightFamily, run_propagation, vertex) == (weights.WeightFamily, propagation.run_propagation, cones.vertex)
+    assert len(carleman_lab.__all__) == 43  # __version__ and 42 exported names
+    for name in carleman_lab.__all__:
+        getattr(carleman_lab, name)
+    with pytest.raises(AttributeError):
+        carleman_lab.no_such_name

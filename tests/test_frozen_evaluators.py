@@ -26,16 +26,19 @@ FREEZE = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(FREEZE)
 BUNDLED = FREEZE.CONFIGS  # subcommand -> bundled config file, as scripts/run_all_experiments.py runs them
 
-# runs each bundled config in one fresh interpreter and prints, per
-# subcommand, its exit code and whether sympy was imported by then
+# runs each bundled config in one fresh interpreter and prints, after the
+# import and after each subcommand, whether sympy and jsonschema were imported
+# by then, and each subcommand's exit code
 _CHILD = """
 import contextlib, io, json, sys
 import carleman_lab.cli as cli
-result = {"import": "sympy" in sys.modules}
+def loaded():
+    return {"sympy": "sympy" in sys.modules, "jsonschema": "jsonschema" in sys.modules}
+result = {"import": loaded()}
 for sub, config in json.loads(sys.argv[1]).items():
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.run(config, sub, out_dir=sys.argv[2] + "/" + sub)
-    result[sub] = [code, "sympy" in sys.modules]
+    result[sub] = dict(loaded(), code=code)
 print(json.dumps(result))
 """
 
@@ -52,12 +55,21 @@ def fresh_runs(tmp_path_factory):
 
 
 def test_importing_the_cli_leaves_sympy_out(fresh_runs):
-    assert fresh_runs["import"] is False
+    assert fresh_runs["import"]["sympy"] is False
+
+
+def test_importing_the_cli_leaves_jsonschema_out(fresh_runs):
+    assert fresh_runs["import"]["jsonschema"] is False
 
 
 @pytest.mark.parametrize("sub", sorted(BUNDLED))
 def test_bundled_config_runs_without_sympy(fresh_runs, sub):
-    assert fresh_runs[sub] == [0, False]
+    assert (fresh_runs[sub]["code"], fresh_runs[sub]["sympy"]) == (0, False)
+
+
+@pytest.mark.parametrize("sub", sorted(BUNDLED))
+def test_bundled_config_runs_without_jsonschema(fresh_runs, sub):
+    assert (fresh_runs[sub]["code"], fresh_runs[sub]["jsonschema"]) == (0, False)
 
 
 @pytest.mark.skipif(sp.__version__ != frozen.SYMPY_VERSION, reason=f"the table was written with sympy {frozen.SYMPY_VERSION}")
