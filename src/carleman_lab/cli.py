@@ -658,15 +658,15 @@ def _run_expansion_check(cfg: dict):
     worst_a = worst_b = 0.0
     for i in range(samples):
         rho, varrho, _, params, t, x = _draw_identity_case(u[i], 1)
-        fam = WeightFamily(rho, varrho)
+        point = WeightFamily(rho, varrho).point_stage(t, x, params)
         a_vals, b_vals = [], []
         for lv in lambdas:
-            q = fam.quantities(t, x, replace(params, lam=float(lv)))
+            q = point.lambda_stage(float(lv))
             a_vals.append(float(q["a"]))
             b_vals.append(float(q["b"]))
         frame = eval_frame(rho, t, x, params, varrho)
-        dq = eval_D(frame, rho, varrho, params)
-        a_direct = float(q["p"]) + dq.d1  # p depends on psi alone, not on lambda
+        dq = eval_D(frame, rho, varrho, params, point=point)
+        a_direct = float(point["p"]) + dq.d1
         b_direct = dq.d2_matrix + dq.d3
         a_fit = float(npoly.polyfit(lambdas / scale, np.asarray(a_vals), 2)[2]) / scale**2
         b_fit = float(npoly.polyfit(lambdas / scale, np.asarray(b_vals), 3)[3]) / scale**3

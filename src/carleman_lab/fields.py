@@ -256,7 +256,9 @@ class Jet2:
         grad_x = np.atleast_1d(np.asarray(grad_x, dtype=float))
         hess_tx = np.atleast_1d(np.asarray(hess_tx, dtype=float))
         hess_xx = np.atleast_2d(np.array(hess_xx, dtype=float))
-        if not np.array_equal(hess_xx, hess_xx.T):
+        # np.array_equal(hess_xx, hess_xx.T), without its ufunc calls on a 1x1 or 2x2 matrix
+        h, m = hess_xx.tolist(), hess_xx.shape[0]
+        if hess_xx.shape[1] != m or any(h[j][k] != h[k][j] for j in range(m) for k in range(j + 1)):
             raise ValueError("hess_xx must be exactly symmetric")
         hess_xx.flags.writeable = False
         return Jet2(
@@ -325,6 +327,13 @@ def __getattr__(name):
 _SYMBOLIC: dict[tuple, "_Symbolic"] = {}
 _SCALAR_TYPES = (float, int)
 _UNBOUND = object()
+
+
+def is_scalar(v) -> bool:
+    """Whether v is a scalar (np.ndim 0).  A Python float or int, and an array
+    by its ndim, are seen without np.ndim, whose call costs more than the
+    arithmetic of most scalar formulas here."""
+    return type(v) in _SCALAR_TYPES or getattr(v, "ndim", None) == 0 or np.ndim(v) == 0
 
 
 def _numpy_names(fn) -> dict[str, str]:
@@ -506,7 +515,7 @@ class AnalyticFn:
         if len(xs) != n:
             raise CapabilityError(f"{self.name}: expected {n} coordinates, got {len(xs)}")
         out = self._evaluator(alpha)(t, *xs, *self.param_values)
-        if all(type(v) in _SCALAR_TYPES or np.ndim(v) == 0 for v in (t, *xs)):
+        if is_scalar(t) and all(map(is_scalar, xs)):
             return float(out)
         shape = np.broadcast_shapes(np.shape(t), *[np.shape(v) for v in xs])
         return np.broadcast_to(np.asarray(out, dtype=float), shape).copy()

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .fields import (
 )
 from .weights import (
     CarlemanFrame,
+    PointStage,
     PsiDerivatives,
     RangeError,
     WeightFamily,
@@ -129,7 +131,7 @@ def _report(lhs: float, rhs: float, tol: float, t, x, params) -> IdentityReport:
 # ---------------------------------------------------------------------------
 
 
-def _w_derivatives(u_fn: AnalyticFn, cutoff, quant, t, xs, n):
+def _w_derivatives(u_fn: AnalyticFn, cutoff, point: PointStage, mu: float, t, xs, n):
     """Jets of w = chi(phi) u (or plain u) to second order, as arrays."""
     A = multi_indices(n)
     u = {"v": u_fn.d(t, xs, A.zero), "t": u_fn.d(t, xs, A.t), "tt": u_fn.d(t, xs, A.tt)}
@@ -138,11 +140,10 @@ def _w_derivatives(u_fn: AnalyticFn, cutoff, quant, t, xs, n):
     u["xx"] = [[u_fn.d(t, xs, A.xx[j][k]) for k in range(n)] for j in range(n)]
     if cutoff is None:
         return u, None
-    phi, phi_t, phi_tt = quant["phi"], quant["phi_t"], quant["phi_tt"]
-    phi_x = quant["phi_x"]
-    pj = quant["psi"]
+    phi, phi_t, phi_tt = point["phi"], point["phi_t"], point["phi_tt"]
+    phi_x = point["phi_x"]
+    pj = point["psi"]
     phi_tx = [pj[A.tx[j]] for j in range(n)]  # q has no t-x cross terms
-    mu = quant["mu"]
     phi_xx = [[pj[A.xx[j][k]] - (2.0 * mu if j == k else 0.0) for k in range(n)] for j in range(n)]
     S0, S1, S2 = cutoff.chi(phi), cutoff.chi_d1(phi), cutoff.chi_d2(phi)
     chi = {
@@ -176,6 +177,23 @@ def _w_derivatives(u_fn: AnalyticFn, cutoff, quant, t, xs, n):
     return w, {"chi": chi, "u": u}
 
 
+class LambdaFree(NamedTuple):
+    """The lam-free part of an assembly: the weights' point stage and the jets
+    of w (``_w_derivatives``), which depend on neither lam nor ``w_scale``."""
+
+    point: PointStage
+    w: dict
+    w_parts: dict | None
+
+
+def lambda_free(family: WeightFamily, params: WeightParams, t, xs, u_fn: AnalyticFn, cutoff=None) -> LambdaFree:
+    """The lam-free part of ``assemble`` at (t, xs); ``params.lam`` is not read."""
+    t = np.asarray(t, dtype=float)
+    xs = [np.asarray(v, dtype=float) for v in (xs if isinstance(xs, (list, tuple)) else np.atleast_1d(xs))]
+    point = family.point_stage(t, xs, params)
+    return LambdaFree(point, *_w_derivatives(u_fn, cutoff, point, params.mu, t, xs, family.n))
+
+
 def assemble(
     family: WeightFamily,
     params: WeightParams,
@@ -185,20 +203,23 @@ def assemble(
     cutoff: CutoffSpec | None = None,
     rescale: bool = False,
     w_scale: float = 1.0,
+    base: LambdaFree | None = None,
 ) -> dict:
     """All multiplier-identity and inequality ingredients at (t, xs).
+
+    ``base`` is ``lambda_free(family, params, t, xs, u_fn, cutoff)`` when the
+    caller already holds it (a scan over lam builds it once); the assembly
+    then adds the lam stage and everything that reads ell.
 
     With ``rescale`` the weight theta is replaced by exp(ell - max ell); every
     returned quadratic quantity then carries exp(-2 max ell), which cancels in
     any inequality formed from them.  ``log_scale`` reports 2 max ell.
     """
     n = family.n
-    t = np.asarray(t, dtype=float)
-    xs = [np.asarray(v, dtype=float) for v in np.atleast_1d(xs)] if not isinstance(xs, (list, tuple)) else [
-        np.asarray(v, dtype=float) for v in xs
-    ]
-    quant = family.quantities(t, xs, params)
-    quant["mu"] = params.mu
+    if base is None:
+        base = lambda_free(family, params, t, xs, u_fn, cutoff)
+    point = base.point
+    quant = {**point.values, **point.lambda_stage(params.lam)}
     ell = quant["ell"]
     A = multi_indices(n)
     l0 = ell[A.zero]
@@ -208,7 +229,7 @@ def assemble(
     lxx = [[ell[A.xx[j][k]] for k in range(n)] for j in range(n)]
     lap_l = sum(lxx[j][j] for j in range(n))
 
-    w, w_parts = _w_derivatives(u_fn, cutoff, quant, t, xs, n)
+    w, w_parts = base.w, base.w_parts
     if rescale:
         # shift by the largest ell on the jet support of w so scaled
         # quantities stay order one (any common shift cancels in the
@@ -320,7 +341,7 @@ def assemble(
     r_tx = [rj[A.tx[j]] for j in range(n)]
     r_xx = [[rj[A.xx[j][k]] for k in range(n)] for j in range(n)]
     psi0 = quant["psi"][A.zero]
-    vr = family.varrho_partial(t, xs, A.zero)
+    vr = point.vr[A.zero]
     lam, gamma, mu = params.lam, params.gamma, params.mu
     qf_char = 2.0 * lam * gamma**2 * psi0 * (r_t * vt - sum(r_x[j] * vx[j] for j in range(n))) ** 2
     qf_mat = 2.0 * lam * gamma * psi0 * (
@@ -622,12 +643,12 @@ class GapScan:
 SUPPORT_TOL = 1e-10
 
 
-def _support_ratio(out) -> float:
-    w = np.abs(out["w"]["v"]) + np.abs(out["w"]["t"]) + sum(np.abs(a) for a in out["w"]["x"])
-    peak = float(np.max(w))
+def _support_ratio(w) -> float:
+    mag = np.abs(w["v"]) + np.abs(w["t"]) + sum(np.abs(a) for a in w["x"])
+    peak = float(np.max(mag))
     if peak == 0.0:
         return 0.0
-    return float(np.max(w[_solver.near_boundary(w.shape, 1)])) / peak
+    return float(np.max(mag[_solver.near_boundary(mag.shape, 1)])) / peak
 
 
 def _qv_expanded(out, params, b1: float, b2: float):
@@ -649,24 +670,27 @@ def _qv_expanded(out, params, b1: float, b2: float):
 
 
 def _structure_min_eig(out, params, vr, support_mask) -> float:
-    """min over the support of the smallest eigenvalue of 2 gamma psi M(varrho) + mu I."""
+    """min over the support of the smallest eigenvalue of 2 gamma psi M(varrho) + mu I, with one
+    Jacobi solve per distinct matrix (by its bytes, so +0.0 and -0.0 stay apart)."""
     n = out["n"]
     q = out["quant"]
     A = multi_indices(n)
     rj = q["rho"]
-    psi0 = q["psi"][A.zero]
     idx = np.argwhere(support_mask)
-    worst = math.inf
-    for flat in idx[:: max(1, len(idx) // 2000)]:  # cap the eigen loop at ~2000 nodes
-        sel = tuple(flat)
-        m = np.zeros((1 + n, 1 + n))
-        m[0, 0] = rj[A.tt][sel] - vr[sel]
-        for j in range(n):
-            m[0, 1 + j] = m[1 + j, 0] = -rj[A.tx[j]][sel]
-            for k in range(j, n):
-                m[1 + j, 1 + k] = m[1 + k, 1 + j] = rj[A.xx[j][k]][sel] + (vr[sel] if j == k else 0.0)
-        scaled = 2.0 * params.gamma * psi0[sel] * m + params.mu * np.eye(1 + n)
-        worst = min(worst, float(jacobi_eigenvalues(scaled)[0]))
+    sel = tuple(idx[:: max(1, len(idx) // 2000)].T)  # cap the eigen loop at ~2000 nodes
+    m = np.zeros((len(sel[0]), 1 + n, 1 + n))
+    m[:, 0, 0] = rj[A.tt][sel] - vr[sel]
+    for j in range(n):
+        m[:, 0, 1 + j] = m[:, 1 + j, 0] = -rj[A.tx[j]][sel]
+        for k in range(j, n):
+            m[:, 1 + j, 1 + k] = m[:, 1 + k, 1 + j] = rj[A.xx[j][k]][sel] + (vr[sel] if j == k else 0.0)
+    scaled = (2.0 * params.gamma * q["psi"][A.zero][sel])[:, None, None] * m + params.mu * np.eye(1 + n)
+    seen, worst = set(), math.inf
+    for mat in scaled:
+        key = mat.tobytes()
+        if key not in seen:
+            seen.add(key)
+            worst = min(worst, float(jacobi_eigenvalues(mat)[0]))
     return worst
 
 
@@ -707,8 +731,9 @@ def inequality_gap(
     Every term is evaluated exactly from jets; expectations reduce to plain
     integrals on the deterministic surrogate.  With ``paths`` > 0 the
     compensator term is re-weighted by realized squared Brownian increments
-    (mean dt) and the gap is averaged over paths.  Each lam takes one
-    assembly; one more, with w doubled, at the first lam gives the quadratic
+    (mean dt) and the gap is averaged over paths.  The lam-free part
+    (``lambda_free``) is built once; each lam takes one assembly on it, and
+    one more, with w doubled, at the first lam gives the quadratic
     homogeneity pair.  The margins come from the first assembly.
     """
     if preset not in GAP_PRESETS:
@@ -719,9 +744,8 @@ def inequality_gap(
         b1 = c1
     T, Xs = region.mesh()
     meas = region.measure
-    varrho0 = np.broadcast_to(
-        np.asarray(family.varrho_partial(T, Xs, (0,) * (family.n + 1)), dtype=float), T.shape
-    )
+    base = lambda_free(family, params, T, Xs, u_fn, cutoff)
+    varrho0 = np.broadcast_to(np.asarray(base.point.vr[multi_indices(family.n).zero], dtype=float), T.shape)
     qv_weight = 1.0
     if paths > 0:
         qv_weight = np.zeros_like(T)
@@ -731,14 +755,14 @@ def inequality_gap(
             qv_weight += inc2.reshape((-1,) + (1,) * family.n)
         qv_weight /= paths
 
+    # w does not depend on lam and doubling it is exact, so one support check covers every assembly
+    support_ratio = _support_ratio(base.w)
+    if support_ratio > SUPPORT_TOL:
+        raise SupportError(f"field support touches the region boundary (ratio {support_ratio:.3g})")
     rows, margins = [], {}
-    # doubling w is exact, so the doubled assembly meets the same support check
     for lamf, w_scale in [(float(lam), 1.0) for lam in lambdas] + [(float(lambdas[0]), 2.0)]:
         pl = replace(params, lam=lamf)
-        out = assemble(family, pl, T, Xs, u_fn, cutoff=cutoff, rescale=True, w_scale=w_scale)
-        support_ratio = _support_ratio(out)
-        if support_ratio > SUPPORT_TOL:
-            raise SupportError(f"field support touches the region boundary (ratio {support_ratio:.3g})")
+        out = assemble(family, pl, T, Xs, u_fn, cutoff=cutoff, rescale=True, w_scale=w_scale, base=base)
         if not rows:
             margins = _margins(preset, out, params, varrho0, c0, c1)
         vt2, v2 = out["vt"] ** 2, out["v"] ** 2

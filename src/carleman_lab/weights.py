@@ -15,6 +15,13 @@ fourth-order ones) and assembles the expansion coefficients
 with Psi = lap ell - ell_tt + 2 lam gamma psi varrho + 6 lam mu.  The cubic
 coefficient of b splits as d2 + d3; d2 is computed both in matrix form and in
 divergence form and the two must agree to roundoff.
+
+The coefficients are built in two stages.  The point stage
+(``WeightFamily.point_stage``) holds what does not depend on lam: the jets
+of psi, rho and varrho, phi and its first derivatives, p, d1, d2 and d3.  The
+lam stage (``PointStage.lambda_stage``) holds ell = lam phi and what ell
+scales: Psi and its derivatives, a, a_t, a_x and b.  A check that sweeps lam
+builds one point stage per point and one lam stage per lam.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from .fields import (
     ConfigurationError,
     Jet2,
     family,
+    is_scalar,
     jet_add,
     jet_exp,
     jet_scale,
@@ -97,7 +105,7 @@ class CarlemanFrame:
 
 @dataclass(frozen=True)
 class DQuantities:
-    """Expansion coefficients at one point.
+    """The lam-free expansion coefficients d1, d2, d3 at one point.
 
     d2 carries both computations: the matrix form (through M(varrho)) and the
     divergence form (through transport of psi_t^2 - |grad psi|^2).
@@ -107,8 +115,6 @@ class DQuantities:
     d2_matrix: float
     d2_divergence: float
     d3: float
-    a: float
-    b: float
 
 
 def _q_partial(t, xs, t0, x0, alpha):
@@ -122,8 +128,8 @@ def _q_partial(t, xs, t0, x0, alpha):
         j = alpha.index(1, 1) - 1
         return 2.0 * (xs[j] - x0[j])
     if order == 2 and 2 in alpha:
-        return 2.0 * np.ones_like(np.asarray(t, dtype=float)) if np.ndim(t) else 2.0
-    return np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else 0.0
+        return 2.0 if is_scalar(t) else 2.0 * np.ones_like(np.asarray(t, dtype=float))
+    return 0.0 if is_scalar(t) else np.zeros_like(np.asarray(t, dtype=float))
 
 
 def _phi(psi_d, t, xs, params: WeightParams, alpha=None):
@@ -153,6 +159,94 @@ def _psi_family(rho: AnalyticFn):
 
 
 _PSI: dict = {}  # rho.symbolic -> (psi's family, position of cw_gamma)
+
+
+class PointStage:
+    """The lam-free stage of ``WeightFamily.quantities`` at (t, xs).
+
+    ``values`` holds the jets of psi and rho (``multi_indices(n).jet2``), phi,
+    phi_t, phi_tt, phi_x, p, d1, d3 and both d2 routes; ``vr`` is varrho's jet
+    and ``pv`` the derivatives of psi varrho that Psi reads.  The third- and
+    fourth-order psi partials in ``phi_partials`` are evaluated on its first
+    call and kept, so a check that reads no ell never asks for them.
+    ``lambda_stage(lam)`` leaves the stage unchanged: one serves every lam.
+    """
+
+    def __init__(self, psi: AnalyticFn, t, xs: list, params: WeightParams, vr: dict, pv: tuple, values: dict):
+        self.psi, self.t, self.xs, self.params = psi, t, xs, params
+        self.vr, self.pv, self.values = vr, pv, values
+        self._phi_d = None
+
+    def __getitem__(self, key):
+        return self.values[key]
+
+    def phi_partials(self) -> dict:
+        """{alpha: d^alpha phi} for alpha in ``multi_indices(n).ell``."""
+        if self._phi_d is None:
+            pj, t, xs, params = self.values["psi"], self.t, self.xs, self.params
+            self._phi_d = {
+                a: _phi(pj[a] if a in pj else self.psi.d(t, xs, a), t, xs, params, a)
+                for a in multi_indices(len(xs)).ell
+            }
+        return self._phi_d
+
+    def lambda_stage(self, lam: float) -> dict:
+        """ell = lam phi, Psi and its derivatives, and a, a_t, a_x, b at this stage's points."""
+        n = len(self.xs)
+        A = multi_indices(n)
+        gamma, mu = self.params.gamma, self.params.mu
+        ell = {a: lam * d for a, d in self.phi_partials().items()}
+
+        ell_t, ell_tt = ell[A.t], ell[A.tt]
+        ell_x = [ell[A.x[j]] for j in range(n)]
+        ell_tx = [ell[A.tx[j]] for j in range(n)]
+        ell_xx = [[ell[A.xx[j][k]] for k in range(n)] for j in range(n)]
+        lap_ell = sum(ell_xx[j][j] for j in range(n))
+        lap_ell_t = sum(ell[A.txx[j][j]] for j in range(n))
+        lap_ell_tt = sum(ell[A.ttxx[j][j]] for j in range(n))
+        lap_ell_x = [sum(ell[A.xkk[k][j]] for j in range(n)) for k in range(n)]
+        laplap_ell = sum(ell[A.xxkk[j][k]] for j in range(n) for k in range(n))
+        ell_ttt = ell[A.ttt]
+        ell_tttt = ell[A.tttt]
+        ell_ttx = [ell[A.ttx[j]] for j in range(n)]
+
+        pv, pv_t, pv_tt, pv_x, lap_pv = self.pv
+        two_lg = 2.0 * lam * gamma
+        Psi = lap_ell - ell_tt + two_lg * pv + 6.0 * lam * mu
+        Psi_t = lap_ell_t - ell_ttt + two_lg * pv_t
+        Psi_tt = lap_ell_tt - ell_tttt + two_lg * pv_tt
+        Psi_x = [lap_ell_x[j] - ell_ttx[j] + two_lg * pv_x[j] for j in range(n)]
+        lap_Psi = laplap_ell - lap_ell_tt + two_lg * lap_pv
+
+        grad_ell_sq = sum(v * v for v in ell_x)
+        a = ell_t**2 - ell_tt - grad_ell_sq + lap_ell - Psi
+        a_t = (
+            2.0 * ell_t * ell_tt
+            - ell_ttt
+            - 2.0 * sum(ell_x[j] * ell_tx[j] for j in range(n))
+            + lap_ell_t
+            - Psi_t
+        )
+        a_x = [
+            2.0 * ell_t * ell_tx[k]
+            - ell_ttx[k]
+            - 2.0 * sum(ell_x[j] * ell_xx[j][k] for j in range(n))
+            + lap_ell_x[k]
+            - Psi_x[k]
+            for k in range(n)
+        ]
+        b = (
+            a * Psi
+            + a_t * ell_t
+            + a * ell_tt
+            - sum(a_x[k] * ell_x[k] for k in range(n))
+            - a * lap_ell
+            + 0.5 * (Psi_tt - lap_Psi)
+        )
+        return {
+            "ell": ell, "Psi": Psi, "Psi_t": Psi_t, "Psi_tt": Psi_tt, "Psi_x": Psi_x, "lap_Psi": lap_Psi,
+            "a": a, "a_t": a_t, "a_x": a_x, "b": b,
+        }
 
 
 class WeightFamily:
@@ -194,11 +288,9 @@ class WeightFamily:
     def varrho_partial(self, t, xs, alpha):
         if isinstance(self.varrho, AnalyticFn):
             return self.varrho.d(t, xs, alpha)
-        order = sum(alpha)
-        base = np.zeros(np.broadcast_shapes(np.shape(t), *map(np.shape, xs))) if (np.ndim(t) or any(np.ndim(v) for v in xs)) else 0.0
-        if order == 0:
-            return base + float(self.varrho)
-        return base
+        scalar = is_scalar(t) and all(map(is_scalar, xs))
+        base = 0.0 if scalar else np.zeros(np.broadcast_shapes(np.shape(t), *map(np.shape, xs)))
+        return base + (0.0 if any(alpha) else float(self.varrho))
 
     # -- frames ------------------------------------------------------------
 
@@ -239,97 +331,33 @@ class WeightFamily:
             Psi=Psi,
         )
 
-    # -- expansion coefficients (array-compatible) --------------------------
+    # -- expansion coefficients (array-compatible), in two stages -----------
 
-    def quantities(self, t, xs, params: WeightParams) -> dict:
-        """ell partials, Psi derivatives, and a/b/d1/d2/d3 at (t, xs).
-
-        t and the xs entries may be scalars or broadcastable arrays; every
-        value in the returned dict follows that shape.
-        """
+    def point_stage(self, t, xs, params: WeightParams) -> PointStage:
+        """The lam-free stage of ``quantities`` at (t, xs); ``params.lam`` is not read."""
         n = self.n
         A = multi_indices(n)
-        lam, gamma, mu, t0, x0 = params.lam, params.gamma, params.mu, params.t0, params.x0
+        gamma, mu, t0, x0 = params.gamma, params.mu, params.t0, params.x0
         psi = self.psi(gamma)
         xs = list(xs)
-
-        psi_d = {a: psi.d(t, xs, a) for a in A.ell}
-        ell = {a: lam * _phi(psi_d[a], t, xs, params, a) for a in A.ell}
         a0, et, ett, ex = A.zero, A.t, A.tt, A.x
 
-        ell_t, ell_tt = ell[et], ell[ett]
-        ell_x = [ell[ex[j]] for j in range(n)]
-        ell_tx = [ell[A.tx[j]] for j in range(n)]
-        ell_xx = [[ell[A.xx[j][k]] for k in range(n)] for j in range(n)]
-        lap_ell = sum(ell_xx[j][j] for j in range(n))
-        lap_ell_t = sum(ell[A.txx[j][j]] for j in range(n))
-        lap_ell_tt = sum(ell[A.ttxx[j][j]] for j in range(n))
-        lap_ell_x = [sum(ell[A.xkk[k][j]] for j in range(n)) for k in range(n)]
-        laplap_ell = sum(ell[A.xxkk[j][k]] for j in range(n) for k in range(n))
-        ell_ttt = ell[A.ttt]
-        ell_tttt = ell[A.tttt]
-        ell_ttx = [ell[A.ttx[j]] for j in range(n)]
-
-        # psi and varrho jets for the product rule in Psi derivatives
-        pj = {a: psi_d[a] for a in A.jet2}
+        pj = {a: psi.d(t, xs, a) for a in A.jet2}
         vr = {a: self.varrho_partial(t, xs, a) for a in A.jet2}
+        # psi varrho and its derivatives, by the product rule, for Psi
         pv = pj[a0] * vr[a0]
         pv_t = pj[et] * vr[a0] + pj[a0] * vr[et]
-        pv_tt = (
-            pj[ett] * vr[a0]
-            + 2.0 * pj[et] * vr[et]
-            + pj[a0] * vr[ett]
-        )
-        pv_x = [
-            pj[ex[j]] * vr[a0] + pj[a0] * vr[ex[j]] for j in range(n)
-        ]
-        lap_pv = sum(
-            pj[A.xx[j][j]] * vr[a0]
-            + 2.0 * pj[ex[j]] * vr[ex[j]]
-            + pj[a0] * vr[A.xx[j][j]]
-            for j in range(n)
-        )
-
-        two_lg = 2.0 * lam * gamma
-        Psi = lap_ell - ell_tt + two_lg * pv + 6.0 * lam * mu
-        Psi_t = lap_ell_t - ell_ttt + two_lg * pv_t
-        Psi_tt = lap_ell_tt - ell_tttt + two_lg * pv_tt
-        Psi_x = [lap_ell_x[j] - ell_ttx[j] + two_lg * pv_x[j] for j in range(n)]
-        lap_Psi = laplap_ell - lap_ell_tt + two_lg * lap_pv
-
-        grad_ell_sq = sum(v * v for v in ell_x)
-        a = ell_t**2 - ell_tt - grad_ell_sq + lap_ell - Psi
-        a_t = (
-            2.0 * ell_t * ell_tt
-            - ell_ttt
-            - 2.0 * sum(ell_x[j] * ell_tx[j] for j in range(n))
-            + lap_ell_t
-            - Psi_t
-        )
-        a_x = [
-            2.0 * ell_t * ell_tx[k]
-            - ell_ttx[k]
-            - 2.0 * sum(ell_x[j] * ell_xx[j][k] for j in range(n))
-            + lap_ell_x[k]
-            - Psi_x[k]
-            for k in range(n)
-        ]
-        b = (
-            a * Psi
-            + a_t * ell_t
-            + a * ell_tt
-            - sum(a_x[k] * ell_x[k] for k in range(n))
-            - a * lap_ell
-            + 0.5 * (Psi_tt - lap_Psi)
-        )
+        pv_tt = pj[ett] * vr[a0] + 2.0 * pj[et] * vr[et] + pj[a0] * vr[ett]
+        pv_x = [pj[ex[j]] * vr[a0] + pj[a0] * vr[ex[j]] for j in range(n)]
+        lap_pv = sum(pj[A.xx[j][j]] * vr[a0] + 2.0 * pj[ex[j]] * vr[ex[j]] + pj[a0] * vr[A.xx[j][j]] for j in range(n))
 
         # transported quantities built on psi alone
         psi_t, psi_tt = pj[et], pj[ett]
         psi_x = [pj[ex[j]] for j in range(n)]
         psi_tx = [pj[A.tx[j]] for j in range(n)]
         psi_xx = [[pj[A.xx[j][k]] for k in range(n)] for j in range(n)]
-        dt_ = np.asarray(t, dtype=float) - t0 if np.ndim(t) else (t - t0)
-        dxs = [np.asarray(xs[j], dtype=float) - x0[j] if np.ndim(xs[j]) else (xs[j] - x0[j]) for j in range(n)]
+        dt_ = (t - t0) if is_scalar(t) else np.asarray(t, dtype=float) - t0
+        dxs = [(xs[j] - x0[j]) if is_scalar(xs[j]) else np.asarray(xs[j], dtype=float) - x0[j] for j in range(n)]
 
         p = psi_t**2 - sum(v * v for v in psi_x)
         p_t = 2.0 * psi_t * psi_tt - 2.0 * sum(psi_x[j] * psi_tx[j] for j in range(n))
@@ -391,34 +419,25 @@ class WeightFamily:
             - sum(d1_x[k] * psi_x[k] for k in range(n))
         )
 
-        phi = _phi(psi0, t, xs, params)
-        phi_t = psi_t - 2.0 * mu * dt_
-        phi_tt = psi_tt - 2.0 * mu
-        phi_x = [psi_x[j] - 2.0 * mu * dxs[j] for j in range(n)]
-
-        return {
-            "ell": ell,
-            "Psi": Psi,
-            "Psi_t": Psi_t,
-            "Psi_tt": Psi_tt,
-            "Psi_x": Psi_x,
-            "lap_Psi": lap_Psi,
-            "a": a,
-            "a_t": a_t,
-            "a_x": a_x,
-            "b": b,
-            "p": p,
-            "d1": d1,
-            "d2_matrix": d2_mat,
-            "d2_divergence": d2_div,
-            "d3": d3,
-            "psi": pj,
-            "rho": r,
-            "phi": phi,
-            "phi_t": phi_t,
-            "phi_tt": phi_tt,
-            "phi_x": phi_x,
+        values = {
+            "p": p, "d1": d1, "d2_matrix": d2_mat, "d2_divergence": d2_div, "d3": d3, "psi": pj, "rho": r,
+            "phi": _phi(psi0, t, xs, params),
+            "phi_t": psi_t - 2.0 * mu * dt_,
+            "phi_tt": psi_tt - 2.0 * mu,
+            "phi_x": [psi_x[j] - 2.0 * mu * dxs[j] for j in range(n)],
         }
+        return PointStage(psi, t, xs, params, vr, (pv, pv_t, pv_tt, pv_x, lap_pv), values)
+
+    def quantities(self, t, xs, params: WeightParams) -> dict:
+        """ell partials, Psi derivatives, and a/b/d1/d2/d3 at (t, xs).
+
+        The point stage (``point_stage``) followed by the lam stage
+        (``PointStage.lambda_stage``) at ``params.lam``, in one dict.  t and
+        the xs entries may be scalars or broadcastable arrays; every value in
+        the returned dict follows that shape.
+        """
+        point = self.point_stage(t, xs, params)
+        return {**point.values, **point.lambda_stage(params.lam)}
 
 
 # ---------------------------------------------------------------------------
@@ -431,27 +450,21 @@ def eval_frame(rho: AnalyticFn, t: float, x, params: WeightParams, varrho: Analy
     return WeightFamily(rho, varrho).frame(t, x, params)
 
 
-def eval_D(frame: CarlemanFrame, rho: AnalyticFn, varrho: AnalyticFn | float, params: WeightParams) -> DQuantities:
+def eval_D(frame: CarlemanFrame, rho: AnalyticFn, varrho, params: WeightParams, point: PointStage | None = None) -> DQuantities:
     """Expansion coefficients at the frame's point; d2 via both routes.
 
-    A disagreement between the two d2 routes beyond 1e-9 relative raises
-    ArithmeticError: the dual computation is the module's own consistency
-    anchor.
+    They come from the point stage alone: ``point`` when the caller holds the
+    one at the frame's point, else a new one.  A disagreement between the two
+    d2 routes beyond 1e-9 relative raises ArithmeticError: the dual
+    computation is the module's own consistency anchor.
     """
-    fam = WeightFamily(rho, varrho)
-    q = fam.quantities(frame.t, list(frame.x), params)
-    d2m, d2d = float(q["d2_matrix"]), float(q["d2_divergence"])
+    if point is None:
+        point = WeightFamily(rho, varrho).point_stage(frame.t, list(frame.x), params)
+    d2m, d2d = float(point["d2_matrix"]), float(point["d2_divergence"])
     denom = max(abs(d2m), abs(d2d))
     if denom > 0.0 and abs(d2m - d2d) > 1e-9 * denom:
         raise ArithmeticError(f"d2 route disagreement: matrix {d2m!r} vs divergence {d2d!r}")
-    return DQuantities(
-        d1=float(q["d1"]),
-        d2_matrix=d2m,
-        d2_divergence=d2d,
-        d3=float(q["d3"]),
-        a=float(q["a"]),
-        b=float(q["b"]),
-    )
+    return DQuantities(d1=float(point["d1"]), d2_matrix=d2m, d2_divergence=d2d, d3=float(point["d3"]))
 
 
 @dataclass(frozen=True)

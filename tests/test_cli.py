@@ -23,6 +23,7 @@ from carleman_lab.cli import (
     run,
     validate_config,
 )
+from carleman_lab.fields import multi_indices
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -244,23 +245,70 @@ def _count_quantities(monkeypatch) -> list:
     return calls
 
 
-def test_conjugation_check_evaluates_quantities_once_per_found_case(tmp_path, monkeypatch):
-    calls = _count_quantities(monkeypatch)
+def _count_point_stages(monkeypatch) -> list:
+    from carleman_lab.weights import WeightFamily
+
+    calls = []
+    original = WeightFamily.point_stage
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(WeightFamily, "point_stage", counting)
+    return calls
+
+
+def test_conjugation_check_builds_one_point_stage_per_found_case(tmp_path, monkeypatch):
+    stages = _count_point_stages(monkeypatch)
     cfg = tmp_path / "conj.json"
     cfg.write_text(json.dumps({"experiment": "conjugation-check", "cases": 10, "seed": 0}))
     assert run(str(cfg), "conjugation-check", out_dir=str(tmp_path / "out")) == 0
     rows = list(csv.DictReader(open(tmp_path / "out" / "conjugation-check.csv")))
     assert len(rows) == 10
-    assert len(calls) == 10
+    # the search reads phi alone; each found case takes one assembly
+    assert len(stages) == 10
 
 
-def test_expansion_check_evaluates_quantities_seven_times_per_sample(tmp_path, monkeypatch):
-    calls = _count_quantities(monkeypatch)
+def _count_psi_partials(monkeypatch) -> list:
+    """Wrap AnalyticFn.d so every call on a psi = exp(gamma rho) family appends its multi-index."""
+    from carleman_lab.fields import AnalyticFn
+
+    calls = []
+    original = AnalyticFn.d
+
+    def counting(self, t, x, alpha):
+        if self.symbolic.key[0][0] == "psi":
+            calls.append(alpha)
+        return original(self, t, x, alpha)
+
+    monkeypatch.setattr(AnalyticFn, "d", counting)
+    return calls
+
+
+def test_expansion_check_builds_one_point_stage_per_sample(tmp_path, monkeypatch):
+    quantities = _count_quantities(monkeypatch)
+    stages = _count_point_stages(monkeypatch)
+    psi_calls = _count_psi_partials(monkeypatch)
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps({"experiment": "expansion-check", "samples": 4, "seed": 0}))
     assert run(str(cfg), "expansion-check", out_dir=str(tmp_path / "out")) == 0
-    # six lambda values, then eval_D
-    assert len(calls) == 4 * 7
+    # the six lambda stages and eval_D share one point stage per sample
+    assert len(stages) == 4
+    assert len(quantities) == 0
+    # each of the 13 psi partials that ell reads at n = 1, once per sample
+    assert len(multi_indices(1).ell) == 13
+    assert len(psi_calls) == 4 * 13
+
+
+def test_d2_check_requests_no_psi_partial_above_second_order(tmp_path, monkeypatch):
+    psi_calls = _count_psi_partials(monkeypatch)
+    cfg = tmp_path / "d2.json"
+    cfg.write_text(json.dumps({"experiment": "d2-check", "samples": 20, "seed": 0}))
+    assert run(str(cfg), "d2-check", out_dir=str(tmp_path / "out")) == 0
+    # d1, d2 and d3 read psi's second-order jet only
+    assert len(psi_calls) == 20 * len(multi_indices(1).jet2)
+    assert [a for a in psi_calls if sum(a) > 2] == []
 
 
 def test_weighted_qv_check_evaluates_no_quantities(tmp_path, monkeypatch):

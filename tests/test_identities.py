@@ -399,6 +399,54 @@ def test_gap_assembles_once_per_lambda_plus_the_doubled_field(monkeypatch):
     assert [c["w_scale"] for c in calls] == [1.0, 1.0, 1.0, 1.0, 2.0]
 
 
+def test_inequality_gap_builds_the_lambda_free_stage_once(monkeypatch):
+    w_calls = _record_calls(monkeypatch, "_w_derivatives")
+    fam, u_fn, params, lambdas, region, cutoff = _t42_setup()
+    inequality_gap("T4.2", u_fn, fam, params, lambdas, region, cutoff=cutoff)
+    # five assemblies (four lambdas and the doubled field) share one lam-free part
+    assert len(w_calls) == 1
+
+
+def _structure_min_eig_per_node(out, params, vr, support_mask) -> float:
+    """The per-node loop _structure_min_eig replaced: one matrix and one Jacobi solve per node."""
+    from carleman_lab.identities import multi_indices
+    from carleman_lab.weights import jacobi_eigenvalues
+
+    n, q = out["n"], out["quant"]
+    A = multi_indices(n)
+    rj, psi0 = q["rho"], q["psi"][A.zero]
+    idx = np.argwhere(support_mask)
+    worst = math.inf
+    for flat in idx[:: max(1, len(idx) // 2000)]:
+        sel = tuple(flat)
+        m = np.zeros((1 + n, 1 + n))
+        m[0, 0] = rj[A.tt][sel] - vr[sel]
+        for j in range(n):
+            m[0, 1 + j] = m[1 + j, 0] = -rj[A.tx[j]][sel]
+            for k in range(j, n):
+                m[1 + j, 1 + k] = m[1 + k, 1 + j] = rj[A.xx[j][k]][sel] + (vr[sel] if j == k else 0.0)
+        scaled = 2.0 * params.gamma * psi0[sel] * m + params.mu * np.eye(1 + n)
+        worst = min(worst, float(jacobi_eigenvalues(scaled)[0]))
+    return worst
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_structure_min_eig_equals_the_per_node_loop(n, varrho_quad):
+    from carleman_lab.identities import _structure_min_eig
+
+    # rho's jets vary from node to node, so the matrices do too
+    rho = make_fn("trig_product", n, amp=0.1, wt=1.1, wx1=0.9, pt=0.2, px1=0.4)
+    fam = WeightFamily(rho, varrho_quad if n == 1 else 0.8)
+    params = WeightParams(lam=8.0, gamma=2.0, mu=0.01, t0=0.0, x0=(0.0,) * n)
+    region = RegionSpec(t_lo=-0.1, t_hi=0.1, nt=21 if n == 1 else 9, x_lo=(-0.1,) * n, x_hi=(0.1,) * n, nx=41 if n == 1 else 11)
+    T, Xs = region.mesh()
+    out = assemble(fam, params, T, Xs, make_fn("exp_quadratic", n), rescale=True)
+    vr = np.broadcast_to(np.asarray(fam.varrho_partial(T, Xs, (0,) * (n + 1))), T.shape)
+    mask = np.abs(out["w"]["v"]) > 0.0
+    want = _structure_min_eig_per_node(out, params, vr, mask)
+    assert np.asarray(_structure_min_eig(out, params, vr, mask)).tobytes() == np.asarray(want).tobytes()
+
+
 def test_gap_samples_each_brownian_path_once(monkeypatch):
     calls = _record_calls(monkeypatch, "sample_brownian")
     fam, u_fn, params, _, region, cutoff = _t42_setup()

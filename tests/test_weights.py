@@ -94,6 +94,43 @@ def test_ell_alone_equals_the_ell_of_quantities(n, varrho_quad):
             np.testing.assert_array_equal(got[a], want[a])
 
 
+def _leaves(value, path=()):
+    """(path, leaf) pairs of a nested dict/list of quantities, in order."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _leaves(v, path + (k,))
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _leaves(v, path + (i,))
+    else:
+        yield path, value
+
+
+def _bits(leaves):
+    return [(path, type(v), np.asarray(v).tobytes()) for path, v in leaves]
+
+
+@pytest.mark.parametrize("grid", [False, True], ids=["scalar", "grid"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_quantities_are_the_lambda_stages_of_one_point_stage(n, grid, varrho_quad):
+    rho = make_fn("trig_product", n, amp=0.1, wt=1.1, wx1=0.9, pt=0.2, px1=0.4)
+    fam = WeightFamily(rho, varrho_quad if n == 1 else 0.8)
+    params = WeightParams(lam=3.0, gamma=1.7, mu=0.35, t0=0.1, x0=(0.2,) * n)
+    if grid:
+        xs = np.meshgrid(*[np.linspace(-0.4, 0.4, 5)] * n, indexing="ij")
+        t = np.full(xs[0].shape, 0.37)
+    else:
+        t, xs = 0.37, [0.51, -0.2][:n]
+    point = fam.point_stage(t, xs, params)
+    before = _bits(_leaves(point.values))
+    for lam in (0.5, 3.0, 64.0):
+        want = fam.quantities(t, xs, replace(params, lam=lam))
+        got = {**point.values, **point.lambda_stage(lam)}
+        # bit for bit, with the same types, entry by entry
+        assert _bits(_leaves(got)) == _bits(_leaves(want))
+        assert _bits(_leaves(point.values)) == before
+
+
 def test_frame_psi_is_one_at_center_on_level_set():
     # rho vanishes at the center, so psi there is exactly one
     rho = make_fn("char_linear", 1)  # t - x, zero at (0, 0)
