@@ -12,7 +12,7 @@ _EXPORTS = {
     "fields": ("AnalyticFn", "BrownianPath", "Grid", "Jet2", "make_fn", "make_grid", "sample_brownian"),
     "weights": (
         "CarlemanFrame", "DQuantities", "WeightFamily", "WeightParams", "assumption_check",
-        "build_M", "eval_D", "eval_VN", "eval_frame", "psd_certificate",
+        "build_M", "eval_D", "eval_VN", "psd_certificate",
     ),
     "identities": (
         "CutoffSpec", "IdentityReport", "RegionSpec", "conjugation_residual",

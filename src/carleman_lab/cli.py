@@ -43,6 +43,7 @@ from .fields import (
     CapabilityError,
     ConfigurationError,
     GeometryError,
+    Jet2,
     PropagationError,
     StatisticsError,
     SupportError,
@@ -377,41 +378,6 @@ SCHEMAS = {
 
 SUBCOMMANDS = tuple(sorted(SCHEMAS))
 
-# Operation coverage: every library operation must be reachable from at least
-# one subcommand (verified by tests/test_cli.py).  The Monte Carlo subcommands
-# hand all their paths and a per-path reduction to solver.solve, which steps the
-# paths in chunks with step_arrays, the kernel of solver.step; fd_apply is
-# reached through their stencil sanity check.
-OPERATION_ROUTES = {
-    "field_kit.make_grid": ["qv-check", "propagation", "ucp-decay"],
-    "field_kit.fd_apply": ["propagation", "ucp-decay"],
-    "field_kit.sample_brownian": ["qv-check", "propagation", "ucp-decay", "inequality-scan"],
-    "carleman_weights.eval_frame": ["expansion-check", "d2-check", "ucp-decay"],
-    "carleman_weights.build_M": ["d2-check", "assumption-check"],
-    "carleman_weights.eval_D": ["d2-check", "expansion-check"],
-    "carleman_weights.eval_VN": ["identity-check"],
-    "carleman_weights.psd_certificate": ["psd-check"],
-    "carleman_weights.assumption_check": ["assumption-check"],
-    "identity_verifier.identity_residual": ["identity-check"],
-    "identity_verifier.conjugation_residual": ["conjugation-check"],
-    "identity_verifier.qv_check": ["qv-check"],
-    "identity_verifier.inequality_gap": ["inequality-scan"],
-    "spde_solver.step": ["qv-check", "propagation", "ucp-decay"],
-    "spde_solver.solve": ["qv-check", "propagation", "ucp-decay"],
-    "spde_solver.manufactured_forcing": ["propagation", "ucp-decay"],
-    "spde_solver.total_energy": ["propagation", "ucp-decay"],
-    "propagation_lab.distance_to_set": ["propagation"],
-    "propagation_lab.local_energy": ["propagation"],
-    "propagation_lab.run_propagation": ["propagation"],
-    "cone_geometry.c3_constant": ["geometry", "sweep"],
-    "cone_geometry.vertex": ["geometry"],
-    "cone_geometry.membership": ["geometry"],
-    "cone_geometry.sweep_cover": ["sweep"],
-    "lab_cli.run": list(SUBCOMMANDS),
-    "lab_cli.emit_csv": list(SUBCOMMANDS),
-}
-
-
 # ---------------------------------------------------------------------------
 # Shared builders
 # ---------------------------------------------------------------------------
@@ -645,7 +611,7 @@ def _run_conjugation_check(cfg: dict):
 def _run_expansion_check(cfg: dict):
     import numpy.polynomial.polynomial as npoly
 
-    from .weights import WeightFamily, eval_D, eval_frame
+    from .weights import WeightFamily, eval_D
 
     samples = cfg.get("samples", 50)
     lambdas = np.asarray(cfg.get("lambdas", [16.0, 32.0, 64.0, 128.0, 256.0, 512.0]))
@@ -664,8 +630,7 @@ def _run_expansion_check(cfg: dict):
             q = point.lambda_stage(float(lv))
             a_vals.append(float(q["a"]))
             b_vals.append(float(q["b"]))
-        frame = eval_frame(rho, t, x, params, varrho)
-        dq = eval_D(frame, rho, varrho, params, point=point)
+        dq = eval_D(point)
         a_direct = float(point["p"]) + dq.d1
         b_direct = dq.d2_matrix + dq.d3
         a_fit = float(npoly.polyfit(lambdas / scale, np.asarray(a_vals), 2)[2]) / scale**2
@@ -683,7 +648,7 @@ def _run_expansion_check(cfg: dict):
 
 
 def _run_d2_check(cfg: dict):
-    from .weights import build_M, eval_D, eval_frame
+    from .weights import WeightFamily, build_M, eval_D
 
     samples = cfg.get("samples", 500)
     tol = cfg.get("tolerance", 1e-9)
@@ -694,14 +659,15 @@ def _run_d2_check(cfg: dict):
     for i in range(samples):
         rho, varrho, _, params, t, x = _draw_identity_case(u[i], 1)
         params = replace(params, gamma=_in(float(u[i, -1]), 0.5, 8.0))
-        frame = eval_frame(rho, t, x, params, varrho)
-        dq = eval_D(frame, rho, varrho, params)
-        # independent route for the matrix form, through the structure matrix
-        m = build_M(frame.rho_jet, float(varrho))
-        rvec = np.concatenate([[frame.rho_jet.grad_t], frame.rho_jet.grad_x])
-        char = frame.rho_jet.grad_t**2 - float(frame.rho_jet.grad_x @ frame.rho_jet.grad_x)
-        g, psi = params.gamma, frame.psi
-        d2_m_indep = 4.0 * g**3 * psi**3 * varrho * char + 2.0 * g**3 * psi**3 * m.quadratic_form(rvec) + 2.0 * g**4 * psi**3 * char**2
+        point = WeightFamily(rho, varrho).point_stage(t, x, params)
+        dq = eval_D(point)
+        # independent route for the matrix form, through the structure matrix and the chain-rule psi
+        rj = Jet2.from_partials(point["rho"])
+        m = build_M(rj, float(varrho))
+        rvec = np.concatenate([[rj.grad_t], rj.grad_x])
+        char = rj.grad_t**2 - float(rj.grad_x @ rj.grad_x)
+        g, psi = params.gamma, math.exp(params.gamma * rj.value)
+        d2_m_indep = 4.0 * g**3 * psi**3 * varrho * char + 2.0 * g**3 * psi**3 * float(rvec @ m @ rvec) + 2.0 * g**4 * psi**3 * char**2
         denom = max(abs(dq.d2_matrix), abs(dq.d2_divergence))
         rel = abs(dq.d2_matrix - dq.d2_divergence) / denom if denom > 0 else 0.0
         rel_m = abs(dq.d2_matrix - d2_m_indep) / max(denom, 1e-300) if denom > 0 else 0.0
@@ -881,7 +847,7 @@ def _run_propagation(cfg: dict):
 
 def _run_ucp_decay(cfg: dict):
     from . import solver
-    from .weights import WeightFamily, eval_frame
+    from .weights import CarlemanFrame, WeightFamily
 
     grid = _grid_from(cfg["grid"])
     rho = fn_from_spec(cfg["rho"], grid.n)
@@ -913,7 +879,7 @@ def _run_ucp_decay(cfg: dict):
     phi_max = max(float(np.max(p)) for p in phis)
     th2 = {lv: [np.exp(2.0 * lv * (p - phi_max)) for p in phis] for lv in lambdas}
     center = [grid.x_lo[j] + 0.5 * (grid.x_hi[j] - grid.x_lo[j]) for j in range(grid.n)]
-    phi_center = eval_frame(rho, 0.0, center, params).phi
+    phi_center = CarlemanFrame.make(0.0, center, rho.jet2(0.0, center), params, 0.0).phi
     mid = (slice(None),) + tuple(s // 2 for s in grid.shape)
 
     def reduce(k, state):

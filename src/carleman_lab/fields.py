@@ -238,6 +238,8 @@ class Jet2:
     ``make`` is the only constructor: it rejects a spatial Hessian that is
     not exactly symmetric and stores a read-only copy of the whole matrix as
     ``hess_xx``, so every reader sees the same symmetric matrix.
+    ``from_partials`` reads the partials in the layout of
+    ``multi_indices(n).jet2`` and hands them to ``make``.
     """
 
     value: float
@@ -268,6 +270,16 @@ class Jet2:
             hess_tt=float(hess_tt),
             hess_tx=hess_tx,
             hess_xx=hess_xx,
+        )
+
+    @staticmethod
+    def from_partials(d: dict) -> "Jet2":
+        """The jet of {alpha: d^alpha f} over the multi-indices of ``multi_indices(n).jet2``."""
+        a = multi_indices(len(next(iter(d))) - 1)
+        r = range(a.n)
+        return Jet2.make(
+            d[a.zero], d[a.t], [d[a.x[j]] for j in r], d[a.tt], [d[a.tx[j]] for j in r],
+            [[d[a.xx[j][k]] for k in r] for j in r],
         )
 
 
@@ -527,22 +539,8 @@ class AnalyticFn:
         return self.value(t, x)
 
     def jet2(self, t: float, x) -> Jet2:
-        a = multi_indices(self.n)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        e = lambda alpha: float(self._evaluator(alpha)(t, *x, *self.param_values))
-        hess = np.zeros((a.n, a.n))
-        for j in range(a.n):
-            hess[j, j] = e(a.xx[j][j])
-            for k in range(j + 1, a.n):
-                hess[j, k] = hess[k, j] = e(a.xx[j][k])
-        return Jet2.make(
-            e(a.zero),
-            e(a.t),
-            np.array([e(a.x[j]) for j in range(a.n)]),
-            e(a.tt),
-            np.array([e(a.tx[j]) for j in range(a.n)]),
-            hess,
-        )
+        x = tuple(np.atleast_1d(np.asarray(x, dtype=float)))
+        return Jet2.from_partials({a: self.d(t, x, a) for a in multi_indices(self.n).jet2})
 
 
 def _alpha(n: int, t_order: int, *axes: int) -> tuple[int, ...]:

@@ -408,12 +408,15 @@ def identity_case(
     The surrogate replaces dw_t by w_tt dt, drops the quadratic variation, and
     reads dN as its time derivative; the two sides are then assembled through
     disjoint formula routes and compared.  V and N take the eval_VN route from
-    the assembled jet of v and the frame's jets.
+    the assembled jet of v and the frame's jets, which the frame forms from
+    rho's jet in the assembly's point stage by the chain rule.
     """
     t, x = float(t), [float(v) for v in np.atleast_1d(x)]
-    out = assemble(family, params, t, x, w_fn)
+    base = lambda_free(family, params, t, x, w_fn)
+    out = assemble(family, params, t, x, w_fn, base=base)
     q = out["quant"]
-    frame = family.frame(t, x, params)
+    point, zero = base.point, multi_indices(family.n).zero
+    frame = CarlemanFrame.make(t, x, Jet2.from_partials(point["rho"]), params, point.vr[zero])
     # the assembled vxx is symmetric only to roundoff and eval_VN reads no Hessian
     vxx = np.array(out["vxx"], dtype=float)
     v_jet = Jet2.make(out["v"], out["vt"], out["vx"], out["vtt"], out["vtx"], np.triu(vxx) + np.triu(vxx, 1).T)
@@ -540,9 +543,9 @@ def qv_check(
         raise StatisticsError(f"qv_check needs at least {QV_MIN_PATHS} paths, got {paths}")
     theta = [1.0] * (grid.num_steps + 1)
     if family is not None and params is not None:
-        mesh, zero = list(grid.meshgrid()), multi_indices(grid.n).zero
+        mesh = list(grid.meshgrid())
         theta = [
-            np.exp(family.ell(np.full(grid.shape, tv), mesh, params, (zero,))[zero])
+            np.exp(params.lam * family.phi(np.full(grid.shape, tv), mesh, params))
             for tv in np.arange(grid.num_steps + 1) * grid.dt
         ]
     samplers = _solver.make_samplers(coeffs, grid)

@@ -22,6 +22,12 @@ of psi, rho and varrho, phi and its first derivatives, p, d1, d2 and d3.  The
 lam stage (``PointStage.lambda_stage``) holds ell = lam phi and what ell
 scales: Psi and its derivatives, a, a_t, a_x and b.  A check that sweeps lam
 builds one point stage per point and one lam stage per lam.
+
+The point stage is where a check's point meets the evaluators of rho, psi
+and varrho; the rest is built from it.  ``eval_D`` reads d1, d2 and d3 off
+it, and ``CarlemanFrame.make`` takes rho's jet and varrho's value from it
+(``Jet2.from_partials``) to form psi, phi, ell and theta by the chain rule,
+a route that shares no formula with psi's evaluator.
 """
 
 from __future__ import annotations
@@ -89,6 +95,44 @@ class CarlemanFrame:
     ell_jet: Jet2
     theta: float
     Psi: float
+
+    @staticmethod
+    def make(t: float, x, rho_jet: Jet2, params: WeightParams, varrho: float) -> "CarlemanFrame":
+        """The frame at (t, x) from rho's jet there; varrho is its value there."""
+        x = tuple(float(v) for v in np.atleast_1d(x))
+        n = rho_jet.n
+        # psi = exp(gamma rho); phi = psi - mu q; ell = lam phi (chain rule jets)
+        psi_jet = jet_exp(jet_scale(rho_jet, params.gamma))
+        q_jet = Jet2.make(
+            _q_partial(t, x, params.t0, params.x0, (0,) * (n + 1)),
+            2.0 * (t - params.t0),
+            2.0 * (np.array(x) - np.array(params.x0)),
+            2.0,
+            np.zeros(n),
+            2.0 * np.eye(n),
+        )
+        phi_jet = jet_add(psi_jet, jet_scale(q_jet, -params.mu))
+        ell_jet = jet_scale(phi_jet, params.lam)
+        if abs(ell_jet.value) > _EXP_MAX:
+            raise RangeError(
+                f"exp(ell) overflows: lam*phi = {ell_jet.value:.6g} at (t, x) = ({t}, {x})"
+            )
+        theta = math.exp(ell_jet.value)
+        varrho = float(varrho)
+        lap_ell = float(np.trace(ell_jet.hess_xx))
+        Psi = lap_ell - ell_jet.hess_tt + 2.0 * params.lam * params.gamma * psi_jet.value * varrho + 6.0 * params.lam * params.mu
+        return CarlemanFrame(
+            t=t,
+            x=x,
+            params=params,
+            varrho=varrho,
+            rho_jet=rho_jet,
+            psi_jet=psi_jet,
+            phi_jet=phi_jet,
+            ell_jet=ell_jet,
+            theta=theta,
+            Psi=Psi,
+        )
 
     @property
     def psi(self) -> float:
@@ -278,11 +322,6 @@ class WeightFamily:
         xs = list(xs)
         return _phi(self.psi(params.gamma).d(t, xs, multi_indices(self.n).zero), t, xs, params)
 
-    def ell(self, t, xs, params: WeightParams, alphas) -> dict:
-        """{alpha: d^alpha ell} at (t, xs) for the given multi-indices, from psi's partials alone."""
-        psi, xs = self.psi(params.gamma), list(xs)
-        return {a: params.lam * _phi(psi.d(t, xs, a), t, xs, params, a) for a in alphas}
-
     # -- partial evaluation ------------------------------------------------
 
     def varrho_partial(self, t, xs, alpha):
@@ -291,45 +330,6 @@ class WeightFamily:
         scalar = is_scalar(t) and all(map(is_scalar, xs))
         base = 0.0 if scalar else np.zeros(np.broadcast_shapes(np.shape(t), *map(np.shape, xs)))
         return base + (0.0 if any(alpha) else float(self.varrho))
-
-    # -- frames ------------------------------------------------------------
-
-    def frame(self, t: float, x, params: WeightParams) -> CarlemanFrame:
-        x = tuple(float(v) for v in np.atleast_1d(x))
-        rho_jet = self.rho.jet2(t, x)
-        # psi = exp(gamma rho); phi = psi - mu q; ell = lam phi (chain rule jets)
-        psi_jet = jet_exp(jet_scale(rho_jet, params.gamma))
-        q_jet = Jet2.make(
-            _q_partial(t, x, params.t0, params.x0, (0,) * (self.n + 1)),
-            2.0 * (t - params.t0),
-            2.0 * (np.array(x) - np.array(params.x0)),
-            2.0,
-            np.zeros(self.n),
-            2.0 * np.eye(self.n),
-        )
-        phi_jet = jet_add(psi_jet, jet_scale(q_jet, -params.mu))
-        ell_jet = jet_scale(phi_jet, params.lam)
-        if abs(ell_jet.value) > _EXP_MAX:
-            raise RangeError(
-                f"exp(ell) overflows: lam*phi = {ell_jet.value:.6g} at (t, x) = ({t}, {x})"
-            )
-        theta = math.exp(ell_jet.value)
-        varrho_value = float(self.varrho_partial(t, x, (0,) * (self.n + 1)))
-        lap_ell = float(np.trace(ell_jet.hess_xx))
-        psi_val = psi_jet.value
-        Psi = lap_ell - ell_jet.hess_tt + 2.0 * params.lam * params.gamma * psi_val * varrho_value + 6.0 * params.lam * params.mu
-        return CarlemanFrame(
-            t=t,
-            x=x,
-            params=params,
-            varrho=varrho_value,
-            rho_jet=rho_jet,
-            psi_jet=psi_jet,
-            phi_jet=phi_jet,
-            ell_jet=ell_jet,
-            theta=theta,
-            Psi=Psi,
-        )
 
     # -- expansion coefficients (array-compatible), in two stages -----------
 
@@ -445,21 +445,13 @@ class WeightFamily:
 # ---------------------------------------------------------------------------
 
 
-def eval_frame(rho: AnalyticFn, t: float, x, params: WeightParams, varrho: AnalyticFn | float = 0.0) -> CarlemanFrame:
-    """Frame of weight values and jets at one point (Psi uses the given varrho)."""
-    return WeightFamily(rho, varrho).frame(t, x, params)
+def eval_D(point: PointStage) -> DQuantities:
+    """Expansion coefficients at the point stage's point; d2 via both routes.
 
-
-def eval_D(frame: CarlemanFrame, rho: AnalyticFn, varrho, params: WeightParams, point: PointStage | None = None) -> DQuantities:
-    """Expansion coefficients at the frame's point; d2 via both routes.
-
-    They come from the point stage alone: ``point`` when the caller holds the
-    one at the frame's point, else a new one.  A disagreement between the two
-    d2 routes beyond 1e-9 relative raises ArithmeticError: the dual
-    computation is the module's own consistency anchor.
+    A disagreement between the two d2 routes beyond 1e-9 relative raises
+    ArithmeticError: the dual computation is the module's own consistency
+    anchor.
     """
-    if point is None:
-        point = WeightFamily(rho, varrho).point_stage(frame.t, list(frame.x), params)
     d2m, d2d = float(point["d2_matrix"]), float(point["d2_divergence"])
     denom = max(abs(d2m), abs(d2d))
     if denom > 0.0 and abs(d2m - d2d) > 1e-9 * denom:
@@ -544,41 +536,18 @@ def jacobi_eigenvalues(mat: np.ndarray) -> np.ndarray:
     return np.sort(np.diag(a))
 
 
-class SymMatrix:
-    """Dense symmetric matrix of size 1+n with a Jacobi eigenvalue routine."""
+def build_M(rho_jet: Jet2, varrho: float) -> np.ndarray:
+    """Structure matrix: [[rho_tt - vr, -grad rho_t^T], [-grad rho_t, vr I + Hess rho]].
 
-    def __init__(self, entries: np.ndarray):
-        m = np.array(entries, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ConfigurationError("SymMatrix needs a square array")
-        m = 0.5 * (m + m.T)  # enforce exact symmetry
-        self.values = m
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-    def eigenvalues(self) -> np.ndarray:
-        return jacobi_eigenvalues(self.values)
-
-    def min_eigenvalue(self) -> float:
-        return float(self.eigenvalues()[0])
-
-    def quadratic_form(self, vec) -> float:
-        v = np.asarray(vec, dtype=float)
-        return float(v @ self.values @ v)
-
-
-
-def build_M(rho_jet: Jet2, varrho: float) -> SymMatrix:
-    """Structure matrix: [[rho_tt - vr, -grad rho_t^T], [-grad rho_t, vr I + Hess rho]]."""
+    Symmetric as built, since ``Jet2`` holds an exactly symmetric Hessian.
+    """
     n = rho_jet.n
     m = np.zeros((1 + n, 1 + n))
     m[0, 0] = rho_jet.hess_tt - varrho
     m[0, 1:] = -rho_jet.hess_tx
     m[1:, 0] = -rho_jet.hess_tx
     m[1:, 1:] = varrho * np.eye(n) + rho_jet.hess_xx
-    return SymMatrix(m)
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -697,8 +666,8 @@ def assumption_check(
     m = build_M(rho_jet, vr)
     rho_t = float(rho_jet.grad_t)
     if preset == "A2.2":
-        m = SymMatrix(m.values - 3.0 * abs(rho_t) * b1_norm**2 * np.eye(m.dim))
-    min_eig = m.min_eigenvalue()
+        m = m - 3.0 * abs(rho_t) * b1_norm**2 * np.eye(m.shape[0])
+    min_eig = float(jacobi_eigenvalues(m)[0])
     if preset == "A2.1":
         matrix_ok = min_eig >= -PSD_TOL
         rho_t_required = True
@@ -711,7 +680,7 @@ def assumption_check(
     rho_t_ok = (rho_t >= c0) if rho_t_required else True
     return AssumptionReport(
         preset=preset,
-        matrix=m.values,
+        matrix=m,
         min_eigenvalue=min_eig,
         rho_t=rho_t,
         rho_t_required=rho_t_required,

@@ -21,7 +21,6 @@ from carleman_lab.weights import (
     WeightParams,
     certifies,
     eval_D,
-    eval_frame,
     psd_certificate,
 )
 from carleman_lab.identities import (
@@ -83,8 +82,7 @@ def test_criterion_2_d2_dual_forms_500_samples():
     for row in u:
         rho, varrho, _, params, t, x = _random_case(row)
         params = replace(params, gamma=0.5 + 7.5 * row[0])
-        fr = eval_frame(rho, t, [x], params, varrho)
-        dq = eval_D(fr, rho, varrho, params)
+        dq = eval_D(WeightFamily(rho, varrho).point_stage(t, [x], params))
         denom = max(abs(dq.d2_matrix), abs(dq.d2_divergence))
         if denom > 0.0:
             worst = max(worst, abs(dq.d2_matrix - dq.d2_divergence) / denom)
@@ -102,7 +100,7 @@ def test_criterion_3_lambda_expansion_coefficients():
         a_vals = [float(fam.quantities(t, [x], replace(params, lam=lv))["a"]) for lv in lambdas]
         b_vals = [float(fam.quantities(t, [x], replace(params, lam=lv))["b"]) for lv in lambdas]
         q0 = fam.quantities(t, [x], params)
-        dq = eval_D(eval_frame(rho, t, [x], params, varrho), rho, varrho, params)
+        dq = eval_D(fam.point_stage(t, [x], params))
         a_direct = float(q0["p"]) + dq.d1
         b_direct = dq.d2_matrix + dq.d3
         a_fit = float(npoly.polyfit(lambdas / 512.0, a_vals, 2)[2]) / 512.0**2

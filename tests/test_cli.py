@@ -1,6 +1,7 @@
 import collections
 import csv
 import importlib
+import inspect
 import json
 import math
 import os
@@ -14,7 +15,6 @@ import pytest
 
 from carleman_lab import cli, solver
 from carleman_lab.cli import (
-    OPERATION_ROUTES,
     ResultTable,
     SUBCOMMANDS,
     config_hash,
@@ -309,6 +309,53 @@ def test_d2_check_requests_no_psi_partial_above_second_order(tmp_path, monkeypat
     # d1, d2 and d3 read psi's second-order jet only
     assert len(psi_calls) == 20 * len(multi_indices(1).jet2)
     assert [a for a in psi_calls if sum(a) > 2] == []
+
+
+def _count_rho_evaluations(monkeypatch) -> list:
+    """Wrap AnalyticFn._evaluator, through which every evaluation fetches its
+    evaluator, so each evaluation on a drawn rho family (not psi or w) appends its multi-index."""
+    from carleman_lab.fields import AnalyticFn
+
+    calls = []
+    original = AnalyticFn._evaluator
+
+    def counting(self, alpha):
+        if self.name in ("trig_product", "quadratic", "affine"):
+            calls.append(alpha)
+        return original(self, alpha)
+
+    monkeypatch.setattr(AnalyticFn, "_evaluator", counting)
+    return calls
+
+
+def _count_frames(monkeypatch) -> list:
+    from carleman_lab.weights import CarlemanFrame
+
+    calls = []
+    original = CarlemanFrame.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(CarlemanFrame, "__init__", counting)
+    return calls
+
+
+def test_d2_check_evaluates_rho_once_per_sample(tmp_path, monkeypatch):
+    rho_calls = _count_rho_evaluations(monkeypatch)
+    cfg = tmp_path / "d2.json"
+    cfg.write_text(json.dumps({"experiment": "d2-check", "samples": 20, "seed": 0}))
+    assert run(str(cfg), "d2-check", out_dir=str(tmp_path / "out")) == 0
+    # rho's second-order jet, read by eval_D and by the structure-matrix route alike
+    assert len(rho_calls) == 20 * len(multi_indices(1).jet2)
+
+
+@pytest.mark.parametrize("sub, name", [("expansion-check", "expansion_check"), ("d2-check", "d2_check")])
+def test_expansion_and_d2_checks_build_no_frame(tmp_path, monkeypatch, sub, name):
+    frames = _count_frames(monkeypatch)
+    assert run(str(CONFIG_DIR / f"{name}.json"), sub, out_dir=str(tmp_path)) == 0
+    assert frames == []
 
 
 def test_weighted_qv_check_evaluates_no_quantities(tmp_path, monkeypatch):
@@ -643,26 +690,70 @@ def test_seed_override_changes_hash_and_columns(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_every_operation_reachable_from_a_subcommand():
-    for op, subs in OPERATION_ROUTES.items():
-        assert subs, f"{op} has no subcommand route"
-        for s in subs:
-            assert s in SUBCOMMANDS, f"{op} routes to unknown subcommand {s}"
+# the subcommands that reach each exported function of the package, at seed 0
+ROUTES = {
+    "fields.make_fn": {
+        "assumption-check", "conjugation-check", "d2-check", "expansion-check", "identity-check",
+        "inequality-scan", "propagation", "psd-check", "qv-check", "ucp-decay",
+    },
+    "fields.make_grid": {"propagation", "qv-check", "ucp-decay"},
+    "fields.sample_brownian": {"propagation", "qv-check", "ucp-decay"},
+    "weights.assumption_check": {"assumption-check"},
+    "weights.build_M": {"assumption-check", "d2-check"},
+    "weights.eval_D": {"d2-check", "expansion-check"},
+    "weights.eval_VN": {"identity-check"},
+    "weights.psd_certificate": {"psd-check"},
+    "identities.conjugation_residual": {"conjugation-check"},
+    "identities.inequality_gap": {"inequality-scan"},
+    "identities.qv_check": {"qv-check"},
+    "solver.solve": {"propagation", "qv-check", "ucp-decay"},
+    "solver.total_energy": {"propagation", "ucp-decay"},
+    "propagation.distance_to_set": {"propagation"},
+    "propagation.run_propagation": {"propagation"},
+    "cones.c3_constant": {"geometry", "sweep"},
+    "cones.membership": {"geometry"},
+    "cones.sweep_cover": {"sweep"},
+    "cones.vertex": {"geometry"},
+}
+# exported for library use and tests; no subcommand calls them
+LIBRARY_ONLY = {
+    "identities.identity_residual", "propagation.local_energy", "solver.manufactured_forcing", "solver.step",
+}
 
 
-def test_route_table_covers_all_module_operations():
-    expected = {
-        "field_kit.make_grid", "field_kit.fd_apply", "field_kit.sample_brownian",
-        "carleman_weights.eval_frame", "carleman_weights.build_M", "carleman_weights.eval_D",
-        "carleman_weights.eval_VN", "carleman_weights.psd_certificate", "carleman_weights.assumption_check",
-        "identity_verifier.identity_residual", "identity_verifier.conjugation_residual",
-        "identity_verifier.qv_check", "identity_verifier.inequality_gap",
-        "spde_solver.step", "spde_solver.solve", "spde_solver.manufactured_forcing", "spde_solver.total_energy",
-        "propagation_lab.distance_to_set", "propagation_lab.local_energy", "propagation_lab.run_propagation",
-        "cone_geometry.c3_constant", "cone_geometry.vertex", "cone_geometry.membership", "cone_geometry.sweep_cover",
-        "lab_cli.run", "lab_cli.emit_csv",
+def test_exported_functions_are_reached_by_the_subcommands_they_name(tmp_path):
+    import carleman_lab
+
+    functions = {
+        f"{module}.{name}": getattr(carleman_lab, name)
+        for module, names in carleman_lab._EXPORTS.items()
+        for name in names
+        if inspect.isfunction(getattr(carleman_lab, name))
     }
-    assert set(OPERATION_ROUTES) == expected
+    assert set(functions) == set(ROUTES) | LIBRARY_ONLY
+    by_code = {fn.__code__: key for key, fn in functions.items()}
+    reached = collections.defaultdict(set)
+    sub = None
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in by_code:
+            reached[by_code[frame.f_code]].add(sub)
+
+    # each bundled config at a size that takes every route the full one takes;
+    # qv-check keeps its 100 paths, the fewest it accepts
+    smaller = {"cases": 2, "samples": 2, "paths": 2}
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        cfg = json.loads(path.read_text())
+        sub = cfg["experiment"]
+        cfg.update({k: v for k, v in smaller.items() if k in cfg and sub != "qv-check"})
+        small = tmp_path / path.name
+        small.write_text(json.dumps(cfg))
+        sys.setprofile(profile)
+        try:
+            assert run(str(small), sub, out_dir=str(tmp_path / sub)) == 0
+        finally:
+            sys.setprofile(None)
+    assert dict(reached) == ROUTES
 
 
 def test_every_subcommand_has_schema_and_runner():
@@ -731,7 +822,7 @@ def test_package_exports_resolve_to_their_modules():
     from carleman_lab import WeightFamily, cones, propagation, run_propagation, vertex, weights
 
     assert (WeightFamily, run_propagation, vertex) == (weights.WeightFamily, propagation.run_propagation, cones.vertex)
-    assert len(carleman_lab.__all__) == 43  # __version__ and 42 exported names
+    assert len(carleman_lab.__all__) == 42  # __version__ and 41 exported names
     for name in carleman_lab.__all__:
         getattr(carleman_lab, name)
     with pytest.raises(AttributeError):

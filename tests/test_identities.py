@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from carleman_lab.fields import Jet2, make_fn, make_grid
-from carleman_lab.weights import PsiDerivatives, WeightFamily, WeightParams, eval_VN, eval_frame
+from carleman_lab.weights import CarlemanFrame, PsiDerivatives, WeightFamily, WeightParams, eval_VN
 from carleman_lab.identities import (
     CutoffSpec,
     RegionSpec,
@@ -73,7 +73,7 @@ def test_identity_constant_w_at_flat_weight_point():
     params = WeightParams(lam=2.0, gamma=1.0, mu=0.0, t0=0.0, x0=(0.0,))
     fam = WeightFamily(rho, 0.3)
     w1 = make_fn("quadratic", 1, c0=1.0, ct=0.0, qtt=0.0, cx1=0.0, qx1=0.0)
-    fr = eval_frame(rho, 0.0, [0.0], params, 0.3)
+    fr = CarlemanFrame.make(0.0, [0.0], rho.jet2(0.0, [0.0]), params, 0.3)
     assert abs(fr.ell_jet.grad_t) < 1e-14 and abs(fr.ell_jet.grad_x[0]) < 1e-14
     rep = identity_residual(w1, fam, params, 0.0, [0.0])
     assert rep.relative_residual <= 1e-9
@@ -126,7 +126,7 @@ def test_identity_in_two_dimensions():
 
 
 def test_eval_vn_zero_for_zero_v(family, params):
-    fr = family.frame(0.3, [0.4], params)
+    fr = CarlemanFrame.make(0.3, [0.4], family.rho.jet2(0.3, [0.4]), params, family.varrho.value(0.3, [0.4]))
     v = Jet2.make(0.0, 0.0, [0.0], 0.0, [0.0], [[0.0]])
     psi_d = PsiDerivatives(value=fr.Psi, grad_t=0.3, grad_x=np.array([0.2]))
     V, N = eval_VN(v, fr, psi_d, a=1.0)
@@ -137,7 +137,7 @@ def test_eval_vn_zero_weight_factors():
     # grad ell = ell_t = 0 and Psi = 0 kill every flux term
     rho = make_fn("quadratic", 1, c0=0.0, ct=0.0, qtt=0.5, cx1=0.0, qx1=0.5)
     params = WeightParams(lam=2.0, gamma=1.0, mu=0.0, t0=0.0, x0=(0.0,))
-    fr = WeightFamily(rho, 0.0).frame(0.0, [0.0], params)
+    fr = CarlemanFrame.make(0.0, [0.0], rho.jet2(0.0, [0.0]), params, 0.0)
     v = Jet2.make(1.2, 0.7, [0.4], 0.1, [0.2], [[0.3]])
     psi_d = PsiDerivatives(value=0.0, grad_t=0.0, grad_x=np.array([0.0]))
     V, _ = eval_VN(v, fr, psi_d, a=0.0)

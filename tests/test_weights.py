@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -6,19 +7,19 @@ import numpy.polynomial.polynomial as npoly
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carleman_lab.fields import Jet2, make_fn, multi_indices, uniform_stream
+from carleman_lab.fields import AnalyticFn, Jet2, jet_add, jet_exp, jet_scale, make_fn, multi_indices, uniform_stream
 from carleman_lab.weights import (
     ASSUMPTION_PRESETS,
+    CarlemanFrame,
     ConfigurationError,
     RangeError,
-    SymMatrix,
     WeightFamily,
     WeightParams,
+    _q_partial,
     assumption_check,
     build_M,
     certifies,
     eval_D,
-    eval_frame,
     jacobi_eigenvalues,
     psd_certificate,
 )
@@ -31,8 +32,18 @@ from conftest import draw_uniform
 # ---------------------------------------------------------------------------
 
 
+def _frame(rho, t, x, params, varrho=0.0):
+    """The frame at (t, x) from rho's jet there and varrho's value there."""
+    vr = varrho.value(t, x) if isinstance(varrho, AnalyticFn) else varrho
+    return CarlemanFrame.make(t, x, rho.jet2(t, x), params, vr)
+
+
+def _point_D(rho, t, x, params, varrho=0.0):
+    return eval_D(WeightFamily(rho, varrho).point_stage(t, x, params))
+
+
 def test_frame_invariants(rho_trig, varrho_quad, params):
-    fr = eval_frame(rho_trig, 0.37, [0.51], params, varrho_quad)
+    fr = _frame(rho_trig, 0.37, [0.51], params, varrho_quad)
     rho_val = rho_trig.value(0.37, [0.51])
     assert abs(fr.psi - math.exp(params.gamma * rho_val)) <= 1e-12 * abs(fr.psi)
     q = (0.37 - params.t0) ** 2 + (0.51 - params.x0[0]) ** 2
@@ -43,7 +54,7 @@ def test_frame_invariants(rho_trig, varrho_quad, params):
 
 def test_frame_chain_rule_derivatives(rho_trig, params):
     # phi_t = gamma psi rho_t - 2 mu (t - t0), and the spatial analogue
-    fr = eval_frame(rho_trig, 0.37, [0.51], params)
+    fr = _frame(rho_trig, 0.37, [0.51], params)
     rj = rho_trig.jet2(0.37, [0.51])
     expected_t = params.gamma * fr.psi * rj.grad_t - 2.0 * params.mu * (0.37 - params.t0)
     expected_x = params.gamma * fr.psi * rj.grad_x[0] - 2.0 * params.mu * (0.51 - params.x0[0])
@@ -80,18 +91,15 @@ def test_scalar_evaluation_gives_python_floats(n, varrho_quad):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_ell_alone_equals_the_ell_of_quantities(n, varrho_quad):
+    # qv-check's weight is exp(lam phi), with phi read alone
     rho = make_fn("trig_product", n, amp=0.1, wt=1.1, wx1=0.9, pt=0.2, px1=0.4)
     fam = WeightFamily(rho, varrho_quad if n == 1 else 0.8)
     params = WeightParams(lam=3.0, gamma=1.7, mu=0.35, t0=0.1, x0=(0.2,) * n)
     mesh = np.meshgrid(*[np.linspace(-0.4, 0.4, 7)] * n, indexing="ij")
     t = np.full(mesh[0].shape, 0.37)
-    want = fam.quantities(t, mesh, params)["ell"]
-    A = multi_indices(n)
-    for alphas in ((A.zero, A.t), A.ell):
-        got = fam.ell(t, mesh, params, alphas)
-        assert list(got) == list(alphas)
-        for a in alphas:
-            np.testing.assert_array_equal(got[a], want[a])
+    want = fam.quantities(t, mesh, params)["ell"][multi_indices(n).zero]
+    got = params.lam * fam.phi(t, mesh, params)
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
 def _leaves(value, path=()):
@@ -135,14 +143,14 @@ def test_frame_psi_is_one_at_center_on_level_set():
     # rho vanishes at the center, so psi there is exactly one
     rho = make_fn("char_linear", 1)  # t - x, zero at (0, 0)
     params = WeightParams(lam=2.0, gamma=3.0, mu=0.1, t0=0.0, x0=(0.0,))
-    fr = eval_frame(rho, 0.0, [0.0], params)
+    fr = _frame(rho, 0.0, [0.0], params)
     assert fr.psi == pytest.approx(1.0, abs=1e-15)
 
 
 def test_frame_mu_zero_collapses_phi_to_psi(rho_trig):
     params = WeightParams(lam=2.0, gamma=1.5, mu=0.0, t0=0.0, x0=(0.0,))
     for t, x in [(0.3, 0.4), (-0.2, 0.1)]:
-        fr = eval_frame(rho_trig, t, [x], params)
+        fr = _frame(rho_trig, t, [x], params)
         assert fr.phi == fr.psi
 
 
@@ -150,7 +158,7 @@ def test_frame_exp_example():
     # rho = t, gamma = 2, mu = 0, lam = 1 at t = 1: ell = e^2, theta = e^(e^2)
     rho = make_fn("affine", 1, c0=0.0, ct=1.0, cx1=0.0)
     params = WeightParams(lam=1.0, gamma=2.0, mu=0.0, t0=0.0, x0=(0.0,))
-    fr = eval_frame(rho, 1.0, [0.3], params)
+    fr = _frame(rho, 1.0, [0.3], params)
     assert fr.ell == pytest.approx(math.exp(2.0), rel=1e-14)
     assert fr.theta == pytest.approx(math.exp(math.exp(2.0)), rel=1e-12)
 
@@ -159,7 +167,72 @@ def test_frame_overflow_raises_range_error():
     rho = make_fn("affine", 1, c0=0.0, ct=1.0, cx1=0.0)
     params = WeightParams(lam=1000.0, gamma=2.0, mu=0.0, t0=0.0, x0=(0.0,))
     with pytest.raises(RangeError, match="lam\\*phi"):
-        eval_frame(rho, 1.0, [0.0], params)
+        _frame(rho, 1.0, [0.0], params)
+
+
+def _parent_frame(family, t, x, params):
+    """The frame as ``WeightFamily.frame`` built it before frames took rho's jet
+    from the point stage: rho's evaluators called directly, then the chain rule."""
+    x = tuple(float(v) for v in np.atleast_1d(x))
+    a, rho = multi_indices(family.n), family.rho
+    xa = np.atleast_1d(np.asarray(x, dtype=float))
+    e = lambda alpha: float(rho._evaluator(alpha)(t, *xa, *rho.param_values))
+    hess = np.zeros((a.n, a.n))
+    for j in range(a.n):
+        hess[j, j] = e(a.xx[j][j])
+        for k in range(j + 1, a.n):
+            hess[j, k] = hess[k, j] = e(a.xx[j][k])
+    rho_jet = Jet2.make(
+        e(a.zero), e(a.t), np.array([e(a.x[j]) for j in range(a.n)]), e(a.tt),
+        np.array([e(a.tx[j]) for j in range(a.n)]), hess,
+    )
+    psi_jet = jet_exp(jet_scale(rho_jet, params.gamma))
+    q_jet = Jet2.make(
+        _q_partial(t, x, params.t0, params.x0, (0,) * (family.n + 1)),
+        2.0 * (t - params.t0),
+        2.0 * (np.array(x) - np.array(params.x0)),
+        2.0,
+        np.zeros(family.n),
+        2.0 * np.eye(family.n),
+    )
+    phi_jet = jet_add(psi_jet, jet_scale(q_jet, -params.mu))
+    ell_jet = jet_scale(phi_jet, params.lam)
+    theta = math.exp(ell_jet.value)
+    varrho_value = float(family.varrho_partial(t, x, (0,) * (family.n + 1)))
+    lap_ell = float(np.trace(ell_jet.hess_xx))
+    psi_val = psi_jet.value
+    Psi = lap_ell - ell_jet.hess_tt + 2.0 * params.lam * params.gamma * psi_val * varrho_value + 6.0 * params.lam * params.mu
+    return CarlemanFrame(t, x, params, varrho_value, rho_jet, psi_jet, phi_jet, ell_jet, theta, Psi)
+
+
+def _frame_bits(value):
+    if isinstance(value, (CarlemanFrame, Jet2)):
+        return tuple((f.name, _frame_bits(getattr(value, f.name))) for f in dataclasses.fields(value))
+    if isinstance(value, tuple):
+        return tuple(_frame_bits(v) for v in value)
+    if isinstance(value, WeightParams):
+        return value
+    return type(value), np.asarray(value).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_frames_from_rho_jet_equal_the_parent_frame_bit_for_bit(n):
+    from carleman_lab.cli import _CASE_DRAWS, _draw_identity_case
+    from carleman_lab.identities import identity_case
+
+    u = uniform_stream(5, 30 * _CASE_DRAWS[n]).reshape(30, -1)
+    vr_fn = make_fn("quadratic", n, c0=0.5, ct=0.3, qtt=0.2, cx1=-0.1, qx1=0.4)
+    names = set()
+    for i, row in enumerate(u):
+        rho, varrho, w, params, t, x = _draw_identity_case(row, n)
+        varrho = vr_fn if i % 2 else varrho
+        family = WeightFamily(rho, varrho)
+        want = _frame_bits(_parent_frame(family, t, x, params))
+        # identity-check's route (the point stage's rho jet) and ucp-decay's (rho.jet2)
+        assert _frame_bits(identity_case(w, family, params, t, x).frame) == want
+        assert _frame_bits(_frame(rho, t, x, params, varrho)) == want
+        names.add(rho.name)
+    assert names == {"trig_product", "quadratic", "affine"}
 
 
 def test_weight_params_validation():
@@ -177,13 +250,13 @@ def test_weight_params_validation():
 def test_build_M_derivative_free_level_function():
     jet = make_fn("char_linear", 1).jet2(0.0, [0.0])  # t - x
     m = build_M(jet, 2.0)
-    assert np.allclose(m.values, [[-2.0, 0.0], [0.0, 2.0]], atol=0.0)
+    assert np.allclose(m, [[-2.0, 0.0], [0.0, 2.0]], atol=0.0)
 
 
 def test_build_M_quadratic_level_function():
     jet = make_fn("quadratic", 1, qtt=1.0, qx1=-1.0).jet2(0.3, [0.4])  # t^2/2 - x^2/2
     m = build_M(jet, 0.0)
-    assert np.allclose(m.values, [[1.0, 0.0], [0.0, -1.0]], atol=0.0)
+    assert np.allclose(m, [[1.0, 0.0], [0.0, -1.0]], atol=0.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -192,7 +265,7 @@ def test_build_M_shift_linearity(vr, c):
     jet = make_fn("trig_product", 1, amp=0.4).jet2(0.2, [0.3])
     m1 = build_M(jet, vr)
     m2 = build_M(jet, vr + c)
-    shift = m2.values - m1.values
+    shift = m2 - m1
     assert np.allclose(shift, np.diag([-c, c]), atol=1e-12 * max(1.0, abs(c)))
 
 
@@ -217,8 +290,7 @@ def test_jacobi_requires_exact_symmetry():
 
 
 def test_d1_vanishes_at_center(rho_trig, varrho_quad, params):
-    fr = eval_frame(rho_trig, params.t0, list(params.x0), params, varrho_quad)
-    dq = eval_D(fr, rho_trig, varrho_quad, params)
+    dq = _point_D(rho_trig, params.t0, list(params.x0), params, varrho_quad)
     assert dq.d1 == pytest.approx(0.0, abs=1e-14)
 
 
@@ -229,16 +301,14 @@ def test_d2_zero_on_characteristic_level_set():
     for vr in (0.0, 1.3, -2.0):
         for gamma in (0.7, 2.0, 5.0):
             params = WeightParams(lam=2.0, gamma=gamma, mu=0.2, t0=0.0, x0=(0.0,))
-            fr = eval_frame(rho, 0.15, [0.35], params, vr)
-            dq = eval_D(fr, rho, vr, params)
+            dq = _point_D(rho, 0.15, [0.35], params, vr)
             assert dq.d2_matrix == pytest.approx(0.0, abs=1e-12)
             assert dq.d2_divergence == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mu_zero_kills_d1_and_d3(rho_trig, varrho_quad):
     params = WeightParams(lam=2.0, gamma=1.5, mu=0.0, t0=0.0, x0=(0.0,))
-    fr = eval_frame(rho_trig, 0.25, [0.15], params, varrho_quad)
-    dq = eval_D(fr, rho_trig, varrho_quad, params)
+    dq = _point_D(rho_trig, 0.25, [0.15], params, varrho_quad)
     assert dq.d1 == 0.0
     assert dq.d3 == 0.0
 
@@ -253,8 +323,7 @@ def test_d2_dual_forms_agree_500_samples():
         vr = -2.0 + 4.0 * row[6]
         params = WeightParams(lam=2.0, gamma=gamma, mu=0.3, t0=0.0, x0=(0.0,))
         t, x = 0.6 * (row[7] - 0.5), 0.3
-        fr = eval_frame(rho, t, [x], params, vr)
-        dq = eval_D(fr, rho, vr, params)
+        dq = _point_D(rho, t, [x], params, vr)
         denom = max(abs(dq.d2_matrix), abs(dq.d2_divergence))
         if denom > 0:
             worst = max(worst, abs(dq.d2_matrix - dq.d2_divergence) / denom)
@@ -277,8 +346,7 @@ def test_cubic_fit_recovers_leading_coefficient(rho_trig, varrho_quad, params):
     lambdas = np.array([16.0, 32.0, 64.0, 128.0, 256.0, 512.0])
     t, x = 0.37, [0.51]
     b_vals = [float(fam.quantities(t, x, replace(params, lam=lv))["b"]) for lv in lambdas]
-    fr = eval_frame(rho_trig, t, x, params, varrho_quad)
-    dq = eval_D(fr, rho_trig, varrho_quad, params)
+    dq = _point_D(rho_trig, t, x, params, varrho_quad)
     direct = dq.d2_matrix + dq.d3
     fit = float(npoly.polyfit(lambdas / 512.0, b_vals, 3)[3]) / 512.0**3
     assert abs(fit - direct) <= 1e-5 * abs(direct)
@@ -382,8 +450,3 @@ def test_assumption_unknown_preset():
         assumption_check(jet, 0.0, "A9.9")
     assert set(ASSUMPTION_PRESETS) == {"A2.1", "A2.2", "A2.3"}
 
-
-def test_symmatrix_quadratic_form():
-    m = SymMatrix(np.array([[2.0, 1.0], [1.0, 3.0]]))
-    assert m.quadratic_form([1.0, -1.0]) == pytest.approx(3.0)
-    assert m.min_eigenvalue() == pytest.approx(float(np.linalg.eigvalsh(m.values)[0]), abs=1e-12)
