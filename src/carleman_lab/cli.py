@@ -26,6 +26,8 @@ such as geometry loads neither the weight nor the solver modules.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import hashlib
 import json
 import math
@@ -75,6 +77,8 @@ class ResultTable:
 
 def format_scalar(value) -> str:
     """Shortest round-trip decimal form (up to 17 significant digits)."""
+    if type(value) is float:  # most cells, checked before the isinstance chain
+        return repr(value)
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
@@ -85,7 +89,7 @@ def format_scalar(value) -> str:
 
 
 def _csv_field(text: str) -> str:
-    if any(ch in text for ch in (",", '"', "\n")):
+    if "," in text or '"' in text or "\n" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -1168,7 +1172,10 @@ def run(
     # command-line overrides are part of the config the schema must accept
     if seed is not None:
         cfg["seed"] = int(seed)
-    if paths is not None and "paths" in SCHEMAS.get(subcommand, {}).get("properties", {}):
+    if paths is not None and subcommand in SCHEMAS:
+        if "paths" not in SCHEMAS[subcommand]["properties"]:
+            print(f"config error: --paths: {subcommand} takes no paths", file=sys.stderr)
+            return 2
         cfg["paths"] = int(paths)
     errors = validate_config(cfg, subcommand)
     if errors:
@@ -1217,6 +1224,11 @@ def run(
 
 
 def main(argv=None) -> int:
+    # Freeze the heap at exit: a command-line process's objects die with it, and frozen ones are
+    # not walked by the interpreter's collection at shutdown.  atexit handlers run only at exit,
+    # so a caller of main in its own process keeps an unfrozen heap; unregister keeps one handler.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     parser = argparse.ArgumentParser(
         prog="carleman-lab",
         description="Numerical laboratory for Carleman-weight identities and stochastic wave experiments",

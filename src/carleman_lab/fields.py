@@ -13,6 +13,10 @@ Everything downstream leans on two guarantees made here:
   any other source is generated on demand.
   Parameter values are call arguments, so rebinding them never recompiles.
   Identity checks therefore see exact jets, not finite differences.
+  ``AnalyticFn.partials`` evaluates every multi-index a caller asks for in
+  one sweep, checking the point and deciding scalar against array once, and
+  ``d`` is its one-index case; a verify check makes one sweep per function
+  per point, on Python floats.
 * ``sample_brownian`` produces a platform-independent increment stream from a
   counter-based generator with an explicit normal transform; the algorithm
   and its constants live in one block below.
@@ -255,9 +259,10 @@ class Jet2:
 
     @staticmethod
     def make(value, grad_t, grad_x, hess_tt, hess_tx, hess_xx) -> "Jet2":
-        grad_x = np.atleast_1d(np.asarray(grad_x, dtype=float))
-        hess_tx = np.atleast_1d(np.asarray(hess_tx, dtype=float))
-        hess_xx = np.atleast_2d(np.array(hess_xx, dtype=float))
+        # one call per field; np.array copies, so hess_xx is the jet's own before it is made read-only
+        grad_x = np.array(grad_x, dtype=float, ndmin=1)
+        hess_tx = np.array(hess_tx, dtype=float, ndmin=1)
+        hess_xx = np.array(hess_xx, dtype=float, ndmin=2)
         # np.array_equal(hess_xx, hess_xx.T), without its ufunc calls on a 1x1 or 2x2 matrix
         h, m = hess_xx.tolist(), hess_xx.shape[0]
         if hess_xx.shape[1] != m or any(h[j][k] != h[k][j] for j in range(m) for k in range(j + 1)):
@@ -512,25 +517,31 @@ class AnalyticFn:
         fn = self.symbolic.evaluators.get(alpha)
         return self.symbolic.compile(alpha) if fn is None else fn
 
-    def d(self, t, x, alpha: tuple[int, ...]):
-        """Partial derivative d^alpha f at (t, x).
+    def partials(self, t, x, alphas) -> dict:
+        """{alpha: d^alpha f at (t, x)} for each multi-index in ``alphas``.
 
         ``t`` is a scalar or array.  ``x`` is a sequence of n coordinates
         (scalars or arrays); for n == 1 a bare scalar or array is taken as the
-        single coordinate.  Scalar inputs give a float, otherwise an array of
-        the broadcast shape.
+        single coordinate.  The inputs are checked, and scalar against array
+        decided, once for the whole sweep.  Scalar inputs give floats,
+        otherwise arrays of the broadcast shape.
         """
         n = self.symbolic.n
-        if len(alpha) != n + 1:
-            raise CapabilityError(f"{self.name}: multi-index {alpha} does not match n={n}")
+        for alpha in alphas:
+            if len(alpha) != n + 1:
+                raise CapabilityError(f"{self.name}: multi-index {alpha} does not match n={n}")
         xs = x if isinstance(x, (list, tuple)) else (x,)
         if len(xs) != n:
             raise CapabilityError(f"{self.name}: expected {n} coordinates, got {len(xs)}")
-        out = self._evaluator(alpha)(t, *xs, *self.param_values)
+        args = (t, *xs, *self.param_values)
         if is_scalar(t) and all(map(is_scalar, xs)):
-            return float(out)
+            return {a: float(self._evaluator(a)(*args)) for a in alphas}
         shape = np.broadcast_shapes(np.shape(t), *[np.shape(v) for v in xs])
-        return np.broadcast_to(np.asarray(out, dtype=float), shape).copy()
+        return {a: np.broadcast_to(np.asarray(self._evaluator(a)(*args), dtype=float), shape).copy() for a in alphas}
+
+    def d(self, t, x, alpha: tuple[int, ...]):
+        """Partial derivative d^alpha f at (t, x): ``partials`` of one multi-index."""
+        return self.partials(t, x, (alpha,))[alpha]
 
     def value(self, t, x):
         return self.d(t, x, multi_indices(self.n).zero)
@@ -540,7 +551,7 @@ class AnalyticFn:
 
     def jet2(self, t: float, x) -> Jet2:
         x = tuple(np.atleast_1d(np.asarray(x, dtype=float)))
-        return Jet2.from_partials({a: self.d(t, x, a) for a in multi_indices(self.n).jet2})
+        return Jet2.from_partials(self.partials(t, x, multi_indices(self.n).jet2))
 
 
 def _alpha(n: int, t_order: int, *axes: int) -> tuple[int, ...]:

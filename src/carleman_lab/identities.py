@@ -28,6 +28,7 @@ from .fields import (
     Jet2,
     StatisticsError,
     SupportError,
+    is_scalar,
     multi_indices,
     sample_brownian,
 )
@@ -132,12 +133,14 @@ def _report(lhs: float, rhs: float, tol: float, t, x, params) -> IdentityReport:
 
 
 def _w_derivatives(u_fn: AnalyticFn, cutoff, point: PointStage, mu: float, t, xs, n):
-    """Jets of w = chi(phi) u (or plain u) to second order, as arrays."""
+    """Jets of w = chi(phi) u (or plain u) to second order, from one sweep of u's partials;
+    floats at a scalar point, arrays otherwise."""
     A = multi_indices(n)
-    u = {"v": u_fn.d(t, xs, A.zero), "t": u_fn.d(t, xs, A.t), "tt": u_fn.d(t, xs, A.tt)}
-    u["x"] = [u_fn.d(t, xs, A.x[j]) for j in range(n)]
-    u["tx"] = [u_fn.d(t, xs, A.tx[j]) for j in range(n)]
-    u["xx"] = [[u_fn.d(t, xs, A.xx[j][k]) for k in range(n)] for j in range(n)]
+    ud = u_fn.partials(t, xs, A.jet2)
+    u = {"v": ud[A.zero], "t": ud[A.t], "tt": ud[A.tt]}
+    u["x"] = [ud[A.x[j]] for j in range(n)]
+    u["tx"] = [ud[A.tx[j]] for j in range(n)]
+    u["xx"] = [[ud[A.xx[j][k]] for k in range(n)] for j in range(n)]
     if cutoff is None:
         return u, None
     phi, phi_t, phi_tt = point["phi"], point["phi_t"], point["phi_tt"]
@@ -187,9 +190,17 @@ class LambdaFree(NamedTuple):
 
 
 def lambda_free(family: WeightFamily, params: WeightParams, t, xs, u_fn: AnalyticFn, cutoff=None) -> LambdaFree:
-    """The lam-free part of ``assemble`` at (t, xs); ``params.lam`` is not read."""
-    t = np.asarray(t, dtype=float)
-    xs = [np.asarray(v, dtype=float) for v in (xs if isinstance(xs, (list, tuple)) else np.atleast_1d(xs))]
+    """The lam-free part of ``assemble`` at (t, xs); ``params.lam`` is not read.
+
+    At a point, where t and every entry of xs are scalars, they become Python
+    floats, and everything built from them stays on floats.  Otherwise each
+    becomes a float array, and every value follows their broadcast shape.
+    """
+    xs = list(xs) if isinstance(xs, (list, tuple)) else list(np.atleast_1d(xs))
+    if is_scalar(t) and all(map(is_scalar, xs)):
+        t, xs = float(t), [float(v) for v in xs]
+    else:
+        t, xs = np.asarray(t, dtype=float), [np.asarray(v, dtype=float) for v in xs]
     point = family.point_stage(t, xs, params)
     return LambdaFree(point, *_w_derivatives(u_fn, cutoff, point, params.mu, t, xs, family.n))
 
@@ -211,9 +222,14 @@ def assemble(
     caller already holds it (a scan over lam builds it once); the assembly
     then adds the lam stage and everything that reads ell.
 
-    With ``rescale`` the weight theta is replaced by exp(ell - max ell); every
-    returned quadratic quantity then carries exp(-2 max ell), which cancels in
-    any inequality formed from them.  ``log_scale`` reports 2 max ell.
+    With ``rescale`` the weight theta is replaced by exp(ell - shift), shift
+    being the largest ell on the jet support of w (the nodes where some jet
+    of w is nonzero), and by zero off it.  So 0 <= theta <= 1 at every node,
+    and no weight overflows.  Every returned quadratic quantity
+    carries the common factor exp(-2 shift), which cancels in any inequality
+    formed from them; ``log_scale`` reports 2 shift.  The shift does not keep
+    the scaled values of order one: where w is small at the largest ell they
+    fall far below it (1.8e-85 at lam 64 on a cone scan) and can underflow.
     """
     n = family.n
     if base is None:
@@ -231,11 +247,11 @@ def assemble(
 
     w, w_parts = base.w, base.w_parts
     if rescale:
-        # shift by the largest ell on the jet support of w so scaled
-        # quantities stay order one (any common shift cancels in the
-        # inequalities); off the support every theta-weighted term carries a
-        # w factor and is exactly zero, so theta is set to zero there instead
-        # of overflowing where ell exceeds its on-support maximum
+        # shift by the largest ell on the jet support of w, so theta <= 1 there
+        # (any common shift cancels in the inequalities); off the support every
+        # theta-weighted term carries a w factor and is exactly zero, so theta
+        # is set to zero there instead of overflowing where ell exceeds its
+        # on-support maximum
         wmag = (
             np.abs(np.asarray(w["v"])) + np.abs(np.asarray(w["t"])) + np.abs(np.asarray(w["tt"]))
             + sum(np.abs(np.asarray(a)) for a in w["x"])
@@ -417,9 +433,9 @@ def identity_case(
     q = out["quant"]
     point, zero = base.point, multi_indices(family.n).zero
     frame = CarlemanFrame.make(t, x, Jet2.from_partials(point["rho"]), params, point.vr[zero])
-    # the assembled vxx is symmetric only to roundoff and eval_VN reads no Hessian
-    vxx = np.array(out["vxx"], dtype=float)
-    v_jet = Jet2.make(out["v"], out["vt"], out["vx"], out["vtt"], out["vtx"], np.triu(vxx) + np.triu(vxx, 1).T)
+    # the assembled vxx is symmetric only to roundoff and eval_VN reads no Hessian: its upper triangle serves
+    vxx, r = out["vxx"], range(family.n)
+    v_jet = Jet2.make(out["v"], out["vt"], out["vx"], out["vtt"], out["vtx"], [[vxx[min(j, k)][max(j, k)] for k in r] for j in r])
     psi_d = PsiDerivatives(float(q["Psi"]), float(q["Psi_t"]), np.array(q["Psi_x"], dtype=float))
     V, N = eval_VN(v_jet, frame, psi_d, float(q["a"]))
     report = _report(float(out["identity_lhs"]), float(out["identity_rhs"]), tol, t, x, params)

@@ -211,8 +211,9 @@ class PointStage:
     ``values`` holds the jets of psi and rho (``multi_indices(n).jet2``), phi,
     phi_t, phi_tt, phi_x, p, d1, d3 and both d2 routes; ``vr`` is varrho's jet
     and ``pv`` the derivatives of psi varrho that Psi reads.  The third- and
-    fourth-order psi partials in ``phi_partials`` are evaluated on its first
-    call and kept, so a check that reads no ell never asks for them.
+    fourth-order psi partials in ``phi_partials`` are evaluated in one sweep
+    on its first call and kept, so a check that reads no ell never asks for
+    them.
     ``lambda_stage(lam)`` leaves the stage unchanged: one serves every lam.
     """
 
@@ -228,10 +229,9 @@ class PointStage:
         """{alpha: d^alpha phi} for alpha in ``multi_indices(n).ell``."""
         if self._phi_d is None:
             pj, t, xs, params = self.values["psi"], self.t, self.xs, self.params
-            self._phi_d = {
-                a: _phi(pj[a] if a in pj else self.psi.d(t, xs, a), t, xs, params, a)
-                for a in multi_indices(len(xs)).ell
-            }
+            ell = multi_indices(len(xs)).ell
+            pj = {**pj, **self.psi.partials(t, xs, [a for a in ell if a not in pj])}
+            self._phi_d = {a: _phi(pj[a], t, xs, params, a) for a in ell}
         return self._phi_d
 
     def lambda_stage(self, lam: float) -> dict:
@@ -324,12 +324,16 @@ class WeightFamily:
 
     # -- partial evaluation ------------------------------------------------
 
-    def varrho_partial(self, t, xs, alpha):
+    def varrho_partials(self, t, xs, alphas) -> dict:
+        """{alpha: d^alpha varrho at (t, xs)}: one sweep of an AnalyticFn varrho,
+        or a constant's value and zero derivatives, shaped like ``AnalyticFn.partials``."""
         if isinstance(self.varrho, AnalyticFn):
-            return self.varrho.d(t, xs, alpha)
+            return self.varrho.partials(t, xs, alphas)
         scalar = is_scalar(t) and all(map(is_scalar, xs))
         base = 0.0 if scalar else np.zeros(np.broadcast_shapes(np.shape(t), *map(np.shape, xs)))
-        return base + (0.0 if any(alpha) else float(self.varrho))
+        value = float(self.varrho)
+        # base + value, not value alone, so that a varrho of -0.0 reads +0.0 at scalar and array points alike
+        return {a: base + (0.0 if any(a) else value) for a in alphas}
 
     # -- expansion coefficients (array-compatible), in two stages -----------
 
@@ -342,8 +346,8 @@ class WeightFamily:
         xs = list(xs)
         a0, et, ett, ex = A.zero, A.t, A.tt, A.x
 
-        pj = {a: psi.d(t, xs, a) for a in A.jet2}
-        vr = {a: self.varrho_partial(t, xs, a) for a in A.jet2}
+        pj = psi.partials(t, xs, A.jet2)
+        vr = self.varrho_partials(t, xs, A.jet2)
         # psi varrho and its derivatives, by the product rule, for Psi
         pv = pj[a0] * vr[a0]
         pv_t = pj[et] * vr[a0] + pj[a0] * vr[et]
@@ -388,7 +392,7 @@ class WeightFamily:
         psi0 = pj[a0]
         d2_div = 2.0 * gamma * psi0 * vr0 * p + p_t * psi_t - sum(p_x[k] * psi_x[k] for k in range(n))
 
-        r = {a: self.rho.d(t, xs, a) for a in A.jet2}
+        r = self.rho.partials(t, xs, A.jet2)
         r_t, r_tt = r[et], r[ett]
         r_x = [r[ex[j]] for j in range(n)]
         r_tx = [r[A.tx[j]] for j in range(n)]

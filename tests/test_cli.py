@@ -271,18 +271,19 @@ def test_conjugation_check_builds_one_point_stage_per_found_case(tmp_path, monke
 
 
 def _count_psi_partials(monkeypatch) -> list:
-    """Wrap AnalyticFn.d so every call on a psi = exp(gamma rho) family appends its multi-index."""
+    """Wrap AnalyticFn._evaluator, through which every evaluation fetches its evaluator, so
+    each evaluation on a psi = exp(gamma rho) family appends its multi-index."""
     from carleman_lab.fields import AnalyticFn
 
     calls = []
-    original = AnalyticFn.d
+    original = AnalyticFn._evaluator
 
-    def counting(self, t, x, alpha):
+    def counting(self, alpha):
         if self.symbolic.key[0][0] == "psi":
             calls.append(alpha)
-        return original(self, t, x, alpha)
+        return original(self, alpha)
 
-    monkeypatch.setattr(AnalyticFn, "d", counting)
+    monkeypatch.setattr(AnalyticFn, "_evaluator", counting)
     return calls
 
 
@@ -573,6 +574,23 @@ def test_paths_below_the_schema_minimum_is_a_usage_error(tmp_path, subcommand, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("subcommand, config", [("geometry", "geometry.json"), ("identity-check", "identity_check.json")])
+def test_paths_on_a_subcommand_without_paths_is_a_usage_error(tmp_path, capsys, subcommand, config):
+    out = tmp_path / "out"
+    argv = [subcommand, "--config", str(CONFIG_DIR / config), "--paths", "5", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: --paths: {subcommand} takes no paths"]
+    assert not out.exists()
+
+
+def test_main_in_process_leaves_the_heap_unfrozen(tmp_path):
+    import gc
+
+    # main freezes the heap only at exit, so a process that calls it keeps collecting its objects
+    assert cli.main(["geometry", "--config", str(CONFIG_DIR / "geometry.json"), "--out", str(tmp_path)]) == 0
+    assert gc.get_freeze_count() == 0
+
+
 def test_sweep_containment_violation_is_a_named_run_failure(tmp_path, monkeypatch):
     from carleman_lab import cones
 
@@ -817,6 +835,25 @@ def test_geometry_run_loads_only_the_modules_it_reads(tmp_path):
     code, modules = json.loads(done.stdout.splitlines()[-1])
     assert code == 0
     assert set(modules) <= {"carleman_lab", "carleman_lab.cli", "carleman_lab.fields", "carleman_lab.cones"}, modules
+
+
+_FREEZE_CHILD = """
+import atexit, gc, sys
+import carleman_lab.cli as cli
+# atexit runs its handlers last in, first out, so this one reads the count after main's handler ran
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0))
+code = cli.main(["geometry", "--config", sys.argv[1], "--out", sys.argv[2]])
+print("after main:", code, gc.get_freeze_count())
+"""
+
+
+def test_cli_process_freezes_its_heap_at_exit(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", _FREEZE_CHILD, str(CONFIG_DIR / "geometry.json"), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.splitlines()[-2:] == ["after main: 0 0", "frozen at exit: True"]
 
 
 def test_run_errors_keep_their_module_names_and_are_the_fields_classes():

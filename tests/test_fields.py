@@ -151,6 +151,42 @@ def test_builtin_list_is_stable():
     assert "radial_norm" in BUILTIN_NAMES
 
 
+def _bits(value) -> tuple:
+    return type(value), np.shape(value), np.asarray(value, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_partials_equal_d_bit_for_bit(name, n):
+    fn = make_fn(name, n)
+    axes = [np.linspace(0.1, 0.4, 4)] * n
+    grid_t, *grid_x = np.meshgrid(np.linspace(-0.3, 0.3, 5), *axes, indexing="ij")
+    for t, xs in [(0.3, [0.1 + 0.2 * j for j in range(n)]), (grid_t, grid_x)]:
+        want = {}
+        for alpha in fields.multi_indices(n).ell:
+            try:
+                want[alpha] = fn.d(t, xs, alpha)
+            except CapabilityError:
+                pass  # |x| at n = 1: its second derivative is a DiracDelta, which has no evaluator
+        got = fn.partials(t, xs, tuple(want))
+        assert list(got) == list(want)
+        assert {a: _bits(v) for a, v in got.items()} == {a: _bits(v) for a, v in want.items()}
+
+
+@pytest.mark.parametrize("name, n, t, x, alpha", [
+    ("affine", 2, 0.1, [0.2, 0.3], (0, 1)),  # a multi-index of the wrong length
+    ("affine", 2, 0.1, [0.2], (0, 1, 0)),  # too few coordinates
+    ("radial_norm", 1, 0.1, [0.2], (0, 2)),  # no evaluator for the DiracDelta
+])
+def test_partials_raise_the_capability_errors_of_d(name, n, t, x, alpha):
+    fn = make_fn(name, n)
+    with pytest.raises(CapabilityError) as from_d:
+        fn.d(t, x, alpha)
+    with pytest.raises(CapabilityError) as from_partials:
+        fn.partials(t, x, [(0,) * (n + 1), alpha])
+    assert str(from_partials.value) == str(from_d.value)
+
+
 @pytest.fixture
 def compiles(monkeypatch):
     """Sources made into evaluators while the test runs, frozen or generated."""

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from carleman_lab.fields import Jet2, make_fn, make_grid
+from carleman_lab.fields import Jet2, make_fn, make_grid, multi_indices
 from carleman_lab.weights import CarlemanFrame, PsiDerivatives, WeightFamily, WeightParams, eval_VN
 from carleman_lab.identities import (
     CutoffSpec,
@@ -211,6 +211,50 @@ def test_conjugation_and_cutoff_random_transition_points(w_smooth):
         found += 1
     assert found >= 50
     assert worst <= 1e-8
+
+
+def _parent_lambda_free(family, params, t, xs, u_fn, cutoff=None):
+    """``lambda_free`` as it was before a point stayed on Python floats: every
+    coordinate became a float array, a 0-d one at a point."""
+    from carleman_lab.identities import LambdaFree, _w_derivatives
+
+    t = np.asarray(t, dtype=float)
+    xs = [np.asarray(v, dtype=float) for v in xs]
+    point = family.point_stage(t, xs, params)
+    return LambdaFree(point, *_w_derivatives(u_fn, cutoff, point, params.mu, t, xs, family.n))
+
+
+def _leaves(value, path=()):
+    """(path, bits) of every number in a nested assembly, in order."""
+    if isinstance(value, dict):
+        return [leaf for k, v in value.items() for leaf in _leaves(v, path + (k,))]
+    if isinstance(value, (list, tuple)):
+        return [leaf for k, v in enumerate(value) for leaf in _leaves(v, path + (k,))]
+    return [(path, None if value is None else np.asarray(value, dtype=float).tobytes())]
+
+
+@pytest.mark.parametrize("with_cutoff", [False, True])
+@pytest.mark.parametrize("n", [1, 2])
+def test_assemble_at_a_float_point_equals_the_zero_d_array_route(n, with_cutoff):
+    from carleman_lab.cli import _CASE_DRAWS, _draw_identity_case, _stream
+    from carleman_lab.identities import lambda_free
+
+    checked = 0
+    for row in _stream(3, 30 * _CASE_DRAWS[n], tag=1).reshape(30, -1):
+        rho, varrho, w, params, t, x = _draw_identity_case(row, n)
+        fam, cutoff = WeightFamily(rho, varrho), None
+        if with_cutoff:
+            # a band around phi, so that chi and both of its derivatives are nonzero at the point
+            phi = fam.phi(t, x, params)
+            if not 0.3 < phi < 1.2:
+                continue
+            cutoff = CutoffSpec(c2=phi - 0.25, eps=0.5)
+        assert type(lambda_free(fam, params, t, x, w, cutoff).point["d1"]) is float
+        got = assemble(fam, params, t, x, w, cutoff=cutoff)
+        want = assemble(fam, params, t, x, w, cutoff=cutoff, base=_parent_lambda_free(fam, params, t, x, w, cutoff))
+        assert _leaves(got) == _leaves(want)
+        checked += 1
+    assert checked >= 20
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +485,8 @@ def test_structure_min_eig_equals_the_per_node_loop(n, varrho_quad):
     region = RegionSpec(t_lo=-0.1, t_hi=0.1, nt=21 if n == 1 else 9, x_lo=(-0.1,) * n, x_hi=(0.1,) * n, nx=41 if n == 1 else 11)
     T, Xs = region.mesh()
     out = assemble(fam, params, T, Xs, make_fn("exp_quadratic", n), rescale=True)
-    vr = np.broadcast_to(np.asarray(fam.varrho_partial(T, Xs, (0,) * (n + 1))), T.shape)
+    zero = multi_indices(n).zero
+    vr = np.broadcast_to(fam.varrho_partials(T, Xs, [zero])[zero], T.shape)
     mask = np.abs(out["w"]["v"]) > 0.0
     want = _structure_min_eig_per_node(out, params, vr, mask)
     assert np.asarray(_structure_min_eig(out, params, vr, mask)).tobytes() == np.asarray(want).tobytes()

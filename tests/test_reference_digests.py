@@ -1,6 +1,6 @@
 """Reference runs reproduce the CSV digests that the benchmark recorded in
-bench/reference.json, at program seed 0: the Monte Carlo runs, the four
-randomized verify runs and the bundled inequality scan.
+bench/reference.json, at every program seed recorded there: the Monte Carlo
+runs, the four randomized verify runs and the bundled inequality scan.
 
 A reordered sum, a power rewritten as a product or an evaluator called with
 another argument type changes the last bits of a column and so the digest;
@@ -30,20 +30,30 @@ WL = _load_workloads()
 
 
 INEQUALITY_SCAN = next(r for r in WL.COLD_RUNS if r.sub == "inequality-scan")
+SEEDS = WL.load_reference()["seeds"]
 
 
-def _check_digest(tmp_path, ref_run):
-    want = WL.load_reference()["digests"]["0"][ref_run.key]
-    assert run(str(ref_run.config), ref_run.sub, out_dir=str(tmp_path), seed=0) == 0
+def _cases(runs) -> list:
+    # seed 0, the bundled configs' own seed, keeps the bare run key as its id
+    return [
+        pytest.param(ref_run, seed, id=ref_run.key if seed == 0 else f"{ref_run.key}-seed{seed}")
+        for ref_run in runs
+        for seed in SEEDS
+    ]
+
+
+def _check_digest(tmp_path, ref_run, seed):
+    want = WL.load_reference()["digests"][str(seed)][ref_run.key]
+    assert run(str(ref_run.config), ref_run.sub, out_dir=str(tmp_path), seed=seed) == 0
     got = WL.result_digest((tmp_path / f"{ref_run.sub}.csv").read_text(encoding="utf-8"))
     assert got == want
 
 
-@pytest.mark.parametrize("ref_run", WL.MONTE_CARLO_RUNS, ids=lambda r: r.key)
-def test_monte_carlo_run_matches_the_reference_digest(tmp_path, ref_run):
-    _check_digest(tmp_path, ref_run)
+@pytest.mark.parametrize("ref_run, seed", _cases(WL.MONTE_CARLO_RUNS))
+def test_monte_carlo_run_matches_the_reference_digest(tmp_path, ref_run, seed):
+    _check_digest(tmp_path, ref_run, seed)
 
 
-@pytest.mark.parametrize("ref_run", WL.VERIFY_RUNS + (INEQUALITY_SCAN,), ids=lambda r: r.key)
-def test_verify_run_matches_the_reference_digest(tmp_path, ref_run):
-    _check_digest(tmp_path, ref_run)
+@pytest.mark.parametrize("ref_run, seed", _cases(WL.VERIFY_RUNS + (INEQUALITY_SCAN,)))
+def test_verify_run_matches_the_reference_digest(tmp_path, ref_run, seed):
+    _check_digest(tmp_path, ref_run, seed)

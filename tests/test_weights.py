@@ -198,7 +198,7 @@ def _parent_frame(family, t, x, params):
     phi_jet = jet_add(psi_jet, jet_scale(q_jet, -params.mu))
     ell_jet = jet_scale(phi_jet, params.lam)
     theta = math.exp(ell_jet.value)
-    varrho_value = float(family.varrho_partial(t, x, (0,) * (family.n + 1)))
+    varrho_value = float(family.varrho_partials(t, x, [a.zero])[a.zero])
     lap_ell = float(np.trace(ell_jet.hess_xx))
     psi_val = psi_jet.value
     Psi = lap_ell - ell_jet.hess_tt + 2.0 * params.lam * params.gamma * psi_val * varrho_value + 6.0 * params.lam * params.mu
