@@ -3,17 +3,21 @@
 
     python scripts/freeze_evaluators.py
 
-Runs every bundled config, and the benchmark's 2-D propagation config, in
-this process, plus identity-check and conjugation-check at n = 2.  (The
-seed picks parameter values, not families or derivatives: seeds 0-5, 9, 15,
-24, 32, 37 and 44 request the same 242 evaluators.)  Every (family, multi-index)
-whose evaluator those runs request is then compiled with the installed sympy
-(``_Symbolic.source``, the route carleman_lab.fields takes for an evaluator
-the table lacks), and the sources are written as one generated module.
+Runs every bundled config (every scripts/configs/*.json, as
+scripts/run_all_experiments.py runs them), the benchmark's 2-D propagation
+config, and the identity-check and conjugation-check configs at n = 2, in this
+process.  (The seed picks parameter values, not families or derivatives: seeds
+0-5, 9, 15, 24, 32, 37 and 44 request the same 242 evaluators.)  Every
+(family, multi-index) whose evaluator those runs request is then compiled with
+the installed sympy (``_Symbolic.source``, the route carleman_lab.fields takes
+for an evaluator the table lacks), and the sources are written as one
+generated module.
 
 Rerun it after editing a registry entry in fields.py or the psi construction
-in weights.py: tests/test_frozen_evaluators.py compares the table with a
-fresh compile and fails until it is rewritten.
+in weights.py, or after adding, editing or removing a bundled config:
+tests/test_frozen_evaluators.py compares the table with a fresh compile, and
+CI reruns this script and fails when the table it writes differs from the
+committed one.
 """
 
 from __future__ import annotations
@@ -33,22 +37,22 @@ import sympy  # noqa: E402
 from carleman_lab import cli, fields  # noqa: E402
 from carleman_lab.fields import make_fn  # noqa: E402
 from carleman_lab.weights import WeightFamily  # noqa: E402
-from run_all_experiments import CONFIGS  # noqa: E402
+from run_all_experiments import bundled  # noqa: E402
 
 TABLE = ROOT / "src" / "carleman_lab" / "_frozen_evaluators.py"
-CONFIG_DIR = ROOT / "scripts" / "configs"
 
 
 def _configs(work: Path):
     """(subcommand, config path) of every run whose evaluators the table holds."""
-    for sub, name in CONFIGS.items():
-        yield sub, CONFIG_DIR / name
-    yield "propagation", ROOT / "bench" / "configs" / "propagation_2d.json"
-    for sub in ("identity-check", "conjugation-check"):
-        cfg = dict(json.loads((CONFIG_DIR / CONFIGS[sub]).read_text(encoding="utf-8")), n=2)
-        path = work / f"n2_{CONFIGS[sub]}"
-        path.write_text(json.dumps(cfg), encoding="utf-8")
+    manifest = bundled()
+    for _, sub, path in manifest:
         yield sub, path
+    yield "propagation", ROOT / "bench" / "configs" / "propagation_2d.json"
+    for stem, sub, path in manifest:
+        if stem in ("identity_check", "conjugation_check"):
+            n2 = work / f"n2_{path.name}"
+            n2.write_text(json.dumps(dict(json.loads(path.read_text(encoding="utf-8")), n=2)), encoding="utf-8")
+            yield sub, n2
 
 
 def requested() -> dict:

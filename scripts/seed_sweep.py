@@ -4,15 +4,16 @@
     PYTHONPATH=src python3 scripts/seed_sweep.py --check     # compare with tests/data/seed_sweep.json
     PYTHONPATH=src python3 scripts/seed_sweep.py --record    # rewrite that file
 
-Each run is one subcommand on its bundled config at one program seed:
-identity-check at n = 1 and n = 2, conjugation-check, expansion-check,
-d2-check and the bundled inequality scan, 270 runs in all.  A run is recorded
-by its exit code, the digest of its CSV without the config_hash, version and
-wall_time_s columns (``bench/workloads.result_digest``; null when no CSV is
-written) and the PASS/FAIL lines of its log.  A run that FAILs is recorded as
-it is, so a change to the program that changes any verdict, any numeric
-column or any assertion message shows up here.  Record only at a commit whose
-numbers are the accepted ones.
+Each run is one bundled config (``run_all_experiments.bundled``, by file stem),
+run as its ``experiment`` at one program seed: identity-check at n = 1 and
+n = 2, conjugation-check, expansion-check, d2-check and the bundled inequality
+scan, 270 runs in all.  A run is recorded by its exit code, the digest of its
+CSV without the config_hash, version and wall_time_s columns
+(``bench/workloads.result_digest``; null when no CSV is written) and the
+PASS/FAIL lines of its log.  A run that FAILs is recorded as it is, so a change
+to the program that changes any verdict, any numeric column or any assertion
+message shows up here.  Record only at a commit whose numbers are the
+accepted ones.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "scripts")]
 RECORD = ROOT / "tests" / "data" / "seed_sweep.json"
 SEEDS = range(45)
 
@@ -40,15 +42,14 @@ def _load_workloads():
 
 
 WL = _load_workloads()
-_BUNDLED = {run.sub: run for run in WL.COLD_RUNS}
-# (name, subcommand, changes to the bundled config)
+# (name, bundled config stem, changes to that config)
 RUNS = (
-    ("identity_check_n1", "identity-check", {}),
-    ("identity_check_n2", "identity-check", {"n": 2}),
-    ("conjugation_check", "conjugation-check", {}),
-    ("expansion_check", "expansion-check", {}),
-    ("d2_check", "d2-check", {}),
-    ("inequality_scan_t42", "inequality-scan", {}),
+    ("identity_check_n1", "identity_check", {}),
+    ("identity_check_n2", "identity_check", {"n": 2}),
+    ("conjugation_check", "conjugation_check", {}),
+    ("expansion_check", "expansion_check", {}),
+    ("d2_check", "d2_check", {}),
+    ("inequality_scan_t42", "inequality_scan_t42", {}),
 )
 
 
@@ -65,15 +66,17 @@ def _one(cli, sub: str, config: Path, seed: int, out: Path) -> dict:
 
 
 def sweep() -> dict:
-    sys.path.insert(0, str(ROOT / "src"))
     import carleman_lab.cli as cli
+    from run_all_experiments import bundled
 
+    manifest = {stem: (sub, path) for stem, sub, path in bundled()}
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        for name, sub, changes in RUNS:
+        for name, stem, changes in RUNS:
+            sub, path = manifest[stem]
             config = tmp / f"{name}.json"
-            config.write_text(json.dumps({**_BUNDLED[sub].load(), **changes}), encoding="utf-8")
+            config.write_text(json.dumps({**json.loads(path.read_text(encoding="utf-8")), **changes}), encoding="utf-8")
             out[name] = {}
             for seed in SEEDS:
                 directory = tmp / name / str(seed)

@@ -7,11 +7,17 @@ error (in which case nothing is written; a propagation support whose unit-speed
 cone reaches the solver's guard ring is one).  An ArithmeticError raised during
 the run, or a solved field reaching the boundary ring (PropagationError), is a
 run failure: exit 1, a log naming ``run_error``, and no CSV.  A result table
-holding ±inf, or NaN outside the columns its subcommand declares in
-``NAN_COLUMNS``, fails ``numbers_finite``: exit 1, and the CSV is written.
+holding a non-finite float fails ``numbers_finite`` (exit 1, and the CSV is
+written) unless its column declares that kind of value in its subcommand's
+``nonfinite``.
 
-Configs are checked against ``SCHEMAS`` by a small validator with the
-semantics of JSON Schema Draft 2020-12 for the keywords the schemas use:
+Each subcommand is one ``Subcommand`` record in ``SUBCOMMANDS``, registered by
+the ``@subcommand`` decorator on its runner: the runner, the config schema,
+the columns its gnuplot script plots and the columns that may hold NaN or ±inf
+by design.
+
+Configs are checked against their record's schema by a small validator with
+the semantics of JSON Schema Draft 2020-12 for the keywords the schemas use:
 ``type``, ``properties``, ``required``, ``additionalProperties`` (false or a
 schema), ``items``, ``minItems``, ``maxItems``, ``minimum``, ``enum``,
 ``const``, ``oneOf`` and ``dependentRequired``.  As there, an integral float
@@ -33,7 +39,8 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +128,8 @@ def config_hash(cfg: dict) -> str:
 
 _NUM = {"type": "number"}
 _INT = {"type": "integer", "minimum": 0}
+_COUNT = {"type": "integer", "minimum": 1}
+_VEC = {"type": "array", "items": _NUM, "minItems": 1, "maxItems": 2}
 _FNSPEC = {
     "type": "object",
     "properties": {
@@ -139,7 +148,7 @@ _WEIGHTS = {
         "gamma": _NUM,
         "mu": _NUM,
         "t0": _NUM,
-        "x0": {"type": "array", "items": _NUM, "minItems": 1, "maxItems": 2},
+        "x0": _VEC,
     },
     "required": ["gamma", "mu", "t0", "x0"],
     "additionalProperties": False,
@@ -173,8 +182,8 @@ _REGION = {
         "t_lo": _NUM,
         "t_hi": _NUM,
         "nt": {"type": "integer", "minimum": 2},
-        "x_lo": {"type": "array", "items": _NUM, "minItems": 1, "maxItems": 2},
-        "x_hi": {"type": "array", "items": _NUM, "minItems": 1, "maxItems": 2},
+        "x_lo": _VEC,
+        "x_hi": _VEC,
         "nx": {"type": "integer", "minimum": 2},
     },
     "required": ["t_lo", "t_hi", "nt", "x_lo", "x_hi", "nx"],
@@ -221,6 +230,21 @@ _SUPPORT = {
 }
 
 
+@dataclass(frozen=True)
+class Subcommand:
+    """A subcommand's runner and config schema, the (x, y) columns its gnuplot script
+    plots (the first and last when None), and the columns that may hold a non-finite
+    value by design, each mapped to its one kind: "nan", or "inf" of either sign."""
+
+    run: Callable[[dict], tuple]
+    schema: dict
+    plot: tuple | None = None
+    nonfinite: dict = field(default_factory=dict)
+
+
+SUBCOMMANDS: dict[str, Subcommand] = {}
+
+
 def _schema(experiment: str, extra: dict, required: list) -> dict:
     props = {
         "experiment": {"const": experiment},
@@ -236,151 +260,16 @@ def _schema(experiment: str, extra: dict, required: list) -> dict:
     }
 
 
-SCHEMAS = {
-    "identity-check": _schema(
-        "identity-check",
-        {"cases": {"type": "integer", "minimum": 1}, "tolerance": _NUM, "n": {"enum": [1, 2]}},
-        [],
-    ),
-    "conjugation-check": _schema(
-        "conjugation-check",
-        {
-            "cases": {"type": "integer", "minimum": 1},
-            "tolerance": _NUM,
-            "cutoff": _CUTOFF,
-            "n": {"enum": [1, 2]},
-        },
-        [],
-    ),
-    "expansion-check": _schema(
-        "expansion-check",
-        {
-            "samples": {"type": "integer", "minimum": 1},
-            "lambdas": {"type": "array", "items": _NUM, "minItems": 4},
-            "tol_quadratic": _NUM,
-            "tol_cubic": _NUM,
-        },
-        [],
-    ),
-    "d2-check": _schema(
-        "d2-check",
-        {"samples": {"type": "integer", "minimum": 1}, "tolerance": _NUM},
-        [],
-    ),
-    "psd-check": _schema(
-        "psd-check",
-        {
-            "g": _FNSPEC,
-            "x0": {"type": "array", "items": _NUM, "minItems": 1, "maxItems": 2},
-            "tangent_samples": {"type": "integer", "minimum": 1},
-        },
-        ["g", "x0"],
-    ),
-    "assumption-check": _schema(
-        "assumption-check",
-        {
-            "rho": _FNSPEC,
-            "varrho": _NUM,
-            "preset": {"enum": ["A2.1", "A2.2", "A2.3"]},
-            "c0": _NUM,
-            "b1_norm": _NUM,
-            "t": _NUM,
-            "x": {"type": "array", "items": _NUM, "minItems": 1, "maxItems": 2},
-            "expect_pass": {"type": "boolean"},
-        },
-        ["rho", "preset", "t", "x"],
-    ),
-    "qv-check": {
-        **_schema(
-            "qv-check",
-            {
-                "grid": _GRID,
-                "coeffs": _COEFFS,
-                "u0": _FNSPEC,
-                "u1": _FNSPEC,
-                "paths": {"type": "integer", "minimum": 1},
-                "tolerance": _NUM,
-                "rho": _FNSPEC,
-                "weights": _WEIGHTS,
-            },
-            ["grid", "coeffs", "u0"],
-        ),
-        # the weight theta = e^ell needs both its rho and its parameters
-        "dependentRequired": {"rho": ["weights"], "weights": ["rho"]},
-    },
-    "inequality-scan": _schema(
-        "inequality-scan",
-        {
-            "preset": {"enum": ["T3.2", "T4.2", "T5.1", "T6.2"]},
-            "rho": _FNSPEC,
-            "varrho": {"oneOf": [_NUM, _FNSPEC]},
-            "u": _FNSPEC,
-            "cutoff": _CUTOFF,
-            "weights": _WEIGHTS,
-            "region": _REGION,
-            "c0": _NUM,
-            "c1": _NUM,
-            "b1": _NUM,
-            "b2": _NUM,
-            "paths": _INT,
-            "assert_nonnegative": {"type": "boolean"},
-        },
-        ["preset", "rho", "u", "weights", "region"],
-    ),
-    "propagation": _schema(
-        "propagation",
-        {
-            "grid": _GRID,
-            "support": _SUPPORT,
-            "u0": _FNSPEC,
-            "u1": _FNSPEC,
-            "coeffs": _COEFFS,
-            "paths": {"type": "integer", "minimum": 1},
-            "stride": {"type": "integer", "minimum": 1},
-            "halo_cells": {"type": "integer", "minimum": 0},
-            "outside_tolerance": _NUM,
-        },
-        ["grid", "support", "u0", "coeffs", "paths"],
-    ),
-    "ucp-decay": _schema(
-        "ucp-decay",
-        {
-            "grid": _GRID,
-            "rho": _FNSPEC,
-            "weights": _WEIGHTS,
-            "u0": _FNSPEC,
-            "u1": _FNSPEC,
-            "coeffs": _COEFFS,
-            "paths": {"type": "integer", "minimum": 1},
-            "assert_decay": {"type": "boolean"},
-        },
-        ["grid", "rho", "weights", "u0", "coeffs", "paths"],
-    ),
-    "geometry": _schema(
-        "geometry",
-        {
-            "alpha": _NUM,
-            "c1": _NUM,
-            "x0": {"type": "array", "items": _NUM, "minItems": 1, "maxItems": 2},
-            "direction": {"type": "array", "items": _NUM, "minItems": 1, "maxItems": 2},
-            "ktilde_samples": {"type": "integer", "minimum": 1},
-        },
-        ["alpha", "c1"],
-    ),
-    "sweep": _schema(
-        "sweep",
-        {
-            "alpha": _NUM,
-            "c1": _NUM,
-            "target_t_over_T0": _NUM,
-            "mesh": _NUM,
-            "direction": {"type": "array", "items": _NUM, "minItems": 1, "maxItems": 2},
-        },
-        ["alpha", "c1"],
-    ),
-}
+def subcommand(name: str, properties: dict, required: list, plot=None, nonfinite=None, **keywords):
+    """Register the decorated runner as ``name``; ``keywords`` (qv-check's
+    ``dependentRequired``) join the top level of its schema."""
 
-SUBCOMMANDS = tuple(sorted(SCHEMAS))
+    def register(fn):
+        SUBCOMMANDS[name] = Subcommand(fn, {**_schema(name, properties, required), **keywords}, plot, nonfinite or {})
+        return fn
+
+    return register
+
 
 # ---------------------------------------------------------------------------
 # Shared builders
@@ -389,6 +278,13 @@ SUBCOMMANDS = tuple(sorted(SCHEMAS))
 
 def _grid_from(cfg: dict):
     return make_grid(cfg["bounds"], cfg["dx"], cfg["dt"], cfg["t_max"], cfg.get("cfl"))
+
+
+def _wave_from(cfg: dict):
+    """(grid, coefficients, u0, u1) of a solver config; u1 is None when the config has none."""
+    grid = _grid_from(cfg["grid"])
+    u1 = fn_from_spec(cfg["u1"], grid.n) if "u1" in cfg else None
+    return grid, _coeffs_from(cfg["coeffs"], grid.n), fn_from_spec(cfg["u0"], grid.n), u1
 
 
 def _coeff_value(spec, n):
@@ -429,6 +325,12 @@ def _weights_from(cfg: dict) -> tuple:
         x0=tuple(cfg["x0"]),
     )
     return params, [float(v) for v in lambdas]
+
+
+def _cutoff_from(cfg: dict):
+    from .identities import CutoffSpec
+
+    return CutoffSpec(c2=float(cfg["c2"]), eps=float(cfg["eps"]))
 
 
 def _region_from(cfg: dict):
@@ -526,6 +428,12 @@ _SEARCH_ATTEMPTS, _SEARCH_BLOCK = 32, 8
 # ---------------------------------------------------------------------------
 
 
+@subcommand(
+    "identity-check",
+    {"cases": _COUNT, "tolerance": _NUM, "n": {"enum": [1, 2]}},
+    [],
+    plot=("case", "relative_residual"),
+)
 def _run_identity_check(cfg: dict):
     from .identities import identity_case
     from .weights import WeightFamily
@@ -556,16 +464,21 @@ def _run_identity_check(cfg: dict):
     return ResultTable(cols, rows, {}), assertions
 
 
+@subcommand(
+    "conjugation-check",
+    {"cases": _COUNT, "tolerance": _NUM, "cutoff": _CUTOFF, "n": {"enum": [1, 2]}},
+    [],
+    plot=("case", "conjugation_residual"),
+)
 def _run_conjugation_check(cfg: dict):
-    from .identities import CutoffSpec, conjugation_residual
+    from .identities import conjugation_residual
     from .weights import WeightFamily
 
     cases = cfg.get("cases", 100)
     tol = cfg.get("tolerance", 1e-8)
     n = cfg.get("n", 1)
     seed = cfg.get("seed", 0)
-    cut_cfg = cfg.get("cutoff", {"c2": 0.5, "eps": 0.3})
-    cutoff = CutoffSpec(c2=float(cut_cfg["c2"]), eps=float(cut_cfg["eps"]))
+    cutoff = _cutoff_from(cfg.get("cutoff", {"c2": 0.5, "eps": 0.3}))
     draws = _CASE_DRAWS[n] + 1
     u = _stream(seed, _SEARCH_ATTEMPTS * cases * draws, tag=2).reshape(-1, cases, _SEARCH_BLOCK, draws)
     rows = []
@@ -612,6 +525,17 @@ def _run_conjugation_check(cfg: dict):
     return ResultTable(cols, rows, {}), assertions
 
 
+@subcommand(
+    "expansion-check",
+    {
+        "samples": _COUNT,
+        "lambdas": {"type": "array", "items": _NUM, "minItems": 4},
+        "tol_quadratic": _NUM,
+        "tol_cubic": _NUM,
+    },
+    [],
+    plot=("sample", "rel_quadratic"),
+)
 def _run_expansion_check(cfg: dict):
     import numpy.polynomial.polynomial as npoly
 
@@ -651,6 +575,7 @@ def _run_expansion_check(cfg: dict):
     return ResultTable(cols, rows, {}), assertions
 
 
+@subcommand("d2-check", {"samples": _COUNT, "tolerance": _NUM}, [], plot=("sample", "rel_disagreement"))
 def _run_d2_check(cfg: dict):
     from .weights import WeightFamily, build_M, eval_D
 
@@ -682,6 +607,7 @@ def _run_d2_check(cfg: dict):
     return ResultTable(cols, rows, {}), assertions
 
 
+@subcommand("psd-check", {"g": _FNSPEC, "x0": _VEC, "tangent_samples": _COUNT}, ["g", "x0"])
 def _run_psd_check(cfg: dict):
     from .weights import psd_certificate
 
@@ -702,6 +628,20 @@ def _run_psd_check(cfg: dict):
     return ResultTable(cols, rows, {}), assertions
 
 
+@subcommand(
+    "assumption-check",
+    {
+        "rho": _FNSPEC,
+        "varrho": _NUM,
+        "preset": {"enum": ["A2.1", "A2.2", "A2.3"]},
+        "c0": _NUM,
+        "b1_norm": _NUM,
+        "t": _NUM,
+        "x": _VEC,
+        "expect_pass": {"type": "boolean"},
+    },
+    ["rho", "preset", "t", "x"],
+)
 def _run_assumption_check(cfg: dict):
     from .weights import assumption_check
 
@@ -724,14 +664,27 @@ def _run_assumption_check(cfg: dict):
     return ResultTable(cols, rows, {}), assertions
 
 
+@subcommand(
+    "qv-check",
+    {
+        "grid": _GRID,
+        "coeffs": _COEFFS,
+        "u0": _FNSPEC,
+        "u1": _FNSPEC,
+        "paths": _COUNT,
+        "tolerance": _NUM,
+        "rho": _FNSPEC,
+        "weights": _WEIGHTS,
+    },
+    ["grid", "coeffs", "u0"],
+    # the weight theta = e^ell needs both its rho and its parameters
+    dependentRequired={"rho": ["weights"], "weights": ["rho"]},
+)
 def _run_qv_check(cfg: dict):
     from .identities import qv_check
     from .weights import WeightFamily
 
-    grid = _grid_from(cfg["grid"])
-    coeffs = _coeffs_from(cfg["coeffs"], grid.n)
-    u0 = fn_from_spec(cfg["u0"], grid.n)
-    u1 = fn_from_spec(cfg["u1"], grid.n) if "u1" in cfg else None
+    grid, coeffs, u0, u1 = _wave_from(cfg)
     family = params = None
     if "rho" in cfg:
         family = WeightFamily(fn_from_spec(cfg["rho"], grid.n))
@@ -750,8 +703,31 @@ def _run_qv_check(cfg: dict):
     return ResultTable(cols, rows, {}), assertions
 
 
+@subcommand(
+    "inequality-scan",
+    {
+        "preset": {"enum": ["T3.2", "T4.2", "T5.1", "T6.2"]},
+        "rho": _FNSPEC,
+        "varrho": {"oneOf": [_NUM, _FNSPEC]},
+        "u": _FNSPEC,
+        "cutoff": _CUTOFF,
+        "weights": _WEIGHTS,
+        "region": _REGION,
+        "c0": _NUM,
+        "c1": _NUM,
+        "b1": _NUM,
+        "b2": _NUM,
+        "paths": _INT,
+        "assert_nonnegative": {"type": "boolean"},
+    },
+    ["preset", "rho", "u", "weights", "region"],
+    plot=("lambda", "gap_scaled"),
+    # gap = gap_scaled e^log_scale is ±inf by design once log_scale reaches 700; the
+    # margins are NaN when the preset computes none
+    nonfinite={"gap": "inf", "vt_margin": "nan", "v_margin": "nan", "structure_min_eig": "nan"},
+)
 def _run_inequality_scan(cfg: dict):
-    from .identities import CutoffSpec, inequality_gap
+    from .identities import inequality_gap
     from .weights import WeightFamily
 
     region = _region_from(cfg["region"])
@@ -763,9 +739,7 @@ def _run_inequality_scan(cfg: dict):
     family = WeightFamily(rho, varrho)
     u_fn = fn_from_spec(cfg["u"], n)
     params, lambdas = _weights_from(cfg["weights"])
-    cutoff = None
-    if "cutoff" in cfg:
-        cutoff = CutoffSpec(c2=float(cfg["cutoff"]["c2"]), eps=float(cfg["cutoff"]["eps"]))
+    cutoff = _cutoff_from(cfg["cutoff"]) if "cutoff" in cfg else None
     scan = inequality_gap(
         cfg["preset"], u_fn, family, params, lambdas, region,
         cutoff=cutoff,
@@ -816,14 +790,27 @@ def _stencil_sanity(grid, u0: AnalyticFn) -> tuple[bool, str]:
     return err <= 0.1, f"stencil vs jet rel err {err:.3e}"
 
 
+@subcommand(
+    "propagation",
+    {
+        "grid": _GRID,
+        "support": _SUPPORT,
+        "u0": _FNSPEC,
+        "u1": _FNSPEC,
+        "coeffs": _COEFFS,
+        "paths": _COUNT,
+        "stride": _COUNT,
+        "halo_cells": _INT,
+        "outside_tolerance": _NUM,
+    },
+    ["grid", "support", "u0", "coeffs", "paths"],
+    plot=("time", "outside_over_initial"),
+)
 def _run_propagation(cfg: dict):
     from .propagation import run_propagation
 
-    grid = _grid_from(cfg["grid"])
+    grid, coeffs, u0, u1 = _wave_from(cfg)
     support = _support_from(cfg["support"])
-    u0 = fn_from_spec(cfg["u0"], grid.n)
-    u1 = fn_from_spec(cfg["u1"], grid.n) if "u1" in cfg else None
-    coeffs = _coeffs_from(cfg["coeffs"], grid.n)
     halo = cfg.get("halo_cells", 3)
     out_tol = cfg.get("outside_tolerance", 1e-6)
     stencil_ok, stencil_detail = _stencil_sanity(grid, u0)
@@ -849,17 +836,31 @@ def _run_propagation(cfg: dict):
     return ResultTable(cols, rows, {}), assertions
 
 
+@subcommand(
+    "ucp-decay",
+    {
+        "grid": _GRID,
+        "rho": _FNSPEC,
+        "weights": _WEIGHTS,
+        "u0": _FNSPEC,
+        "u1": _FNSPEC,
+        "coeffs": _COEFFS,
+        "paths": _COUNT,
+        "assert_decay": {"type": "boolean"},
+    },
+    ["grid", "rho", "weights", "u0", "coeffs", "paths"],
+    plot=("lambda", "weighted_norm_scaled"),
+    # the probe is NaN when a run records fewer than three snapshots
+    nonfinite={"utt_probe": "nan"},
+)
 def _run_ucp_decay(cfg: dict):
     from . import solver
     from .weights import CarlemanFrame, WeightFamily
 
-    grid = _grid_from(cfg["grid"])
+    grid, coeffs, u0, u1 = _wave_from(cfg)
     rho = fn_from_spec(cfg["rho"], grid.n)
     family = WeightFamily(rho)
     params, lambdas = _weights_from(cfg["weights"])
-    u0 = fn_from_spec(cfg["u0"], grid.n)
-    u1 = fn_from_spec(cfg["u1"], grid.n) if "u1" in cfg else None
-    coeffs = _coeffs_from(cfg["coeffs"], grid.n)
     paths = cfg["paths"]
     seed = cfg.get("seed", 0)
     stencil_ok, stencil_detail = _stencil_sanity(grid, u0)
@@ -922,6 +923,9 @@ def _run_ucp_decay(cfg: dict):
     return ResultTable(cols, rows, {}), assertions
 
 
+@subcommand(
+    "geometry", {"alpha": _NUM, "c1": _NUM, "x0": _VEC, "direction": _VEC, "ktilde_samples": _COUNT}, ["alpha", "c1"]
+)
 def _run_geometry(cfg: dict):
     from .cones import ConeSpec, c3_constant, cone_cross_offset, cone_time_offset, membership, vertex
 
@@ -961,6 +965,12 @@ def _run_geometry(cfg: dict):
     return ResultTable(cols, rows, {}), assertions
 
 
+@subcommand(
+    "sweep",
+    {"alpha": _NUM, "c1": _NUM, "target_t_over_T0": _NUM, "mesh": _NUM, "direction": _VEC},
+    ["alpha", "c1"],
+    plot=("step", "radius_offset"),
+)
 def _run_sweep(cfg: dict):
     from .cones import ContainmentError, c3_constant, cone_time_offset, sweep_cover
 
@@ -988,48 +998,13 @@ def _run_sweep(cfg: dict):
     return ResultTable(cols, rows, {}), assertions
 
 
-EXPERIMENTS = {
-    "identity-check": _run_identity_check,
-    "conjugation-check": _run_conjugation_check,
-    "expansion-check": _run_expansion_check,
-    "d2-check": _run_d2_check,
-    "psd-check": _run_psd_check,
-    "assumption-check": _run_assumption_check,
-    "qv-check": _run_qv_check,
-    "inequality-scan": _run_inequality_scan,
-    "propagation": _run_propagation,
-    "ucp-decay": _run_ucp_decay,
-    "geometry": _run_geometry,
-    "sweep": _run_sweep,
-}
-
-
 # ---------------------------------------------------------------------------
 # Runner
 # ---------------------------------------------------------------------------
 
-_GNUPLOT_HINTS = {
-    "identity-check": ("case", "relative_residual"),
-    "conjugation-check": ("case", "conjugation_residual"),
-    "expansion-check": ("sample", "rel_quadratic"),
-    "d2-check": ("sample", "rel_disagreement"),
-    "inequality-scan": ("lambda", "gap_scaled"),
-    "propagation": ("time", "outside_over_initial"),
-    "ucp-decay": ("lambda", "weighted_norm_scaled"),
-    "sweep": ("step", "radius_offset"),
-}
-
-
-# columns that may hold NaN by design: inequality-scan's margins when its preset
-# computes none, and ucp-decay's probe when a run records fewer than three snapshots
-NAN_COLUMNS = {
-    "inequality-scan": ("vt_margin", "v_margin", "structure_min_eig"),
-    "ucp-decay": ("utt_probe",),
-}
-
-
-def _numbers_finite(table: ResultTable, nan_ok) -> tuple:
-    """The ``numbers_finite`` assertion: no ±inf anywhere, and NaN only in ``nan_ok``."""
+def _numbers_finite(table: ResultTable, nonfinite: dict) -> tuple:
+    """The ``numbers_finite`` assertion: every float cell is finite, or the kind of
+    non-finite value ("nan", or "inf" of either sign) that ``nonfinite`` declares for its column."""
     floats = [v for row in table.rows for v in row if isinstance(v, (float, np.floating))]
     bad = []
     if not all(map(math.isfinite, floats)):  # locate the failures only when there are any
@@ -1037,7 +1012,9 @@ def _numbers_finite(table: ResultTable, nan_ok) -> tuple:
             (i, col, v)
             for i, row in enumerate(table.rows, 1)
             for col, v in zip(table.columns, row)
-            if isinstance(v, (float, np.floating)) and not math.isfinite(v) and not (math.isnan(v) and col in nan_ok)
+            if isinstance(v, (float, np.floating))
+            and not math.isfinite(v)
+            and nonfinite.get(col) != ("nan" if math.isnan(v) else "inf")
         ]
     if not bad:
         return "numbers_finite", True, f"{len(floats)} float cells"
@@ -1046,10 +1023,9 @@ def _numbers_finite(table: ResultTable, nan_ok) -> tuple:
     return "numbers_finite", False, f"{where}; {len(bad)} of {len(floats)} float cells are not finite"
 
 
-def _emit_gnuplot(subcommand: str, table: ResultTable, csv_path: Path, gp_path: Path):
-    xcol, ycol = _GNUPLOT_HINTS.get(subcommand, (table.columns[0], table.columns[-1]))
-    xi = table.columns.index(xcol) + 1 if xcol in table.columns else 1
-    yi = table.columns.index(ycol) + 1 if ycol in table.columns else 2
+def _emit_gnuplot(plot, table: ResultTable, csv_path: Path, gp_path: Path):
+    xcol, ycol = plot or (table.columns[0], table.columns[-1])
+    xi, yi = table.columns.index(xcol) + 1, table.columns.index(ycol) + 1
     gp_path.write_text(
         "set datafile separator ','\n"
         "set key autotitle columnhead\n"
@@ -1147,9 +1123,10 @@ def _errors(v, schema: dict, path: tuple = ()):
 
 def validate_config(cfg: dict, subcommand: str) -> list[str]:
     """``path: reason`` for each schema violation of ``cfg``; empty when it is valid."""
-    if subcommand not in SCHEMAS:
+    if subcommand not in SUBCOMMANDS:
         return [f"unknown subcommand {subcommand!r}"]
-    return [f"{'/'.join(map(str, path)) or '<root>'}: {reason}" for path, reason in _errors(cfg, SCHEMAS[subcommand])]
+    schema = SUBCOMMANDS[subcommand].schema
+    return [f"{'/'.join(map(str, path)) or '<root>'}: {reason}" for path, reason in _errors(cfg, schema)]
 
 
 def run(
@@ -1169,11 +1146,12 @@ def run(
     if not isinstance(cfg, dict):
         print("config error: top level must be an object", file=sys.stderr)
         return 2
+    record = SUBCOMMANDS.get(subcommand)
     # command-line overrides are part of the config the schema must accept
     if seed is not None:
         cfg["seed"] = int(seed)
-    if paths is not None and subcommand in SCHEMAS:
-        if "paths" not in SCHEMAS[subcommand]["properties"]:
+    if paths is not None and record is not None:
+        if "paths" not in record.schema["properties"]:
             print(f"config error: --paths: {subcommand} takes no paths", file=sys.stderr)
             return 2
         cfg["paths"] = int(paths)
@@ -1187,7 +1165,7 @@ def run(
     started = time.perf_counter()
     table = None
     try:
-        table, assertions = EXPERIMENTS[subcommand](cfg)
+        table, assertions = record.run(cfg)
     except (ConfigurationError, CapabilityError, GeometryError, SupportError, StatisticsError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -1199,12 +1177,12 @@ def run(
     digest = config_hash(cfg)
     out.mkdir(parents=True, exist_ok=True)
     if table is not None:
-        assertions.append(_numbers_finite(table, NAN_COLUMNS.get(subcommand, ())))
+        assertions.append(_numbers_finite(table, record.nonfinite))
         table.metadata = {"config_hash": digest, "version": __version__, "wall_time_s": wall}
         csv_path = out / f"{subcommand}.csv"
         emit_csv(table, csv_path)
         if gnuplot:
-            _emit_gnuplot(subcommand, table, csv_path, out / f"{subcommand}.gp")
+            _emit_gnuplot(record.plot, table, csv_path, out / f"{subcommand}.gp")
 
     ok = all(passed for _, passed, _ in assertions)
     log_lines = [
@@ -1234,7 +1212,7 @@ def main(argv=None) -> int:
         description="Numerical laboratory for Carleman-weight identities and stochastic wave experiments",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name in sorted(SUBCOMMANDS):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)

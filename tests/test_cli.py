@@ -417,12 +417,80 @@ def test_runaway_qv_check_fails_numbers_finite_and_keeps_its_csv(tmp_path):
 
 def test_numbers_finite_allows_nan_only_in_declared_columns():
     table = ResultTable(["lambda", "utt_probe"], [[1.0, math.nan], [2.0, np.float64(math.nan)]], {})
-    assert cli._numbers_finite(table, cli.NAN_COLUMNS["ucp-decay"]) == ("numbers_finite", True, "4 float cells")
-    name, passed, detail = cli._numbers_finite(table, ())
+    nonfinite = SUBCOMMANDS["ucp-decay"].nonfinite
+    assert cli._numbers_finite(table, nonfinite) == ("numbers_finite", True, "4 float cells")
+    name, passed, detail = cli._numbers_finite(table, {})
     assert not passed and detail == "utt_probe is nan in row 1 of 2; 2 of 4 float cells are not finite"
     table = ResultTable(["lambda", "utt_probe"], [[1.0, 0.5], [2.0, np.float64(-math.inf)]], {})
-    name, passed, detail = cli._numbers_finite(table, ("utt_probe",))
+    name, passed, detail = cli._numbers_finite(table, nonfinite)
     assert not passed and detail.startswith("utt_probe is -inf in row 2 of 2;")
+
+
+SCAN_COLUMNS = ["lambda", "gap_scaled", "log_scale", "gap"]
+
+
+@pytest.mark.parametrize("gap", [math.inf, -math.inf])
+def test_numbers_finite_allows_either_infinite_gap_in_inequality_scan(gap):
+    table = ResultTable(SCAN_COLUMNS, [[8.0, 0.5, 750.0, gap]], {})
+    assert cli._numbers_finite(table, SUBCOMMANDS["inequality-scan"].nonfinite)[1]
+
+
+@pytest.mark.parametrize(
+    "row, where",
+    [
+        ([8.0, math.inf, 750.0, math.inf], "gap_scaled is inf in row 1 of 1"),
+        ([8.0, 0.5, math.inf, math.inf], "log_scale is inf in row 1 of 1"),
+        ([8.0, 0.5, 750.0, math.nan], "gap is nan in row 1 of 1"),
+    ],
+)
+def test_numbers_finite_keeps_the_scan_sums_finite_and_gap_free_of_nan(row, where):
+    table = ResultTable(SCAN_COLUMNS, [row], {})
+    name, passed, detail = cli._numbers_finite(table, SUBCOMMANDS["inequality-scan"].nonfinite)
+    assert not passed and detail.startswith(where + ";")
+
+
+# gap = gap_scaled e^log_scale overflows by design once log_scale reaches 700: the
+# bundled T4.2 scan at lambda 1024, and the T6.2 cone scan of
+# tests/test_identities.py::test_gap_t62_cone_preset_positive at every lambda
+BEYOND_EXP = {
+    "T4.2 lambda 1024": (
+        dict(
+            json.loads((CONFIG_DIR / "inequality_scan_t42.json").read_text()),
+            weights={"lambdas": [8, 1024], "gamma": 2.0, "mu": 0.01, "t0": 0.0, "x0": [0.0]},
+        ),
+        [False, True],
+    ),
+    "T6.2 cone": (
+        {
+            "experiment": "inequality-scan",
+            "preset": "T6.2",
+            "rho": {"name": "cone_level", "params": {"a": 0.9, "t0": 0.0, "cx1": 0.0}},
+            "varrho": 2.0,
+            "u": {"name": "bump4", "params": {"amp": 1.0, "tc": 3.2, "rt": 0.15, "cx1": 0.0, "rx1": 0.15}},
+            "weights": {"lambdas": [8.0, 16.0], "gamma": 1.0, "mu": 0.0, "t0": 0.0, "x0": [0.0]},
+            "region": {"t_lo": 2.9, "t_hi": 3.5, "nt": 61, "x_lo": [-0.35], "x_hi": [0.35], "nx": 71},
+            "c1": 4.0,
+            "b1": 4.0,
+            "assert_nonnegative": True,
+        },
+        [True, True],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BEYOND_EXP))
+def test_scan_whose_gap_overflows_by_design_exits_0(tmp_path, case):
+    cfg, overflows = BEYOND_EXP[case]
+    path = tmp_path / "scan.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run(str(path), "inequality-scan", out_dir=str(out)) == 0
+    log = (out / "inequality-scan.log").read_text()
+    assert "PASS gap_nonnegative:" in log and "PASS numbers_finite:" in log
+    with open(out / "inequality-scan.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["gap"] == "inf" for r in rows] == overflows
+    assert all(math.isfinite(float(r[col])) for r in rows for col in ("gap_scaled", "log_scale"))
 
 
 def test_conjugation_check_finds_every_transition_point_on_seed_1(tmp_path):
@@ -786,9 +854,11 @@ def test_every_operation_reachable_from_a_subcommand(tmp_path):
 
 
 def test_every_subcommand_has_schema_and_runner():
-    assert set(SUBCOMMANDS) == set(cli.EXPERIMENTS)
-    assert set(SUBCOMMANDS) == set(cli.SCHEMAS)
     assert len(SUBCOMMANDS) == 12
+    for name, record in SUBCOMMANDS.items():
+        assert callable(record.run), name
+        assert record.schema["properties"]["experiment"] == {"const": name}
+        assert set(record.nonfinite.values()) <= {"nan", "inf"}, name
 
 
 def test_manufactured_drift_reachable_from_propagation(tmp_path):

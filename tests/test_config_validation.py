@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carleman_lab.cli import SCHEMAS, validate_config
+from carleman_lab.cli import SUBCOMMANDS, validate_config
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -45,7 +45,13 @@ def _subtrees(value):
 # value of another type (a function spec where a number stood, and so on)
 TRANSPLANTS = [copy.deepcopy(v) for cfg in BUNDLED.values() for v in _subtrees(cfg)]
 KEYS = sorted(
-    {k for schema in SCHEMAS.values() for node in _subtrees(schema) if isinstance(node, dict) for k in node.get("properties", {})}
+    {
+        k
+        for record in SUBCOMMANDS.values()
+        for node in _subtrees(record.schema)
+        if isinstance(node, dict)
+        for k in node.get("properties", {})
+    }
     | {"bogus"}
 )
 SCALARS = st.one_of(
@@ -142,7 +148,7 @@ def _mutate(data, cfg, schema):
 
 
 def _reference_paths(cfg, sub):
-    reference = jsonschema.Draft202012Validator(SCHEMAS[sub])
+    reference = jsonschema.Draft202012Validator(SUBCOMMANDS[sub].schema)
     return {"/".join(map(str, e.path)) or "<root>" for e in reference.iter_errors(cfg)}
 
 
@@ -156,7 +162,7 @@ def test_validator_accepts_exactly_what_draft_2020_12_accepts(name, mutations, d
     cfg = copy.deepcopy(BUNDLED[name])
     sub = cfg["experiment"]
     for _ in range(mutations):
-        _mutate(data, cfg, SCHEMAS[sub])
+        _mutate(data, cfg, SUBCOMMANDS[sub].schema)
     assert _paths(cfg, sub) == _reference_paths(cfg, sub), cfg
 
 
@@ -204,5 +210,5 @@ def test_validator_agrees_with_draft_2020_12_on_edge_cases(case):
 
 
 def test_every_schema_is_a_valid_draft_2020_12_schema():
-    for schema in SCHEMAS.values():
-        jsonschema.Draft202012Validator.check_schema(schema)
+    for record in SUBCOMMANDS.values():
+        jsonschema.Draft202012Validator.check_schema(record.schema)

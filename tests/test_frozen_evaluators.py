@@ -18,34 +18,40 @@ from carleman_lab.fields import BUILTIN_NAMES, AnalyticFn, CapabilityError, T_SY
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-CONFIG_DIR = ROOT / "scripts" / "configs"
 
 
 _spec = importlib.util.spec_from_file_location("freeze_evaluators", ROOT / "scripts" / "freeze_evaluators.py")
 FREEZE = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(FREEZE)
-BUNDLED = FREEZE.CONFIGS  # subcommand -> bundled config file, as scripts/run_all_experiments.py runs them
+BUNDLED = FREEZE.bundled()  # (stem, experiment, path), as scripts/run_all_experiments.py runs them
+BUNDLED_SUBS = sorted({sub for _, sub, _ in BUNDLED})
 
 # runs each bundled config in one fresh interpreter and prints, after the
-# import and after each subcommand, whether sympy and jsonschema were imported
-# by then, and each subcommand's exit code
+# import and after each config, whether sympy and jsonschema were imported
+# by then, and each config's exit code
 _CHILD = """
 import contextlib, io, json, sys
 import carleman_lab.cli as cli
 def loaded():
     return {"sympy": "sympy" in sys.modules, "jsonschema": "jsonschema" in sys.modules}
 result = {"import": loaded()}
-for sub, config in json.loads(sys.argv[1]).items():
+for stem, sub, config in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.run(config, sub, out_dir=sys.argv[2] + "/" + sub)
-    result[sub] = dict(loaded(), code=code)
+        code = cli.run(config, sub, out_dir=sys.argv[2] + "/" + stem)
+    result[stem] = dict(loaded(), code=code)
 print(json.dumps(result))
 """
 
 
+def _runs_of(fresh_runs, sub: str, module: str) -> dict:
+    """{stem: (exit code, whether ``module`` was imported by then)} of the bundled configs of ``sub``."""
+    stems = [stem for stem, experiment, _ in BUNDLED if experiment == sub]
+    return {stem: (fresh_runs[stem]["code"], fresh_runs[stem][module]) for stem in stems}
+
+
 @pytest.fixture(scope="module")
 def fresh_runs(tmp_path_factory):
-    configs = {sub: str(CONFIG_DIR / name) for sub, name in BUNDLED.items()}
+    configs = [(stem, sub, str(path)) for stem, sub, path in BUNDLED]
     out = tmp_path_factory.mktemp("fresh")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
@@ -62,14 +68,16 @@ def test_importing_the_cli_leaves_jsonschema_out(fresh_runs):
     assert fresh_runs["import"]["jsonschema"] is False
 
 
-@pytest.mark.parametrize("sub", sorted(BUNDLED))
+@pytest.mark.parametrize("sub", BUNDLED_SUBS)
 def test_bundled_config_runs_without_sympy(fresh_runs, sub):
-    assert (fresh_runs[sub]["code"], fresh_runs[sub]["sympy"]) == (0, False)
+    runs = _runs_of(fresh_runs, sub, "sympy")
+    assert runs == dict.fromkeys(runs, (0, False))
 
 
-@pytest.mark.parametrize("sub", sorted(BUNDLED))
+@pytest.mark.parametrize("sub", BUNDLED_SUBS)
 def test_bundled_config_runs_without_jsonschema(fresh_runs, sub):
-    assert (fresh_runs[sub]["code"], fresh_runs[sub]["jsonschema"]) == (0, False)
+    runs = _runs_of(fresh_runs, sub, "jsonschema")
+    assert runs == dict.fromkeys(runs, (0, False))
 
 
 @pytest.mark.skipif(sp.__version__ != frozen.SYMPY_VERSION, reason=f"the table was written with sympy {frozen.SYMPY_VERSION}")
