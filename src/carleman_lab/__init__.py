@@ -15,11 +15,10 @@ _EXPORTS = {
         "build_M", "eval_D", "eval_VN", "psd_certificate",
     ),
     "identities": (
-        "CutoffSpec", "IdentityReport", "RegionSpec", "conjugation_residual",
-        "identity_residual", "inequality_gap", "qv_check",
+        "CutoffSpec", "IdentityReport", "RegionSpec", "conjugation_residual", "inequality_gap", "qv_check",
     ),
-    "solver": ("Coefficients", "WaveState", "manufactured_forcing", "solve", "step", "total_energy"),
-    "propagation": ("EnergyTrace", "Mollifier", "SupportSet", "distance_to_set", "local_energy", "run_propagation"),
+    "solver": ("Coefficients", "WaveState", "manufactured_forcing", "solve", "total_energy"),
+    "propagation": ("EnergyTrace", "Mollifier", "SupportSet", "distance_to_set", "run_propagation"),
     "cones": ("ConeSpec", "SweepState", "c3_constant", "membership", "sweep_cover", "vertex"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

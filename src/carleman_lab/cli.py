@@ -56,9 +56,9 @@ from .fields import (
     PropagationError,
     StatisticsError,
     SupportError,
-    field_from_fn,
-    fd_apply,
     fn_from_spec,
+    gradient_array,
+    laplacian_array,
     make_fn,
     make_grid,
     uniform_stream,
@@ -313,9 +313,11 @@ def _coeffs_from(cfg: dict, n: int):
     return co
 
 
-def _weights_from(cfg: dict) -> tuple:
+def _weights_from(cfg: dict, n: int) -> tuple:
     from .weights import WeightParams
 
+    if len(cfg["x0"]) != n:
+        raise ConfigurationError(f"weights x0 has {len(cfg['x0'])} entries for dimension {n}")
     lambdas = cfg.get("lambdas") or [cfg.get("lambda", 8.0)]
     params = WeightParams(
         lam=float(lambdas[0]),
@@ -380,30 +382,26 @@ def _draw_identity_case(u: np.ndarray, n: int):
     # keep gamma |rho| <= 0.2 so psi stays near 1 and lam phi stays within 20
     amp = _in(nx(), 0.05, 0.2) / gamma
     kind = int(_in(nx(), 0, 3))
-    if n == 1:
-        if kind == 0:
-            rho = make_fn("trig_product", 1, amp=amp, wt=_in(nx(), 0.5, 1.5), wx1=_in(nx(), 0.5, 1.5), pt=_in(nx(), 0, 1), px1=_in(nx(), 0, 1))
-        elif kind == 1:
-            rho = make_fn("quadratic", 1, c0=0.0, ct=amp, qtt=_in(nx(), -1, 1) * amp, cx1=-amp, qx1=_in(nx(), -1, 1) * amp)
-        else:
-            rho = make_fn("affine", 1, c0=0.0, ct=amp, cx1=-amp)
-        w = make_fn(
-            "exp_quadratic", 1,
-            amp=_in(nx(), 0.5, 2.0), att=_in(nx(), -0.5, 0.3), bt=_in(nx(), -0.3, 0.3),
-            ax1=_in(nx(), -0.5, 0.3), bx1=_in(nx(), -0.3, 0.3),
+    axes = range(1, n + 1)
+    per_axis = lambda key, lo, hi: {f"{key}{j}": _in(nx(), lo, hi) for j in axes}
+    cx = dict(zip((f"cx{j}" for j in axes), (-amp, amp / 2)))
+    if kind == 0:
+        rho = make_fn(
+            "trig_product", n,
+            amp=amp, wt=_in(nx(), 0.5, 1.5), **per_axis("wx", 0.5, 1.5), pt=_in(nx(), 0, 1), **per_axis("px", 0, 1),
+        )
+    elif kind == 1:
+        rho = make_fn(
+            "quadratic", n,
+            c0=0.0, ct=amp, qtt=_in(nx(), -1, 1) * amp, **cx, **{k: q * amp for k, q in per_axis("qx", -1, 1).items()},
         )
     else:
-        if kind == 0:
-            rho = make_fn("trig_product", 2, amp=amp, wt=_in(nx(), 0.5, 1.5), wx1=_in(nx(), 0.5, 1.5), wx2=_in(nx(), 0.5, 1.5), pt=_in(nx(), 0, 1), px1=_in(nx(), 0, 1), px2=_in(nx(), 0, 1))
-        elif kind == 1:
-            rho = make_fn("quadratic", 2, c0=0.0, ct=amp, qtt=_in(nx(), -1, 1) * amp, cx1=-amp, cx2=amp / 2, qx1=_in(nx(), -1, 1) * amp, qx2=_in(nx(), -1, 1) * amp)
-        else:
-            rho = make_fn("affine", 2, c0=0.0, ct=amp, cx1=-amp, cx2=amp / 2)
-        w = make_fn(
-            "exp_quadratic", 2,
-            amp=_in(nx(), 0.5, 2.0), att=_in(nx(), -0.5, 0.3), bt=_in(nx(), -0.3, 0.3),
-            ax1=_in(nx(), -0.5, 0.3), bx1=_in(nx(), -0.3, 0.3), ax2=_in(nx(), -0.5, 0.3), bx2=_in(nx(), -0.3, 0.3),
-        )
+        rho = make_fn("affine", n, c0=0.0, ct=amp, **cx)
+    w = make_fn(
+        "exp_quadratic", n,
+        amp=_in(nx(), 0.5, 2.0), att=_in(nx(), -0.5, 0.3), bt=_in(nx(), -0.3, 0.3),
+        **{f"{k}{j}": _in(nx(), lo, hi) for j in axes for k, lo, hi in (("ax", -0.5, 0.3), ("bx", -0.3, 0.3))},
+    )
     varrho = _in(nx(), -2.0, 2.0)
     params = WeightParams(
         lam=lam, gamma=gamma, mu=mu,
@@ -688,7 +686,7 @@ def _run_qv_check(cfg: dict):
     family = params = None
     if "rho" in cfg:
         family = WeightFamily(fn_from_spec(cfg["rho"], grid.n))
-        params, _ = _weights_from(cfg["weights"])
+        params, _ = _weights_from(cfg["weights"], grid.n)
     rep = qv_check(
         grid, coeffs, u0, u1,
         paths=cfg.get("paths", 100),
@@ -738,7 +736,7 @@ def _run_inequality_scan(cfg: dict):
         varrho = fn_from_spec(varrho, n)
     family = WeightFamily(rho, varrho)
     u_fn = fn_from_spec(cfg["u"], n)
-    params, lambdas = _weights_from(cfg["weights"])
+    params, lambdas = _weights_from(cfg["weights"], n)
     cutoff = _cutoff_from(cfg["cutoff"]) if "cutoff" in cfg else None
     scan = inequality_gap(
         cfg["preset"], u_fn, family, params, lambdas, region,
@@ -775,14 +773,14 @@ def _run_inequality_scan(cfg: dict):
 
 
 def _stencil_sanity(grid, u0: AnalyticFn) -> tuple[bool, str]:
-    """fd_apply cross-check against exact jets at the central node."""
-    fld = field_from_fn(grid, u0)
+    """The solver's stencils on u0 against its exact jet at the central node."""
+    arr = u0.d(np.zeros(grid.shape), list(grid.meshgrid()), (0,) * (grid.n + 1))
     idx = tuple(s // 2 for s in grid.shape)
     point = [grid.axis(j)[idx[j]] for j in range(grid.n)]
     jet = u0.jet2(0.0, point)
-    lap_fd = fd_apply(fld, "laplacian", idx)
+    lap_fd = float(laplacian_array(arr, grid.dx, grid.n)[idx])
     lap_exact = float(np.trace(jet.hess_xx))
-    g_fd = fd_apply(fld, "grad0", idx)
+    g_fd = float(gradient_array(arr, grid.dx, 0)[idx])
     g_exact = float(jet.grad_x[0])
     scale = max(1.0, abs(lap_exact), abs(g_exact))
     err = max(abs(lap_fd - lap_exact), abs(g_fd - g_exact)) / scale
@@ -860,7 +858,7 @@ def _run_ucp_decay(cfg: dict):
     grid, coeffs, u0, u1 = _wave_from(cfg)
     rho = fn_from_spec(cfg["rho"], grid.n)
     family = WeightFamily(rho)
-    params, lambdas = _weights_from(cfg["weights"])
+    params, lambdas = _weights_from(cfg["weights"], grid.n)
     paths = cfg["paths"]
     seed = cfg.get("seed", 0)
     stencil_ok, stencil_detail = _stencil_sanity(grid, u0)
@@ -934,9 +932,11 @@ def _run_geometry(cfg: dict):
     seed = cfg.get("seed", 0)
     samples = cfg.get("ktilde_samples", 20)
     c3 = c3_constant(alpha, c1)
-    n = len(cfg.get("x0", [0.0]))
-    x0 = np.asarray(cfg.get("x0", [0.0] * n), dtype=float)
+    x0 = np.asarray(cfg.get("x0", [0.0]), dtype=float)
+    n = len(x0)
     direction = np.asarray(cfg.get("direction", [1.0] + [0.0] * (n - 1)), dtype=float)
+    if len(direction) != n:
+        raise ConfigurationError(f"direction has {len(direction)} entries for x0 of dimension {n}")
     direction = direction / np.linalg.norm(direction)
     x1 = x0 + 2.0 * math.sqrt(c3) * direction
     t2, x2 = vertex(0.0, x0, x1, alpha, c3)

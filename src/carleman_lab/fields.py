@@ -37,10 +37,6 @@ class ConfigurationError(ValueError):
     """Invalid grid, step, or parameter configuration."""
 
 
-class StencilError(IndexError):
-    """Stencil applied at a non-interior index."""
-
-
 class CapabilityError(RuntimeError):
     """The function registry cannot supply a requested function or derivative."""
 
@@ -779,40 +775,8 @@ def fn_from_spec(spec, n: int) -> AnalyticFn:
 
 
 # ---------------------------------------------------------------------------
-# Discrete fields and stencils
+# Stencils
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class Field:
-    """Flat node values over a grid, lexicographic layout."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float).reshape(-1)
-        if self.values.size != self.grid.num_nodes:
-            raise ConfigurationError(
-                f"field length {self.values.size} != node count {self.grid.num_nodes}"
-            )
-
-    def array(self) -> np.ndarray:
-        return self.values.reshape(self.grid.shape)
-
-
-def field_from_fn(grid: Grid, fn: AnalyticFn, t: float = 0.0) -> Field:
-    mesh = grid.meshgrid()
-    vals = fn.d(np.full(grid.shape, t), list(mesh), (0,) * (grid.n + 1))
-    return Field(grid, np.asarray(vals, dtype=float))
-
-
-def _check_interior(shape, index):
-    if len(index) != len(shape):
-        raise StencilError(f"index {index} does not match grid dimension {len(shape)}")
-    for j, (i, m) in enumerate(zip(index, shape)):
-        if not (1 <= i <= m - 2):
-            raise StencilError(f"index {index} not interior on axis {j} (size {m})")
 
 
 def zero_ring(arr: np.ndarray, n: int) -> None:
@@ -858,19 +822,3 @@ def gradient_array(arr: np.ndarray, dx: float, axis: int) -> np.ndarray:
     np.divide(np.subtract(flat[2 * s :], flat[: -2 * s], out=mid), 2.0 * dx, out=mid)
     np.moveaxis(out, axis, 0)[[0, -1]] = 0.0
     return out
-
-
-def fd_apply(field, op: str, index) -> float:
-    """Apply a second-order central stencil at one interior node of a Field,
-    for op in {"laplacian", "grad0", "grad1", ...}."""
-    arr = field.array()
-    index = tuple(np.atleast_1d(index))
-    _check_interior(arr.shape, index)
-    if op == "laplacian":
-        return float(laplacian_array(arr, field.grid.dx, arr.ndim)[index])
-    if op.startswith("grad"):
-        axis = int(op[4:])
-        if axis >= arr.ndim:
-            raise StencilError(f"gradient axis {axis} out of range for n={arr.ndim}")
-        return float(gradient_array(arr, field.grid.dx, axis)[index])
-    raise ConfigurationError(f"unknown stencil op {op!r}")

@@ -442,18 +442,6 @@ def identity_case(
     return IdentityCase(report, frame, V, N)
 
 
-def identity_residual(
-    w_fn: AnalyticFn,
-    family: WeightFamily,
-    params: WeightParams,
-    t: float,
-    x,
-    tol: float = 1e-8,
-) -> IdentityReport:
-    """Residual report of the multiplier identity at one point (see identity_case)."""
-    return identity_case(w_fn, family, params, t, x, tol).report
-
-
 def conjugation_residual(
     u_fn: AnalyticFn,
     family: WeightFamily,
@@ -505,14 +493,6 @@ def conjugation_residual(
     )
     cut = _report(cut_lhs, cut_rhs, tol, t, x, params)
     return conj, cut
-
-
-def identity_vn_values(
-    w_fn: AnalyticFn, family: WeightFamily, params: WeightParams, t: float, x
-) -> tuple[np.ndarray, float]:
-    """Pointwise flux vector and time density (the eval_VN route)."""
-    case = identity_case(w_fn, family, params, t, x)
-    return case.V, case.N
 
 
 # ---------------------------------------------------------------------------
@@ -617,6 +597,10 @@ class RegionSpec:
     x_lo: tuple[float, ...]
     x_hi: tuple[float, ...]
     nx: int
+
+    def __post_init__(self):
+        if len(self.x_lo) != len(self.x_hi):
+            raise ConfigurationError(f"region x_lo has {len(self.x_lo)} entries and x_hi {len(self.x_hi)}")
 
     @property
     def n(self) -> int:

@@ -48,6 +48,9 @@ class SupportSet:
         for _, r in self.balls:
             if r <= 0:
                 raise ConfigurationError("ball radius must be positive")
+        dims = {len(c) for c, _ in self.balls} | {len(v) for box in self.boxes for v in box}
+        if len(dims) > 1:
+            raise ConfigurationError(f"SupportSet components have dimensions {sorted(dims)}")
         for lo, hi in self.boxes:
             if any(h <= l for l, h in zip(lo, hi)):
                 raise ConfigurationError("box must have positive extent on every axis")
@@ -75,11 +78,6 @@ def distance_to_set(x, support: SupportSet):
         gap = np.maximum(np.maximum(lo - pts, pts - hi), 0.0)
         best = np.minimum(best, np.linalg.norm(gap, axis=1))
     return float(best[0]) if np.ndim(x) == 1 and np.asarray(x).ndim == 1 and pts.shape[0] == 1 else best
-
-
-def contains(x, support: SupportSet, inflation: float = 0.0):
-    """Membership in the closed inflation K_r; monotone in r by construction."""
-    return distance_to_set(x, support) <= inflation
 
 
 # ---------------------------------------------------------------------------
@@ -120,21 +118,6 @@ def _energies(u: np.ndarray, ut: np.ndarray, d: np.ndarray, t: float, grid: Grid
     outside = 0.5 * _solver.row_sums(dens[:, d > t + halo_cells * grid.dx]) * vol
     dens *= MOLLIFIER(d - t)
     return 0.5 * _solver.row_sums(dens) * vol, outside
-
-
-def _one_path_energies(state: _solver.WaveState, support: SupportSet, t: float, grid: Grid, halo_cells: int):
-    d = distance_to_set(grid.node_positions(), support).reshape(grid.shape)
-    return _energies(state.u[None], state.ut[None], d, t, grid, halo_cells)
-
-
-def local_energy(state: _solver.WaveState, support: SupportSet, t: float, grid: Grid) -> float:
-    """(1/2) sum cell_volume rho_m(d_K(x) - t) (|grad u|^2 + u_t^2 + u^2)."""
-    return float(_one_path_energies(state, support, t, grid, DEFAULT_HALO_CELLS)[0][0])
-
-
-def outside_energy(state: _solver.WaveState, support: SupportSet, t: float, grid: Grid, halo_cells: int = DEFAULT_HALO_CELLS) -> float:
-    """Unmollified energy strictly outside K_{t + halo} (halo in grid cells)."""
-    return float(_one_path_energies(state, support, t, grid, halo_cells)[1][0])
 
 
 @dataclass
@@ -187,6 +170,8 @@ def run_propagation(
     reduces every recorded state to each path's two energies, so results do
     not depend on its chunk size.
     """
+    if support.n != grid.n:
+        raise ConfigurationError(f"support has dimension {support.n} for a grid of dimension {grid.n}")
     d = distance_to_set(grid.node_positions(), support).reshape(grid.shape)
     reach = grid.t_max + halo_cells * grid.dx
     if float(np.min(d[_solver.near_boundary(grid.shape, _solver.GUARD_RING)])) <= reach:

@@ -128,19 +128,12 @@ def initial_state(
     return WaveState(u=u, ut=ut, time=0.0)
 
 
-def step(state: WaveState, coeffs: Coefficients, dw: float, grid: Grid) -> WaveState:
-    """One semi-implicit Euler-Maruyama step.
-
-    ut' = ut + dt (lap u + a1 ut + a2 . grad u + a3 u + g) + (b1 ut + b2 u + f) dW
-    u'  = u + dt ut'
-    """
-    samplers = make_samplers(coeffs, grid)
-    u, ut = step_arrays(state.u, state.ut, state.time, samplers, dw, grid)
-    return WaveState(u=u, ut=ut, time=state.time + grid.dt)
-
-
 def make_samplers(coeffs: Coefficients, grid: Grid):
-    """Coefficient samplers t -> scalar or grid array, after the noise step-size guard."""
+    """Coefficient samplers t -> scalar or grid array, after the a2 length check
+    and the noise step-size guard."""
+    if len(coeffs.a2) > grid.n:
+        # an extra entry would differentiate along a leading (path) axis
+        raise ConfigurationError(f"a2 has {len(coeffs.a2)} entries for a grid of dimension {grid.n}")
     a2 = tuple(coeffs.a2) + (None,) * (grid.n - len(coeffs.a2))
     s = {name: _coeff_sampler(getattr(coeffs, name), grid)[0] for name in ("a1", "a3", "b2", "f", "g")}
     s["a2"] = [_coeff_sampler(c, grid)[0] for c in a2]

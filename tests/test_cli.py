@@ -615,6 +615,54 @@ def test_propagation_cone_reaching_the_guard_ring_is_a_config_error(tmp_path, ca
     assert run(str(_propagation_config(tmp_path, 0.8)), "propagation", out_dir=str(out)) == 0
 
 
+def _edited(name, **changes):
+    """A bundled config with ``changes`` applied; a dict value is merged into that key's object."""
+    cfg = json.loads((CONFIG_DIR / name).read_text())
+    for key, value in changes.items():
+        cfg[key] = {**cfg[key], **value} if isinstance(value, dict) else value
+    return cfg
+
+
+# configs whose vectors disagree with the dimension of their run, and a fragment of each message
+DIMENSION_MISMATCHES = {
+    # an a2 entry beyond the grid's axes would differentiate along the Monte Carlo path axis
+    "a2-longer-than-grid": ("propagation", _edited("propagation.json", coeffs={"a2": [0.0, 0.5]}), "a2 has 2 entries"),
+    "x0-shorter-than-region": (
+        "inequality-scan",
+        _edited("inequality_scan_t42.json", region={"x_lo": [-0.02, -0.02], "x_hi": [0.15, 0.15]}),
+        "x0 has 1 entries for dimension 2",
+    ),
+    "x0-longer-than-region": (
+        "inequality-scan", _edited("inequality_scan_t42.json", weights={"x0": [0.0, 5.0]}), "x0 has 2 entries for dimension 1",
+    ),
+    "x0-longer-than-grid": ("ucp-decay", _edited("ucp_decay.json", weights={"x0": [0.0, 5.0]}), "x0 has 2 entries"),
+    "region-x-lo-and-x-hi": (
+        "inequality-scan", _edited("inequality_scan_t42.json", region={"x_hi": [0.15, 0.15]}), "x_lo has 1 entries and x_hi 2",
+    ),
+    "support-ball-centre": (
+        "propagation", _edited("propagation.json", support={"balls": [{"center": [0.0, 0.0], "radius": 0.2}]}),
+        "support has dimension 2 for a grid of dimension 1",
+    ),
+    "support-box-lo-and-hi": (
+        "propagation", _edited("propagation.json", support={"boxes": [{"lo": [-0.2], "hi": [0.2, 0.3]}]}),
+        "components have dimensions [1, 2]",
+    ),
+    "geometry-direction": ("geometry", _edited("geometry.json", direction=[1.0, 1.0]), "direction has 2 entries"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIMENSION_MISMATCHES))
+def test_dimension_mismatch_is_a_config_error(tmp_path, capsys, case):
+    subcommand, cfg, message = DIMENSION_MISMATCHES[case]
+    path = tmp_path / "mismatch.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run(str(path), subcommand, out_dir=str(out)) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+
+
 def test_qv_check_below_the_path_minimum_is_a_usage_error(tmp_path):
     cfg = json.loads((CONFIG_DIR / "qv_check.json").read_text())
     cfg["paths"] = 5
@@ -702,6 +750,17 @@ def test_monte_carlo_columns_do_not_depend_on_the_chunk_size(tmp_path, monkeypat
         assert run(str(CONFIG_DIR / config), sub, out_dir=str(tmp_path / "chunked"), paths=paths) == 0
         default = _columns_without_wall_time(tmp_path / "default" / f"{sub}.csv")
         assert _columns_without_wall_time(tmp_path / "chunked" / f"{sub}.csv") == default, sub
+
+
+@pytest.mark.parametrize("subcommand, config, err", [
+    ("propagation", "propagation.json", "9.371e-04"),
+    ("ucp-decay", "ucp_decay.json", "0.000e+00"),
+])
+def test_stencil_sanity_log_of_the_bundled_runs(tmp_path, subcommand, config, err):
+    # the check reads only the grid and u0, so two paths log the bundled run's line
+    run(str(CONFIG_DIR / config), subcommand, out_dir=str(tmp_path), paths=2)
+    log = (tmp_path / f"{subcommand}.log").read_text().splitlines()
+    assert f"PASS stencil_sanity: stencil vs jet rel err {err}" in log
 
 
 def test_gnuplot_emission(tmp_path):
@@ -801,10 +860,8 @@ ROUTES = {
     "cones.sweep_cover": {"sweep"},
     "cones.vertex": {"geometry"},
 }
-# exported for library use and tests; no subcommand calls them
-LIBRARY_ONLY = {
-    "identities.identity_residual", "propagation.local_energy", "solver.manufactured_forcing", "solver.step",
-}
+# exported, but no bundled config reaches it: a config's coeffs.manufactured_from does
+LIBRARY_ONLY = {"solver.manufactured_forcing"}
 
 
 def _exported_functions():
@@ -940,7 +997,7 @@ def test_package_exports_resolve_to_their_modules():
     from carleman_lab import WeightFamily, cones, propagation, run_propagation, vertex, weights
 
     assert (WeightFamily, run_propagation, vertex) == (weights.WeightFamily, propagation.run_propagation, cones.vertex)
-    assert len(carleman_lab.__all__) == 42  # __version__ and 41 exported names
+    assert len(carleman_lab.__all__) == 39  # __version__ and 38 exported names
     for name in carleman_lab.__all__:
         getattr(carleman_lab, name)
     with pytest.raises(AttributeError):

@@ -11,11 +11,7 @@ from carleman_lab.fields import (
     AnalyticFn,
     CapabilityError,
     ConfigurationError,
-    Field,
     Jet2,
-    StencilError,
-    fd_apply,
-    field_from_fn,
     gradient_array,
     laplacian_array,
     make_fn,
@@ -249,56 +245,32 @@ def test_evaluator_key_separates_dimension_number_type_and_assumptions(compiles)
 # ---------------------------------------------------------------------------
 
 
+def _sampled(g, fn):
+    return fn.d(np.zeros(g.shape), list(g.meshgrid()), (0,) * (g.n + 1))
+
+
 def test_laplacian_exact_on_quadratic():
     # binary-representable nodes keep the divided difference exact
     g = make_grid([(-1.0, 1.0)], dx=0.25, dt=0.125, t_max=1.0)
     quad = make_fn("quadratic", 1, qtt=0.0, qx1=2.0)  # x^2
-    fld = field_from_fn(g, quad)
-    assert fd_apply(fld, "laplacian", (4,)) == 2.0
+    assert laplacian_array(_sampled(g, quad), g.dx, g.n)[4] == 2.0
 
 
 def test_gradient_of_constant_is_zero():
     g = make_grid([(-1.0, 1.0)], dx=0.25, dt=0.125, t_max=1.0)
-    fld = Field(g, np.full(g.num_nodes, 3.7))
-    assert fd_apply(fld, "grad0", (4,)) == 0.0
+    assert np.all(gradient_array(np.full(g.shape, 3.7), g.dx, 0) == 0.0)
 
 
 def test_laplacian_second_order_on_sine():
     def err(dx):
         g = make_grid([(-1.0, 1.0)], dx=dx, dt=dx / 2, t_max=1.0)
         f = make_fn("standing_wave", 1)  # sin(pi x) at t = 0
-        fld = field_from_fn(g, f)
-        idx = (int(round((0.5 - (-1.0)) / dx)),)
+        idx = int(round((0.5 - (-1.0)) / dx))
         exact = -math.pi**2 * math.sin(math.pi * 0.5)
-        return abs(fd_apply(fld, "laplacian", idx) - exact)
+        return abs(laplacian_array(_sampled(g, f), g.dx, g.n)[idx] - exact)
 
     e1, e2 = err(0.02), err(0.01)
     assert 3.5 <= e1 / e2 <= 4.5
-
-
-def test_stencil_rejects_boundary_index():
-    g = make_grid([(-1.0, 1.0)], dx=0.25, dt=0.125, t_max=1.0)
-    fld = Field(g, np.zeros(g.num_nodes))
-    with pytest.raises(StencilError):
-        fd_apply(fld, "laplacian", (0,))
-    with pytest.raises(StencilError):
-        fd_apply(fld, "grad0", (8,))
-
-
-@pytest.mark.parametrize("bounds", [[(-1.0, 1.0)], [(-1.0, 1.0), (0.0, 1.5)]])
-def test_fd_apply_reads_the_array_stencils_at_every_interior_node(bounds):
-    g = make_grid(bounds, dx=0.25, dt=0.125, t_max=1.0)
-    fld = Field(g, uniform_stream(3, g.num_nodes) - 0.5)
-    arr = fld.array()
-    lap = laplacian_array(arr, g.dx, g.n)
-    grads = [gradient_array(arr, g.dx, j) for j in range(g.n)]
-    for idx in np.ndindex(*(m - 2 for m in g.shape)):
-        node = tuple(i + 1 for i in idx)
-        assert fd_apply(fld, "laplacian", node) == lap[node]
-        for j in range(g.n):
-            assert fd_apply(fld, f"grad{j}", node) == grads[j][node]
-    with pytest.raises(StencilError):
-        fd_apply(fld, f"grad{g.n}", (1,) * g.n)
 
 
 def _slice_stencils(arr, dx, n):
@@ -345,12 +317,6 @@ def test_flat_stencils_equal_the_slice_formulas(shape, n):
         assert np.array_equal(laplacian_array(view, dx, n), lap_ref)
         for j in range(n):
             assert np.array_equal(gradient_array(view, dx, j - n), grads_ref[j])
-
-
-def test_field_length_validated():
-    g = make_grid([(-1.0, 1.0)], dx=0.25, dt=0.125, t_max=1.0)
-    with pytest.raises(ConfigurationError):
-        Field(g, np.zeros(5))
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,7 @@ from carleman_lab.identities import (
     SupportError,
     assemble,
     conjugation_residual,
-    identity_residual,
-    identity_vn_values,
+    identity_case,
     inequality_gap,
     qv_check,
 )
@@ -63,7 +62,7 @@ def test_cutoff_validation():
 
 def test_identity_zero_w_is_exactly_zero(family, params):
     wz = make_fn("quadratic", 1, c0=0.0, ct=0.0, qtt=0.0, cx1=0.0, qx1=0.0)
-    rep = identity_residual(wz, family, params, 0.3, [0.4])
+    rep = identity_case(wz, family, params, 0.3, [0.4]).report
     assert rep.residual == 0.0 and rep.lhs == 0.0 and rep.rhs == 0.0
 
 
@@ -75,7 +74,7 @@ def test_identity_constant_w_at_flat_weight_point():
     w1 = make_fn("quadratic", 1, c0=1.0, ct=0.0, qtt=0.0, cx1=0.0, qx1=0.0)
     fr = CarlemanFrame.make(0.0, [0.0], rho.jet2(0.0, [0.0]), params, 0.3)
     assert abs(fr.ell_jet.grad_t) < 1e-14 and abs(fr.ell_jet.grad_x[0]) < 1e-14
-    rep = identity_residual(w1, fam, params, 0.0, [0.0])
+    rep = identity_case(w1, fam, params, 0.0, [0.0]).report
     assert rep.relative_residual <= 1e-9
 
 
@@ -91,13 +90,13 @@ def test_identity_200_random_cases(family, params, w_smooth):
             x0=(0.4 * (row[4] - 0.5),),
         )
         w = w_smooth.with_params(amp=0.5 + row[5])
-        rep = identity_residual(w, family, pp, 0.6 * (row[0] - 0.5), [0.6 * (row[1] - 0.5)])
+        rep = identity_case(w, family, pp, 0.6 * (row[0] - 0.5), [0.6 * (row[1] - 0.5)]).report
         worst = max(worst, rep.relative_residual)
     assert worst <= 1e-8
 
 
 def test_identity_both_sides_nontrivial(family, params, w_smooth):
-    rep = identity_residual(w_smooth, family, params, 0.37, [0.51])
+    rep = identity_case(w_smooth, family, params, 0.37, [0.51]).report
     assert abs(rep.lhs) > 1.0
     assert rep.relative_residual <= 1e-12
 
@@ -116,7 +115,7 @@ def test_identity_in_two_dimensions():
     w = make_fn("exp_quadratic", 2, amp=1.1, att=-0.3, bt=0.1, ax1=-0.2, ax2=-0.25, bx1=0.1, bx2=-0.05)
     fam = WeightFamily(rho, 0.7)
     params = WeightParams(lam=2.0, gamma=1.3, mu=0.2, t0=0.0, x0=(0.1, -0.2))
-    rep = identity_residual(w, fam, params, 0.3, [0.4, 0.25])
+    rep = identity_case(w, fam, params, 0.3, [0.4, 0.25]).report
     assert rep.relative_residual <= 1e-12
 
 
@@ -147,8 +146,8 @@ def test_eval_vn_zero_weight_factors():
 def test_vn_time_derivative_consistent_with_assembly(family, params, w_smooth):
     # finite difference of the pointwise time density against the assembled dt_N
     h = 1e-5
-    _, n_plus = identity_vn_values(w_smooth, family, params, 0.37 + h, [0.51])
-    _, n_minus = identity_vn_values(w_smooth, family, params, 0.37 - h, [0.51])
+    n_plus = identity_case(w_smooth, family, params, 0.37 + h, [0.51]).N
+    n_minus = identity_case(w_smooth, family, params, 0.37 - h, [0.51]).N
     out = assemble(family, params, 0.37, [0.51], w_smooth)
     fd = (n_plus - n_minus) / (2 * h)
     assert abs(fd - float(out["dt_N"])) <= 1e-6 * max(1.0, abs(fd))
@@ -156,8 +155,8 @@ def test_vn_time_derivative_consistent_with_assembly(family, params, w_smooth):
 
 def test_vn_divergence_consistent_with_assembly(family, params, w_smooth):
     h = 1e-5
-    v_plus, _ = identity_vn_values(w_smooth, family, params, 0.37, [0.51 + h])
-    v_minus, _ = identity_vn_values(w_smooth, family, params, 0.37, [0.51 - h])
+    v_plus = identity_case(w_smooth, family, params, 0.37, [0.51 + h]).V
+    v_minus = identity_case(w_smooth, family, params, 0.37, [0.51 - h]).V
     out = assemble(family, params, 0.37, [0.51], w_smooth)
     fd = (v_plus[0] - v_minus[0]) / (2 * h)
     assert abs(fd - float(out["div_V"])) <= 1e-6 * max(1.0, abs(fd))

@@ -12,7 +12,7 @@ import sympy as sp
 
 from carleman_lab.fields import T_SYM, X_SYMS, AnalyticFn
 from carleman_lab.weights import WeightFamily, WeightParams
-from carleman_lab.identities import assemble, identity_residual, identity_vn_values
+from carleman_lab.identities import assemble, identity_case
 
 
 def _symbolic_pipeline():
@@ -84,7 +84,7 @@ POINTS = [(0.37, 0.51), (-0.2, 0.3), (0.05, -0.45), (0.6, 0.1)]
 def test_identity_sides_match_symbolic_composition(pipeline, t, x):
     lam, w, family, params = pipeline
     lhs_ref, rhs_ref, _, _, _, _, _ = (float(v) for v in lam(t, x))
-    rep = identity_residual(w, family, params, t, [x])
+    rep = identity_case(w, family, params, t, [x]).report
     assert rep.lhs == pytest.approx(lhs_ref, rel=1e-11)
     assert rep.rhs == pytest.approx(rhs_ref, rel=1e-11)
     assert lhs_ref == pytest.approx(rhs_ref, rel=1e-9)
@@ -94,7 +94,8 @@ def test_identity_sides_match_symbolic_composition(pipeline, t, x):
 def test_flux_and_density_match_symbolic_composition(pipeline, t, x):
     lam, w, family, params = pipeline
     _, _, v_ref, n_ref, _, _, _ = (float(v) for v in lam(t, x))
-    V, N = identity_vn_values(w, family, params, t, [x])
+    case = identity_case(w, family, params, t, [x])
+    V, N = case.V, case.N
     assert float(V[0]) == pytest.approx(v_ref, rel=1e-11)
     assert N == pytest.approx(n_ref, rel=1e-11)
 
