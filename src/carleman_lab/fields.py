@@ -184,6 +184,10 @@ class Grid:
     def meshgrid(self) -> tuple[np.ndarray, ...]:
         return tuple(np.meshgrid(*(self.axis(j) for j in range(self.n)), indexing="ij"))
 
+    def sample(self, fn: "AnalyticFn", t: float) -> np.ndarray:
+        """``fn`` at every node at time ``t``, as a new array of the grid's shape."""
+        return fn.d(np.full(self.shape, float(t)), list(self.meshgrid()), (0,) * (self.n + 1))
+
     def node_positions(self) -> np.ndarray:
         """(num_nodes, n) array of node coordinates, lexicographic order."""
         mesh = self.meshgrid()

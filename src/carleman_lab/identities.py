@@ -516,46 +516,43 @@ class QvReport:
 
 def qv_check(
     grid,
-    coeffs,
-    u0_fn: AnalyticFn,
-    u1_fn: AnalyticFn | None,
+    samplers,
+    u0: np.ndarray,
+    u1: np.ndarray | None,
     paths: int,
     seed: int,
-    family: WeightFamily | None = None,
-    params: WeightParams | None = None,
-    tol: float = 0.05,
+    family: WeightFamily | None,
+    params: WeightParams | None,
+    tol: float,
 ) -> QvReport:
     """Realized quadratic variation of v_t against its compensator integral.
 
+    ``u0`` and ``u1`` are the initial data at the nodes (``u1`` None is zero)
+    and ``samplers`` the coefficient samplers of ``solver.make_samplers``.
     v = theta u with theta == 1 (ell == 0) when no weight family is given.  The
     martingale increment of v_t over one step is theta (b1 u_t + b2 u + f) dW,
     so its realized variation sums theta^2 D^2 dW^2 while the compensator
     integrates theta^2 D^2 dt, with D evaluated from the state the step
     starts at; zero diffusion gives exactly zero for both.  ``solver.solve``
-    reduces each recorded state to every path's sum of theta^2 D^2; both sums
-    then accumulate per path in step order.
+    records every step and reduces each state to every path's sum of
+    theta^2 D^2; both sums then accumulate per path in step order, over every
+    state but the last, which starts no step.
     """
     if paths < QV_MIN_PATHS:
         raise StatisticsError(f"qv_check needs at least {QV_MIN_PATHS} paths, got {paths}")
-    theta = [1.0] * (grid.num_steps + 1)
-    if family is not None and params is not None:
+    steps = _solver.recorded_steps(grid.num_steps, 1)
+    theta = [1.0] * len(steps)
+    if family is not None:
         mesh = list(grid.meshgrid())
-        theta = [
-            np.exp(params.lam * family.phi(np.full(grid.shape, tv), mesh, params))
-            for tv in np.arange(grid.num_steps + 1) * grid.dt
-        ]
-    samplers = _solver.make_samplers(coeffs, grid)
-    init = _solver.initial_state(grid, u0_fn, u1_fn, coeffs)
+        theta = [np.exp(params.lam * family.phi(np.full(grid.shape, k * grid.dt), mesh, params)) for k in steps]
+    init = _solver.initial_state(grid, u0, u1, samplers)
     bpaths = _solver.brownian_paths(seed, grid, paths)
 
     def reduce(k, state):
-        # the record at t_max (twice, if the last step's time falls short of it) starts no step
-        if k >= grid.num_steps:
-            return (np.zeros(len(state.u)),)
         diff = _solver.diffusion_arrays(state.u, state.ut, state.time, samplers)
         return (_solver.row_sums(theta[k] ** 2 * diff**2),)
 
-    _, (qv,) = _solver.solve(init, coeffs, grid, bpaths, reduce, support_guard=False)
+    _, (qv,) = _solver.solve(init, samplers, grid, bpaths, reduce, support_guard=False)
     # Python float squares (C pow) can differ from numpy's x * x in the last bit
     dw2 = np.array([[float(x) ** 2 for x in bp.increments] for bp in bpaths])
     vol = grid.cell_volume

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import AnalyticFn, ConfigurationError, Grid
+from .fields import ConfigurationError, Grid
 from . import solver as _solver
 
 
@@ -132,37 +132,35 @@ class EnergyTrace:
     gronwall_constant: float
 
 
-def _check_support_of_data(fn: AnalyticFn | None, grid: Grid, d: np.ndarray):
-    if fn is None:
-        return
-    vals = np.abs(
-        np.asarray(fn.d(np.zeros(grid.shape), list(grid.meshgrid()), (0,) * (grid.n + 1)), dtype=float)
-    )
-    peak = float(np.max(vals))
-    if peak == 0.0:
-        return
-    worst = float(np.max(vals[d > 0.0])) if (d > 0.0).any() else 0.0
-    if worst > DATA_SUPPORT_TOL * peak:
-        raise ConfigurationError(
-            f"initial data is not supported in K (relative leak {worst / peak:.3g})"
-        )
+def relative_leak(vals: np.ndarray, outside: np.ndarray) -> float:
+    """Largest |vals| on the ``outside`` mask relative to the largest |vals| at all
+    (0 for zero data): a datum counts as supported off the mask when this is at
+    most ``DATA_SUPPORT_TOL``."""
+    mag = np.abs(vals)
+    peak = float(np.max(mag))
+    if peak == 0.0 or not outside.any():
+        return 0.0
+    return float(np.max(mag[outside])) / peak
 
 
 def run_propagation(
     grid: Grid,
     support: SupportSet,
-    u0_fn: AnalyticFn | None,
-    u1_fn: AnalyticFn | None,
-    coeffs: _solver.Coefficients,
+    u0: np.ndarray,
+    u1: np.ndarray | None,
+    samplers,
     paths: int,
     seed: int,
-    stride: int | None = None,
-    halo_cells: int = DEFAULT_HALO_CELLS,
+    stride: int | None,
+    halo_cells: int,
     require_support: bool = True,
 ) -> EnergyTrace:
     """Monte Carlo mean of the mollified outside energy along solved paths.
 
-    Initial data must be supported in K (checked numerically) unless
+    ``u0`` and ``u1`` are the initial data at the nodes (``u1`` None is zero)
+    and ``samplers`` the coefficient samplers of ``solver.make_samplers``; a
+    caller makes each once per run.  The data must be supported in K (their
+    ``relative_leak`` outside K at most ``DATA_SUPPORT_TOL``) unless
     ``require_support`` is cleared for a deliberate witness run with a
     positive trace.  K inflated at unit speed by t_max plus the halo must
     stay clear of the solver's guard ring, or the run could only end in a
@@ -180,13 +178,14 @@ def run_propagation(
             f"{_solver.GUARD_RING}-node guard ring at the boundary"
         )
     if require_support:
-        _check_support_of_data(u0_fn, grid, d)
-        _check_support_of_data(u1_fn, grid, d)
+        leak = max(relative_leak(vals, d > 0.0) for vals in (u0, u1) if vals is not None)
+        if leak > DATA_SUPPORT_TOL:
+            raise ConfigurationError(f"initial data is not supported in K (relative leak {leak:.3g})")
     stride = stride or max(1, grid.num_steps // 10)
-    init = _solver.initial_state(grid, u0_fn, u1_fn, coeffs)
+    init = _solver.initial_state(grid, u0, u1, samplers)
     e_total0 = _solver.total_energy(init, grid)
     times, (loc, out) = _solver.solve(
-        init, coeffs, grid, _solver.brownian_paths(seed, grid, paths),
+        init, samplers, grid, _solver.brownian_paths(seed, grid, paths),
         lambda k, state: _energies(state.u, state.ut, d, state.time, grid, halo_cells),
         stride=stride,
     )

@@ -49,11 +49,9 @@ def _coeff_sampler(coeff, grid: Grid):
     if coeff is None:
         return lambda t: 0.0, 0.0
     if isinstance(coeff, AnalyticFn):
-        mesh = list(grid.meshgrid())
-        alpha = (0,) * (grid.n + 1)
         if coeff.symbolic.depends_on_t:
-            return lambda t: coeff.d(np.full(grid.shape, t), mesh, alpha), None
-        frozen = coeff.d(np.zeros(grid.shape), mesh, alpha)
+            return lambda t: grid.sample(coeff, t), None
+        frozen = grid.sample(coeff, 0.0)
         bound = float(np.max(np.abs(frozen)))
         return lambda t: frozen, bound
     value = float(coeff)
@@ -100,29 +98,19 @@ def _ring_max(arr: np.ndarray, n: int, rings: int):
     return np.abs(arr[..., near_boundary(arr.shape[arr.ndim - n :], rings)]).max(axis=-1)
 
 
-def initial_state(
-    grid: Grid,
-    u0_fn: AnalyticFn | None,
-    u1_fn: AnalyticFn | None,
-    coeffs: Coefficients | None = None,
-) -> WaveState:
-    """Sample (u0, u1) on the grid.
+def initial_state(grid: Grid, u0: np.ndarray | None, u1: np.ndarray | None, samplers) -> WaveState:
+    """The state of (u0, u1), node arrays of the grid's shape (None is zero), copied
+    and with their boundary ring zeroed; the arrays given are not written.
 
-    The velocity is advanced half a step along the drift, matching the
-    staggered structure of the update (u_t lives at half steps); without it
-    the two-level scheme is only first-order accurate in space-time
-    refinement at fixed CFL ratio.
+    The velocity is advanced half a step along the drift of ``samplers``,
+    matching the staggered structure of the update (u_t lives at half steps);
+    without it the two-level scheme is only first-order accurate in
+    space-time refinement at fixed CFL ratio.
     """
-    mesh = list(grid.meshgrid())
-    alpha = (0,) * (grid.n + 1)
-    zt = np.zeros(grid.shape)
-    u = u0_fn.d(zt, mesh, alpha) if u0_fn is not None else np.zeros(grid.shape)
-    ut = u1_fn.d(zt, mesh, alpha) if u1_fn is not None else np.zeros(grid.shape)
-    u = np.asarray(u, dtype=float).reshape(grid.shape).copy()
-    ut = np.asarray(ut, dtype=float).reshape(grid.shape).copy()
+    u = np.zeros(grid.shape) if u0 is None else np.array(u0, dtype=float)
+    ut = np.zeros(grid.shape) if u1 is None else np.array(u1, dtype=float)
     zero_ring(u, grid.n)
     zero_ring(ut, grid.n)
-    samplers = make_samplers(coeffs if coeffs is not None else Coefficients(), grid)
     ut = ut - 0.5 * grid.dt * _drift_arrays(u, ut, 0.0, samplers, grid)
     zero_ring(ut, grid.n)
     return WaveState(u=u, ut=ut, time=0.0)
@@ -215,10 +203,16 @@ def brownian_paths(seed: int, grid: Grid, paths: int) -> list[BrownianPath]:
     return [sample_brownian(seed, grid.dt, grid.t_max, stream=p) for p in range(paths)]
 
 
+def recorded_steps(num_steps: int, stride: int) -> list[int]:
+    """The steps whose states a run records, each once: 0, every multiple of
+    ``stride`` and the last, ``num_steps``.  Step k is at time k * dt."""
+    return [k for k in range(num_steps + 1) if k % stride == 0 or k == num_steps]
+
+
 def _march(init: WaveState, samplers, grid: Grid, bpaths, reduce, stride: int, support_guard: bool):
     """Step one ``(paths, *grid.shape)`` ensemble over the full horizon; returns the
-    times of the states at t = 0, every ``stride``-th step and t_max, and ``reduce``
-    of each, called while that state is current so that no field outlives its step."""
+    times of the ``recorded_steps`` and ``reduce`` of each of their states, called
+    while that state is current so that no field outlives its step."""
     batch = (len(bpaths),) + grid.shape
     u, ut = np.broadcast_to(init.u, batch).copy(), np.broadcast_to(init.ut, batch).copy()
     dw = np.stack([bp.increments for bp in bpaths]).reshape((len(bpaths), grid.num_steps) + (1,) * grid.n)
@@ -227,9 +221,9 @@ def _march(init: WaveState, samplers, grid: Grid, bpaths, reduce, stride: int, s
     def record(time):
         records.append(reduce(len(times), WaveState(u=u, ut=ut, time=time)))
         times.append(time)
-        return time
 
-    last = record(0.0)
+    record(0.0)
+    recorded = set(recorded_steps(grid.num_steps, stride))
     t = 0.0
     for k in range(grid.num_steps):
         u, ut = step_arrays(u, ut, t, samplers, dw[:, k], grid)
@@ -240,7 +234,7 @@ def _march(init: WaveState, samplers, grid: Grid, bpaths, reduce, stride: int, s
         if not finite.all():
             p = bpaths[int(np.argmin(finite.reshape(len(bpaths), -1).all(axis=1)))].stream
             raise BlowUpError(f"non-finite field on path {p} at step {k + 1} (t = {t})")
-        if (k + 1) % stride == 0 or k + 1 == grid.num_steps:
+        if k + 1 in recorded:
             if support_guard:
                 mag = np.maximum(np.abs(u), np.abs(ut))
                 scale = np.maximum(1.0, mag.reshape(len(bpaths), -1).max(axis=1))
@@ -248,28 +242,28 @@ def _march(init: WaveState, samplers, grid: Grid, bpaths, reduce, stride: int, s
                 if reached.any():
                     p = bpaths[int(np.argmax(reached))].stream
                     raise PropagationError(f"support reached the boundary ring on path {p} at t = {t} (step {k + 1})")
-            if (k + 1) % stride == 0:
-                last = record(t)
-    if last < grid.t_max:
-        record(grid.t_max)
+            record(t)
     return times, records
 
 
 def solve(
     init: WaveState,
-    coeffs: Coefficients,
+    samplers,
     grid: Grid,
     paths: list[BrownianPath],
     reduce,
     stride: int = 1,
     support_guard: bool = True,
 ):
-    """March every Brownian path over the full horizon, recording the state at
-    t = 0, every ``stride``-th step and t_max.
+    """March every Brownian path over the full horizon under the coefficient
+    ``samplers`` of ``make_samplers``, built once per run and shared with
+    ``initial_state``.
 
-    Paths are stepped in chunks of about ``CHUNK_ELEMENTS`` values, each one
-    ``(chunk, *grid.shape)`` ensemble whose rows equal single-path solves.
-    ``reduce(k, state)`` maps the k-th recorded state of a chunk (never
+    The states recorded are those of ``recorded_steps(grid.num_steps, stride)``:
+    step 0, every ``stride``-th step and the last, each once, step k at time
+    k * dt.  Paths are stepped in chunks of about ``CHUNK_ELEMENTS`` values,
+    each one ``(chunk, *grid.shape)`` ensemble whose rows equal single-path
+    solves.  ``reduce(k, state)`` maps the k-th recorded state of a chunk (never
     modified afterwards) to a tuple of per-path rows.  Returns the record times
     and, per output of ``reduce``, one ``(paths, records, ...)`` array.  Errors
     name the path by its stream.
@@ -279,7 +273,6 @@ def solve(
     for bp in paths:
         if bp.num_steps != grid.num_steps or abs(bp.dt - grid.dt) > 1e-12 * grid.dt:
             raise ConfigurationError("Brownian path discretization does not match the grid")
-    samplers = make_samplers(coeffs, grid)
     if _ring_max(init.u, grid.n, 1) > 0.0 or _ring_max(init.ut, grid.n, 1) > 0.0:
         raise ConfigurationError("initial data must vanish on the boundary ring")
     size = max(1, CHUNK_ELEMENTS // grid.num_nodes)

@@ -178,7 +178,8 @@ def test_criterion_7_finite_propagation_speed_monte_carlo():
     support = SupportSet(balls=(((0.0,), 0.2),))
     u0 = make_fn("space_bump4", 1, amp=1.0, cx1=0.0, rx1=0.2)
     trace = run_propagation(
-        grid, support, u0, None, S.Coefficients(b1=0.5), paths=200, seed=0, halo_cells=3
+        grid, support, grid.sample(u0, 0.0), None, S.make_samplers(S.Coefficients(b1=0.5), grid),
+        paths=200, seed=0, stride=None, halo_cells=3,
     )
     elapsed = time.perf_counter() - started
     ratio = float(np.max(trace.outside_mean)) / trace.total_initial
@@ -194,12 +195,12 @@ def _snapshots(k, state):
 def test_criterion_8_solver_validation():
     # spatial order two on the boundary-compatible standing mode
     u0 = make_fn("standing_wave", 1)
-    co = S.Coefficients()
 
     def l2err(dx):
         g = make_grid([(-1.0, 1.0)], dx=dx, dt=dx / 4, t_max=0.4)
-        init = S.initial_state(g, u0, None, co)
-        _, (u, _) = S.solve(init, co, g, [sample_brownian(1, g.dt, g.t_max)], _snapshots, stride=g.num_steps, support_guard=False)
+        s = S.make_samplers(S.Coefficients(), g)
+        init = S.initial_state(g, g.sample(u0, 0.0), None, s)
+        _, (u, _) = S.solve(init, s, g, [sample_brownian(1, g.dt, g.t_max)], _snapshots, stride=g.num_steps, support_guard=False)
         exact = u0.d(np.full(g.shape, 0.4), list(g.meshgrid()), (0, 0))
         return math.sqrt(float(np.sum((u[0, -1] - exact) ** 2)) * g.cell_volume)
 
@@ -208,8 +209,9 @@ def test_criterion_8_solver_validation():
 
     # zero-noise reduction to the leapfrog reference
     g = make_grid([(-1.0, 1.0)], dx=0.01, dt=0.0025, t_max=0.5)
-    init = S.initial_state(g, u0, None, co)
-    _, (u, _) = S.solve(init, co, g, [sample_brownian(3, g.dt, g.t_max)], _snapshots, stride=g.num_steps, support_guard=False)
+    s = S.make_samplers(S.Coefficients(), g)
+    init = S.initial_state(g, g.sample(u0, 0.0), None, s)
+    _, (u, _) = S.solve(init, s, g, [sample_brownian(3, g.dt, g.t_max)], _snapshots, stride=g.num_steps, support_guard=False)
     _, (ref_u, _) = S.leapfrog_reference(init, g)
     dev = float(np.max(np.abs(u[0, -1] - ref_u[0, -1])))
     assert dev <= 1e-10

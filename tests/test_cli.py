@@ -752,6 +752,117 @@ def test_monte_carlo_columns_do_not_depend_on_the_chunk_size(tmp_path, monkeypat
         assert _columns_without_wall_time(tmp_path / "chunked" / f"{sub}.csv") == default, sub
 
 
+# the bundled grids but with a step whose num_steps * dt rounds below t_max: 11 * 0.03 is 0.32999999999999996
+SHORT_STEP_GRID = {"bounds": [[-1.5, 1.5]], "dx": 0.03, "dt": 0.03, "cfl": 1.0, "t_max": 0.33}
+
+
+def _recorded_times(monkeypatch) -> list:
+    """Wrap solver.solve so that each call appends the record times it returns."""
+    recorded = []
+    original = solver.solve
+
+    def recording(*args, **kwargs):
+        times, out = original(*args, **kwargs)
+        recorded.append(list(times))
+        return times, out
+
+    monkeypatch.setattr(solver, "solve", recording)
+    return recorded
+
+
+def _write(tmp_path, cfg) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_propagation_writes_its_last_step_once(tmp_path):
+    cfg = _edited("propagation.json", grid=SHORT_STEP_GRID, stride=1)
+    assert run(_write(tmp_path, cfg), "propagation", out_dir=str(tmp_path / "out")) == 0
+    times = [float(row["time"]) for row in csv.DictReader(open(tmp_path / "out" / "propagation.csv"))]
+    # steps 0 .. 11, the last at 11 * dt
+    assert len(times) == 12 and times[-1] == 11 * 0.03
+    assert all(a < b for a, b in zip(times, times[1:]))
+
+
+@pytest.mark.parametrize("subcommand, config, grid, records", [
+    ("ucp-decay", "ucp_decay.json", SHORT_STEP_GRID, 12),
+    ("qv-check", "qv_check.json", {"dt": 0.0003, "t_max": 0.27}, 901),
+])
+def test_monte_carlo_run_records_each_step_once(tmp_path, monkeypatch, subcommand, config, grid, records):
+    recorded = _recorded_times(monkeypatch)
+    assert run(_write(tmp_path, _edited(config, grid=grid)), subcommand, out_dir=str(tmp_path / "out")) == 0
+    assert len(recorded) == 1 and len(recorded[0]) == records
+    assert all(a < b for a, b in zip(recorded[0], recorded[0][1:]))
+
+
+def _count_mesh_samples(monkeypatch, name) -> list:
+    """Wrap AnalyticFn.partials so that each evaluation of the registry entry ``name`` at an
+    array of times (a sample on the mesh, not a jet at one point) appends 1."""
+    from carleman_lab.fields import AnalyticFn
+
+    calls = []
+    original = AnalyticFn.partials
+
+    def counting(self, t, x, alphas):
+        if self.name == name and not np.isscalar(t):
+            calls.append(1)
+        return original(self, t, x, alphas)
+
+    monkeypatch.setattr(AnalyticFn, "partials", counting)
+    return calls
+
+
+def _count_sampler_sets(monkeypatch) -> list:
+    calls = []
+    original = solver.make_samplers
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "make_samplers", counting)
+    return calls
+
+
+@pytest.mark.parametrize("subcommand, config", [
+    ("propagation", "propagation.json"), ("ucp-decay", "ucp_decay.json"), ("qv-check", "qv_check.json"),
+])
+def test_bundled_monte_carlo_run_has_one_setup(tmp_path, monkeypatch, subcommand, config):
+    # u0 is sampled once for the stencil check, the data-support check and the initial state,
+    # and one sampler set serves the initial state and every step
+    u0_name = json.loads((CONFIG_DIR / config).read_text())["u0"]["name"]
+    samples = _count_mesh_samples(monkeypatch, u0_name)
+    sampler_sets = _count_sampler_sets(monkeypatch)
+    assert run(str(CONFIG_DIR / config), subcommand, out_dir=str(tmp_path)) == 0
+    assert len(samples) == 1
+    assert len(sampler_sets) == 1
+
+
+# bundled ucp-decay data that lies wholly where rho > 0, and the bundled u0 left in place
+UCP_LEAKS = {
+    "tiny-u0": {"u0": {"name": "space_bump4", "params": {"amp": 5e-13, "cx1": -0.7, "rx1": 0.2}}},
+    "u1": {"u1": {"name": "space_bump4", "params": {"amp": 1.0, "cx1": -0.7, "rx1": 0.2}}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(UCP_LEAKS))
+def test_ucp_decay_data_on_the_positive_side_fails_by_relative_leak(tmp_path, case):
+    cfg = {**json.loads((CONFIG_DIR / "ucp_decay.json").read_text()), **UCP_LEAKS[case]}
+    out = tmp_path / "out"
+    assert run(_write(tmp_path, cfg), "ucp-decay", out_dir=str(out)) == 1
+    assert _fail_lines(out / "ucp-decay.log") == ["FAIL data_vanishes_on_positive_side: relative leak 1.000e+00"]
+
+
+def test_propagation_u1_outside_k_is_a_config_error(tmp_path, capsys):
+    cfg = _edited("propagation.json")
+    cfg["u1"] = {"name": "space_bump4", "params": {"amp": 1e-13, "cx1": 0.5, "rx1": 0.2}}
+    out = tmp_path / "out"
+    assert run(_write(tmp_path, cfg), "propagation", out_dir=str(out)) == 2
+    assert not out.exists()
+    assert "initial data is not supported in K (relative leak 1)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("subcommand, config, err", [
     ("propagation", "propagation.json", "9.371e-04"),
     ("ucp-decay", "ucp_decay.json", "0.000e+00"),

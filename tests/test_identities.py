@@ -265,17 +265,22 @@ def _qv_grid():
     return make_grid([(-1.0, 1.0)], dx=0.05, dt=2e-4, t_max=0.02)
 
 
+def _qv(grid, co, u0, paths, seed, family=None, params=None):
+    """``qv_check`` of u0 sampled at the nodes under the samplers of ``co``, tolerance 0.05."""
+    return qv_check(grid, S.make_samplers(co, grid), grid.sample(u0, 0.0), None, paths, seed, family, params, 0.05)
+
+
 def test_qv_zero_noise_is_exact_zero():
     grid = _qv_grid()
     u0 = make_fn("space_bump4", 1, amp=1.0, cx1=0.0, rx1=0.3)
-    rep = qv_check(grid, S.Coefficients(), u0, None, paths=100, seed=1)
+    rep = _qv(grid, S.Coefficients(), u0, paths=100, seed=1)
     assert rep.empirical == 0.0 and rep.predicted == 0.0 and rep.passed
 
 
 def test_qv_matches_compensator():
     grid = _qv_grid()
     u0 = make_fn("standing_wave", 1)
-    rep = qv_check(grid, S.Coefficients(b1=0.2, b2=1.0), u0, None, paths=100, seed=2)
+    rep = _qv(grid, S.Coefficients(b1=0.2, b2=1.0), u0, paths=100, seed=2)
     assert rep.relative_error <= 0.05
 
 
@@ -283,7 +288,7 @@ def test_qv_frozen_coefficient_oracle():
     # b1 = 0, b2 = 1 over a short horizon: QV is close to int u0^2 dt
     grid = make_grid([(-1.0, 1.0)], dx=0.05, dt=1e-4, t_max=0.01)
     u0 = make_fn("standing_wave", 1)
-    rep = qv_check(grid, S.Coefficients(b2=1.0), u0, None, paths=120, seed=3)
+    rep = _qv(grid, S.Coefficients(b2=1.0), u0, paths=120, seed=3)
     mesh = grid.meshgrid()
     u0_sq = np.asarray(u0.d(np.zeros(grid.shape), list(mesh), (0, 0)), dtype=float) ** 2
     frozen = float(np.sum(u0_sq)) * grid.cell_volume * grid.t_max
@@ -294,12 +299,12 @@ def test_qv_standard_error_halves_with_doubled_paths():
     grid = make_grid([(-1.0, 1.0)], dx=0.1, dt=5e-4, t_max=0.05)
     u0 = make_fn("standing_wave", 1)
     co = S.Coefficients(b1=0.5, b2=0.5)
-    rep1 = qv_check(grid, co, u0, None, paths=100, seed=4)
-    rep2 = qv_check(grid, co, u0, None, paths=400, seed=4)
+    rep1 = _qv(grid, co, u0, paths=100, seed=4)
+    rep2 = _qv(grid, co, u0, paths=400, seed=4)
     ratio = rep1.standard_error / rep2.standard_error
     assert 1.2 <= ratio / math.sqrt(2.0) * math.sqrt(2.0) <= 2.8  # se(100)/se(400) ~ 2
     # and the documented halved-paths factor band
-    rep_half = qv_check(grid, co, u0, None, paths=200, seed=4)
+    rep_half = _qv(grid, co, u0, paths=200, seed=4)
     assert 1.2 <= rep1.standard_error / rep_half.standard_error <= 1.8
 
 
@@ -309,7 +314,7 @@ def test_qv_weighted_by_theta():
     fam = WeightFamily(rho)
     params = WeightParams(lam=0.5, gamma=1.0, mu=0.0, t0=0.0, x0=(0.0,))
     u0 = make_fn("standing_wave", 1)
-    rep = qv_check(grid, S.Coefficients(b1=0.2, b2=1.0), u0, None, paths=100, seed=5, family=fam, params=params)
+    rep = _qv(grid, S.Coefficients(b1=0.2, b2=1.0), u0, paths=100, seed=5, family=fam, params=params)
     assert rep.relative_error <= 0.05
     assert rep.predicted > 0.0
 
@@ -318,7 +323,7 @@ def test_qv_requires_enough_paths():
     grid = _qv_grid()
     u0 = make_fn("standing_wave", 1)
     with pytest.raises(StatisticsError):
-        qv_check(grid, S.Coefficients(b1=0.2), u0, None, paths=10, seed=1)
+        _qv(grid, S.Coefficients(b1=0.2), u0, paths=10, seed=1)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,19 @@ def _energy_pair(state, support, t, g, halo_cells=DEFAULT_HALO_CELLS):
     return float(loc[0]), float(out[0])
 
 
+def _free_state(g, u0, u1):
+    """The free wave's ``initial_state`` of the AnalyticFns u0 and u1 (None is zero)."""
+    samplers = S.make_samplers(S.Coefficients(), g)
+    return S.initial_state(g, *(None if fn is None else g.sample(fn, 0.0) for fn in (u0, u1)), samplers)
+
+
+def _run(g, support, u0, co, paths, seed, **kwargs):
+    """``run_propagation`` of u0 sampled at the nodes under the samplers of ``co``, with
+    the default stride and halo."""
+    samplers = S.make_samplers(co, g)
+    return run_propagation(g, support, g.sample(u0, 0.0), None, samplers, paths, seed, None, DEFAULT_HALO_CELLS, **kwargs)
+
+
 def test_distance_inside_is_zero():
     assert distance_to_set(np.array([[0.1]]), BALL)[0] == 0.0
     assert distance_to_set(np.array([[0.0]]), BALL)[0] == 0.0
@@ -91,7 +104,7 @@ def test_local_energy_zero_state():
 def test_local_energy_vanishes_when_mass_inside_cone():
     g = make_grid([(-1.0, 1.0)], dx=0.01, dt=0.005, t_max=0.1)
     u0 = make_fn("space_bump4", 1, amp=1.0, cx1=0.0, rx1=0.2)
-    init = S.initial_state(g, u0, None)
+    init = _free_state(g, u0, None)
     # d_K - t <= 0 on the support (and on its one-cell stencil spill), so the
     # mollified weight vanishes identically
     wide = SupportSet(balls=(((0.0,), 0.3),))
@@ -104,7 +117,7 @@ def test_local_energy_weight_at_unit_distance():
     point_mass = SupportSet(balls=(((-1.5,), 1e-9),))
     # concentrate u_t = 1 on a narrow bump at distance ~1 from the support
     u1 = make_fn("space_bump4", 1, amp=1.0, cx1=-0.5, rx1=0.04)
-    init = S.initial_state(g, None, u1)
+    init = _free_state(g, None, u1)
     e = _energy_pair(init, point_mass, 0.0, g)[0]
     m = Mollifier()
     dens = 0.5 * float(np.sum(init.ut**2) * g.cell_volume)
@@ -115,7 +128,7 @@ def test_local_energy_weight_at_unit_distance():
 def test_run_propagation_zero_data_trace_is_zero():
     g = make_grid([(-1.0, 1.0)], dx=0.05, dt=0.025, t_max=0.2)
     zero = make_fn("space_bump4", 1, amp=0.0, cx1=0.0, rx1=0.2)
-    trace = run_propagation(g, BALL, zero, None, S.Coefficients(b1=0.5), paths=3, seed=1)
+    trace = _run(g, BALL, zero, S.Coefficients(b1=0.5), paths=3, seed=1)
     assert np.all(trace.mean == 0.0)
     assert np.all(trace.outside_mean == 0.0)
     assert trace.gronwall_constant == 0.0
@@ -125,7 +138,7 @@ def test_run_propagation_rejects_data_outside_support():
     g = make_grid([(-1.0, 1.0)], dx=0.05, dt=0.025, t_max=0.2)
     wide = make_fn("space_bump4", 1, amp=1.0, cx1=0.0, rx1=0.5)
     with pytest.raises(ConfigurationError, match="supported"):
-        run_propagation(g, BALL, wide, None, S.Coefficients(), paths=2, seed=1)
+        _run(g, BALL, wide, S.Coefficients(), paths=2, seed=1)
 
 
 def _snapshots(k, state):
@@ -137,8 +150,9 @@ def test_deterministic_dalembert_support_bound():
     # is scheme leakage only
     g = make_grid([(-1.5, 1.5)], dx=0.005, dt=0.0025, t_max=0.5)
     u0 = make_fn("space_bump4", 1, amp=1.0, cx1=0.0, rx1=0.2)
-    init = S.initial_state(g, u0, None)
-    _, (us, uts) = S.solve(init, S.Coefficients(), g, [sample_brownian(1, g.dt, g.t_max)], _snapshots, stride=g.num_steps)
+    samplers = S.make_samplers(S.Coefficients(), g)
+    init = S.initial_state(g, g.sample(u0, 0.0), None, samplers)
+    _, (us, uts) = S.solve(init, samplers, g, [sample_brownian(1, g.dt, g.t_max)], _snapshots, stride=g.num_steps)
     u, ut = us[0, -1], uts[0, -1]
     state = S.WaveState(u=u, ut=ut, time=0.5)
     total = S.total_energy(init, g)
@@ -151,7 +165,7 @@ def test_deterministic_dalembert_support_bound():
 def test_noisy_propagation_outside_energy_small():
     g = make_grid([(-1.5, 1.5)], dx=0.01, dt=0.005, t_max=0.4)
     u0 = make_fn("space_bump4", 1, amp=1.0, cx1=0.0, rx1=0.2)
-    trace = run_propagation(g, BALL, u0, None, S.Coefficients(b1=0.5), paths=40, seed=3)
+    trace = _run(g, BALL, u0, S.Coefficients(b1=0.5), paths=40, seed=3)
     ratio = float(np.max(trace.outside_mean)) / trace.total_initial
     assert ratio <= 1e-6
     assert isinstance(trace, EnergyTrace)
@@ -166,9 +180,7 @@ def test_gronwall_witness_positive_when_support_exceeds_k():
     u0 = make_fn("space_bump4", 1, amp=1.0, cx1=0.0, rx1=0.2)
     # an amplifying zero-order term makes the weighted energy grow, so the
     # growth constant is strictly positive and finite
-    trace = run_propagation(
-        g, small_k, u0, None, S.Coefficients(a1=2.0, b1=0.3), paths=5, seed=5, require_support=False
-    )
+    trace = _run(g, small_k, u0, S.Coefficients(a1=2.0, b1=0.3), paths=5, seed=5, require_support=False)
     assert trace.mean[0] > 0.0
     assert np.isfinite(trace.gronwall_constant)
     assert trace.gronwall_constant > 0.0
@@ -178,14 +190,14 @@ def test_two_dimensional_propagation_outside_energy_small():
     g = make_grid([(-1.0, 1.0), (-1.0, 1.0)], dx=0.025, dt=0.0125, t_max=0.25)
     k2 = SupportSet(balls=(((0.0, 0.0), 0.2),))
     bump = make_fn("space_bump4", 2, amp=1.0, cx1=0.0, cx2=0.0, rx1=0.2, rx2=0.2)
-    trace = run_propagation(g, k2, bump, None, S.Coefficients(b1=0.5), paths=5, seed=2)
+    trace = _run(g, k2, bump, S.Coefficients(b1=0.5), paths=5, seed=2)
     assert float(np.max(trace.outside_mean)) / trace.total_initial <= 1e-6
 
 
 def test_outside_energy_halo_monotone():
     g = make_grid([(-1.5, 1.5)], dx=0.01, dt=0.005, t_max=0.2)
     u0 = make_fn("space_bump4", 1, amp=1.0, cx1=0.0, rx1=0.2)
-    init = S.initial_state(g, u0, None)
+    init = _free_state(g, u0, None)
     e0 = _energy_pair(init, BALL, 0.0, g, halo_cells=0)[1]
     e3 = _energy_pair(init, BALL, 0.0, g, halo_cells=3)[1]
     assert e3 <= e0

@@ -23,36 +23,49 @@ def _snapshots(k, state):
     return state.u, state.ut
 
 
-def _solve(init, co, g, bp, **kwargs):
+def _state(g, u0, u1, samplers):
+    """``initial_state`` of the AnalyticFns u0 and u1 (None is zero) sampled at the nodes."""
+    return S.initial_state(g, *(None if fn is None else g.sample(fn, 0.0) for fn in (u0, u1)), samplers)
+
+
+def _solve(init, samplers, g, bp, **kwargs):
     """One path's record times and recorded u and u_t, without the path axis."""
-    times, (u, ut) = S.solve(init, co, g, [bp], _snapshots, **kwargs)
+    times, (u, ut) = S.solve(init, samplers, g, [bp], _snapshots, **kwargs)
     return times, u[0], ut[0]
 
 
 def test_zero_data_stays_zero():
     g = _grid(dx=0.05, t_max=0.25)
-    init = S.initial_state(g, None, None)
-    _, u, ut = _solve(init, S.Coefficients(), g, sample_brownian(1, g.dt, g.t_max))
+    s = S.make_samplers(S.Coefficients(), g)
+    _, u, ut = _solve(S.initial_state(g, None, None, s), s, g, sample_brownian(1, g.dt, g.t_max))
     assert np.all(u == 0.0) and np.all(ut == 0.0)
+
+
+def test_initial_state_leaves_the_arrays_it_is_given_unwritten():
+    g = _grid(dx=0.1, t_max=0.2)
+    u0, u1 = np.ones(g.shape), np.full(g.shape, 2.0)
+    state = S.initial_state(g, u0, u1, S.make_samplers(S.Coefficients(a3=1.0), g))
+    assert np.all(u0 == 1.0) and np.all(u1 == 2.0)
+    # the state's copies have their boundary ring zeroed
+    assert state.u[0] == 0.0 and state.ut[-1] == 0.0 and state.u[1] == 1.0
 
 
 def test_same_seed_reproduces_path_bitwise():
     g = _grid(dx=0.02, t_max=0.2, half_width=1.5)
     u0 = make_fn("space_bump4", 1, amp=1.0, cx1=0.0, rx1=0.2)
-    co = S.Coefficients(b1=0.5)
-    init = S.initial_state(g, u0, None, co)
-    _, u1, ut1 = _solve(init, co, g, sample_brownian(7, g.dt, g.t_max))
-    _, u2, ut2 = _solve(init, co, g, sample_brownian(7, g.dt, g.t_max))
+    s = S.make_samplers(S.Coefficients(b1=0.5), g)
+    init = _state(g, u0, None, s)
+    _, u1, ut1 = _solve(init, s, g, sample_brownian(7, g.dt, g.t_max))
+    _, u2, ut2 = _solve(init, s, g, sample_brownian(7, g.dt, g.t_max))
     assert np.array_equal(u1, u2) and np.array_equal(ut1, ut2)
 
 
 def test_manufactured_standing_wave_l2_error_bound():
     # deterministic free wave; boundary-compatible standing mode
     u0 = make_fn("standing_wave", 1)
-    co = S.Coefficients()
     g = _grid(dx=0.01, t_max=0.5)
-    init = S.initial_state(g, u0, None, co)
-    _, u, _ = _solve(init, co, g, sample_brownian(1, g.dt, g.t_max), stride=g.num_steps, support_guard=False)
+    s = S.make_samplers(S.Coefficients(), g)
+    _, u, _ = _solve(_state(g, u0, None, s), s, g, sample_brownian(1, g.dt, g.t_max), stride=g.num_steps, support_guard=False)
     exact = u0.d(np.full(g.shape, 0.5), list(g.meshgrid()), (0, 0))
     err = math.sqrt(float(np.sum((u[-1] - exact) ** 2)) * g.cell_volume)
     assert err <= 10.0 * (g.dx**2 + g.dt)
@@ -64,8 +77,8 @@ def test_spatial_order_two():
 
     def l2err(dx):
         g = _grid(dx=dx, t_max=0.4)
-        init = S.initial_state(g, u0, None, co)
-        _, u, _ = _solve(init, co, g, sample_brownian(1, g.dt, g.t_max), stride=g.num_steps, support_guard=False)
+        s = S.make_samplers(co, g)
+        _, u, _ = _solve(_state(g, u0, None, s), s, g, sample_brownian(1, g.dt, g.t_max), stride=g.num_steps, support_guard=False)
         exact = u0.d(np.full(g.shape, 0.4), list(g.meshgrid()), (0, 0))
         return math.sqrt(float(np.sum((u[-1] - exact) ** 2)) * g.cell_volume)
 
@@ -82,8 +95,8 @@ def test_temporal_order_one_with_damping():
 
     def terr(dt):
         g = _grid(dx=0.005, dt=dt, t_max=0.4)
-        init = S.initial_state(g, u_exact, None, co)
-        _, u, _ = _solve(init, co, g, sample_brownian(1, g.dt, g.t_max), stride=g.num_steps, support_guard=False)
+        s = S.make_samplers(co, g)
+        _, u, _ = _solve(_state(g, u_exact, None, s), s, g, sample_brownian(1, g.dt, g.t_max), stride=g.num_steps, support_guard=False)
         exact = u_exact.d(np.full(g.shape, 0.4), list(g.meshgrid()), (0, 0))
         return math.sqrt(float(np.sum((u[-1] - exact) ** 2)) * g.cell_volume)
 
@@ -98,8 +111,8 @@ def test_refinement_halving_dt_first_order_factor():
 
     def final(dt):
         g = _grid(dx=0.005, dt=dt, t_max=0.4)
-        init = S.initial_state(g, u_exact, None, co)
-        _, u, _ = _solve(init, co, g, sample_brownian(1, g.dt, g.t_max), stride=g.num_steps, support_guard=False)
+        s = S.make_samplers(co, g)
+        _, u, _ = _solve(_state(g, u_exact, None, s), s, g, sample_brownian(1, g.dt, g.t_max), stride=g.num_steps, support_guard=False)
         return u[-1]
 
     f1, f2, f4 = final(0.004), final(0.002), final(0.001)
@@ -109,9 +122,9 @@ def test_refinement_halving_dt_first_order_factor():
 
 def test_zero_noise_matches_leapfrog_reference():
     g = _grid(dx=0.01, dt=0.0025, t_max=0.5)
-    u0 = make_fn("standing_wave", 1)
-    init = S.initial_state(g, u0, None)
-    _, u, _ = _solve(init, S.Coefficients(), g, sample_brownian(3, g.dt, g.t_max), stride=g.num_steps, support_guard=False)
+    s = S.make_samplers(S.Coefficients(), g)
+    init = _state(g, make_fn("standing_wave", 1), None, s)
+    _, u, _ = _solve(init, s, g, sample_brownian(3, g.dt, g.t_max), stride=g.num_steps, support_guard=False)
     _, (ref_u, _) = S.leapfrog_reference(init, g)
     scale = float(np.max(np.abs(ref_u[0, -1])))
     assert float(np.max(np.abs(u[-1] - ref_u[0, -1]))) <= 1e-10 * max(1.0, scale)
@@ -124,17 +137,17 @@ def test_scalar_mode_second_moment_matches_exponential():
 
 def test_solve_linearity_per_path():
     g = _grid(dx=0.01, dt=0.005, t_max=0.3, half_width=1.5)
-    co = S.Coefficients(b1=0.5)
+    s = S.make_samplers(S.Coefficients(b1=0.5), g)
     bump_a = make_fn("space_bump4", 1, amp=1.0, cx1=0.0, rx1=0.2)
     bump_b = make_fn("space_bump4", 1, amp=0.5, cx1=0.1, rx1=0.15)
     bp = sample_brownian(9, g.dt, g.t_max)
-    _, ua, _ = _solve(S.initial_state(g, bump_a, None, co), co, g, bp, stride=g.num_steps)
-    _, ub, _ = _solve(S.initial_state(g, bump_b, None, co), co, g, bp, stride=g.num_steps)
-    both = S.initial_state(g, bump_a, None, co)
-    other = S.initial_state(g, bump_b, None, co)
+    _, ua, _ = _solve(_state(g, bump_a, None, s), s, g, bp, stride=g.num_steps)
+    _, ub, _ = _solve(_state(g, bump_b, None, s), s, g, bp, stride=g.num_steps)
+    both = _state(g, bump_a, None, s)
+    other = _state(g, bump_b, None, s)
     both.u = both.u + other.u
     both.ut = both.ut + other.ut
-    _, uc, _ = _solve(both, co, g, bp, stride=g.num_steps)
+    _, uc, _ = _solve(both, s, g, bp, stride=g.num_steps)
     diff = np.max(np.abs(uc[-1] - ua[-1] - ub[-1]))
     assert diff <= 1e-10 * max(1.0, float(np.max(np.abs(uc[-1]))))
 
@@ -177,9 +190,9 @@ def test_total_energy_examples():
 
 def test_free_wave_energy_drift_below_one_percent():
     g = make_grid([(-1.0, 1.0)], dx=0.005, dt=0.00125, t_max=1.0)
-    u0 = make_fn("standing_wave", 1)
-    init = S.initial_state(g, u0, None)
-    times, u, ut = _solve(init, S.Coefficients(), g, sample_brownian(1, g.dt, g.t_max), stride=g.num_steps, support_guard=False)
+    s = S.make_samplers(S.Coefficients(), g)
+    init = _state(g, make_fn("standing_wave", 1), None, s)
+    times, u, ut = _solve(init, s, g, sample_brownian(1, g.dt, g.t_max), stride=g.num_steps, support_guard=False)
     e0 = S.total_energy(S.WaveState(u[0], ut[0], times[0]), g)
     e1 = S.total_energy(S.WaveState(u[-1], ut[-1], times[-1]), g)
     assert abs(e1 - e0) / e0 <= 0.01
@@ -188,26 +201,25 @@ def test_free_wave_energy_drift_below_one_percent():
 def test_blow_up_reports_step_index():
     g = make_grid([(-1.0, 1.0)], dx=0.1, dt=0.1, t_max=2.0, cfl=1.0)
     u0 = make_fn("space_bump4", 1, amp=1e150, cx1=0.0, rx1=0.4)
-    init = S.initial_state(g, u0, None)
-    co = S.Coefficients(a3=1e10)
+    s = S.make_samplers(S.Coefficients(a3=1e10), g)
+    init = _state(g, u0, None, s)
     with np.errstate(over="ignore"), pytest.raises(S.BlowUpError, match="step"):
-        _solve(init, co, g, sample_brownian(1, g.dt, g.t_max), support_guard=False)
+        _solve(init, s, g, sample_brownian(1, g.dt, g.t_max), support_guard=False)
 
 
 def test_support_reach_raises_propagation_error():
     # bump close to the wall: physical speed reaches it before t_max
     g = make_grid([(-1.0, 1.0)], dx=0.02, dt=0.01, t_max=0.8)
     u0 = make_fn("space_bump4", 1, amp=1.0, cx1=0.5, rx1=0.3)
-    init = S.initial_state(g, u0, None)
+    s = S.make_samplers(S.Coefficients(), g)
     with pytest.raises(S.PropagationError):
-        _solve(init, S.Coefficients(), g, sample_brownian(1, g.dt, g.t_max), stride=5)
+        _solve(_state(g, u0, None, s), s, g, sample_brownian(1, g.dt, g.t_max), stride=5)
 
 
 def test_noise_step_size_guard():
     g = make_grid([(-1.0, 1.0)], dx=0.5, dt=0.25, t_max=0.5)
-    init = S.initial_state(g, None, None)
     with pytest.raises(ConfigurationError, match="guard"):
-        _solve(init, S.Coefficients(b1=2.0), g, sample_brownian(1, g.dt, g.t_max))
+        S.make_samplers(S.Coefficients(b1=2.0), g)
 
 
 def test_a2_with_more_entries_than_axes_is_refused():
@@ -222,7 +234,7 @@ def test_boundary_ring_precondition():
     g = make_grid([(-1.0, 1.0)], dx=0.25, dt=0.125, t_max=0.25)
     bad = S.WaveState(u=np.ones(g.shape), ut=np.zeros(g.shape), time=0.0)
     with pytest.raises(ConfigurationError, match="boundary ring"):
-        _solve(bad, S.Coefficients(), g, sample_brownian(1, g.dt, g.t_max))
+        _solve(bad, S.make_samplers(S.Coefficients(), g), g, sample_brownian(1, g.dt, g.t_max))
 
 
 def test_two_dimensional_spatial_order():
@@ -236,8 +248,8 @@ def test_two_dimensional_spatial_order():
 
     def l2err(dx):
         g = make_grid([(-1.0, 1.0), (-1.0, 1.0)], dx=dx, dt=dx / 4, t_max=0.2)
-        init = S.initial_state(g, u2, None, co)
-        _, u, _ = _solve(init, co, g, sample_brownian(1, g.dt, g.t_max), stride=g.num_steps, support_guard=False)
+        s = S.make_samplers(co, g)
+        _, u, _ = _solve(_state(g, u2, None, s), s, g, sample_brownian(1, g.dt, g.t_max), stride=g.num_steps, support_guard=False)
         exact = u2.d(np.full(g.shape, 0.2), list(g.meshgrid()), (0, 0, 0))
         return math.sqrt(float(np.sum((u[-1] - exact) ** 2)) * g.cell_volume)
 
@@ -250,25 +262,44 @@ def test_ensemble_rows_equal_single_path_solves(n):
     g = make_grid([(-1.0, 1.0)] * n, dx=0.1, dt=0.025, t_max=0.5)
     bump = make_fn("space_bump4", n, amp=1.0, **{f"{k}{j + 1}": v for j in range(n) for k, v in (("cx", 0.0), ("rx", 0.4))})
     b1 = make_fn("affine", n, c0=0.3, ct=0.5, **{f"cx{j + 1}": 0.0 for j in range(n)})  # 0.3 + 0.5 t
-    co = S.Coefficients(a1=-0.2, a2=(0.3,) * n, a3=0.4, b1=b1, b2=0.2, f=0.05, g=0.1, b1_bound=0.55)
-    init = S.initial_state(g, bump, None, co)
+    s = S.make_samplers(S.Coefficients(a1=-0.2, a2=(0.3,) * n, a3=0.4, b1=b1, b2=0.2, f=0.05, g=0.1, b1_bound=0.55), g)
+    init = _state(g, bump, None, s)
     paths = [sample_brownian(11, g.dt, g.t_max, stream=p) for p in range(4)]
-    # 20 steps at stride 3: the final state is recorded again at t_max
-    times, (u, ut) = S.solve(init, co, g, paths, _snapshots, stride=3, support_guard=False)
+    # 20 steps at stride 3: the last step is recorded although 3 does not divide it
+    times, (u, ut) = S.solve(init, s, g, paths, _snapshots, stride=3, support_guard=False)
     assert u.shape == (4, len(times)) + g.shape
     for p, bp in enumerate(paths):
-        single_times, us, uts = _solve(init, co, g, bp, stride=3, support_guard=False)
+        single_times, us, uts = _solve(init, s, g, bp, stride=3, support_guard=False)
         assert np.array_equal(times, single_times)
         assert np.array_equal(u[p], us) and np.array_equal(ut[p], uts)
 
 
+@pytest.mark.parametrize("dt, t_max, stride", [
+    (0.03, 0.33, 1),  # 11 * 0.03 rounds below 0.33
+    (0.03, 0.33, 4),  # and 4 does not divide 11
+    (0.025, 0.5, 3),  # 3 does not divide 20
+    (0.025, 0.5, 5),
+    (0.025, 0.5, 40),  # a stride past the horizon records steps 0 and 20 alone
+])
+def test_solve_records_step_zero_every_stride_and_the_last_step_once(dt, t_max, stride):
+    g = make_grid([(-1.5, 1.5)], dx=0.03, dt=dt, t_max=t_max, cfl=1.0)
+    s = S.make_samplers(S.Coefficients(), g)
+    init = _state(g, make_fn("space_bump4", 1, amp=1.0, cx1=0.0, rx1=0.2), None, s)
+    times, u, _ = _solve(init, s, g, sample_brownian(1, g.dt, g.t_max), stride=stride)
+    steps = sorted(set(range(0, g.num_steps + 1, stride)) | {g.num_steps})
+    assert list(times) == [k * g.dt for k in steps]
+    assert S.recorded_steps(g.num_steps, stride) == steps
+    assert len(u) == len(steps)
+
+
 def test_ensemble_blow_up_names_the_path():
     g = make_grid([(-1.0, 1.0)], dx=0.1, dt=0.05, t_max=0.5)
-    init = S.initial_state(g, make_fn("space_bump4", 1, amp=1.0, cx1=0.0, rx1=0.4), None)
+    s = S.make_samplers(S.Coefficients(b2=1.0), g)
+    init = _state(g, make_fn("space_bump4", 1, amp=1.0, cx1=0.0, rx1=0.4), None, s)
     paths = [sample_brownian(1, g.dt, g.t_max, stream=p) for p in range(3)]
     paths[2] = S.BrownianPath(seed=1, dt=g.dt, t_max=g.t_max, increments=np.full(g.num_steps, 1e300), stream=2)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(S.BlowUpError, match="on path 2 at step"):
-        S.solve(init, S.Coefficients(b2=1.0), g, paths, _snapshots, support_guard=False)
+        S.solve(init, s, g, paths, _snapshots, support_guard=False)
 
 
 # (n, coefficients, u0 amplitude, u1 amplitude, path with huge increments, its increment, message);
@@ -291,11 +322,12 @@ def test_ensemble_blow_up_reports_the_recorded_path_and_step(n, co, amp0, amp1, 
             return None
         return make_fn("space_bump4", n, amp=amp, **{f"{k}{j + 1}": v for j in range(n) for k, v in (("cx", 0.0), ("rx", 0.4))})
 
-    init = S.initial_state(g, bump(amp0), bump(amp1))
+    s = S.make_samplers(co, g)
+    init = _state(g, bump(amp0), bump(amp1), s)
     paths = [sample_brownian(1, g.dt, g.t_max, stream=p) for p in range(3)]
     paths[hot] = S.BrownianPath(seed=1, dt=g.dt, t_max=g.t_max, increments=np.full(g.num_steps, dw), stream=hot)
     with np.errstate(all="ignore"), pytest.raises(S.BlowUpError) as info:
-        S.solve(init, co, g, paths, _snapshots, support_guard=False)
+        S.solve(init, s, g, paths, _snapshots, support_guard=False)
     assert str(info.value) == message
 
 
