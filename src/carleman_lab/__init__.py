@@ -17,7 +17,7 @@ _EXPORTS = {
     "identities": (
         "CutoffSpec", "IdentityReport", "RegionSpec", "conjugation_residual", "inequality_gap", "qv_check",
     ),
-    "solver": ("Coefficients", "WaveState", "manufactured_forcing", "solve", "total_energy"),
+    "solver": ("Coefficients", "WaveState", "solve", "total_energy"),
     "propagation": ("EnergyTrace", "Mollifier", "SupportSet", "distance_to_set", "run_propagation"),
     "cones": ("ConeSpec", "SweepState", "c3_constant", "membership", "sweep_cover", "vertex"),
 }

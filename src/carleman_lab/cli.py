@@ -200,7 +200,6 @@ _COEFFS = {
         "f": _COEFF,
         "g": _COEFF,
         "b1_bound": _NUM,
-        "manufactured_from": _FNSPEC,
     },
     "additionalProperties": False,
 }
@@ -304,10 +303,9 @@ def _coeff_value(spec, n):
 def _coeffs_from(cfg: dict, n: int):
     from . import solver
 
-    a2 = tuple(_coeff_value(c, n) for c in cfg.get("a2", []))
-    co = solver.Coefficients(
+    return solver.Coefficients(
         a1=_coeff_value(cfg.get("a1"), n),
-        a2=a2,
+        a2=tuple(_coeff_value(c, n) for c in cfg.get("a2", [])),
         a3=_coeff_value(cfg.get("a3"), n),
         b1=_coeff_value(cfg.get("b1"), n),
         b2=_coeff_value(cfg.get("b2"), n),
@@ -315,10 +313,6 @@ def _coeffs_from(cfg: dict, n: int):
         g=_coeff_value(cfg.get("g"), n),
         b1_bound=cfg.get("b1_bound"),
     )
-    if "manufactured_from" in cfg:
-        u_exact = fn_from_spec(cfg["manufactured_from"], n)
-        co = replace(co, g=solver.manufactured_forcing(u_exact, co))
-    return co
 
 
 def _weights_from(cfg: dict, n: int) -> tuple:

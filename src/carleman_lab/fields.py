@@ -119,10 +119,6 @@ class BrownianPath:
         return self.increments.size
 
     @property
-    def quadratic_variation(self) -> float:
-        return float(np.sum(self.increments**2))
-
-    @property
     def passes_mean_sanity(self) -> bool:
         """|sample mean| <= 4 sqrt(dt / N).  A 4-sigma bound; recorded, not raised,
         since an honest stream trips it with probability ~6e-5."""
@@ -383,22 +379,18 @@ class _Symbolic:
 
     ``family`` is a registry name, ``("psi", family)`` for psi = exp(cw_gamma
     rho) on a family of rho, or ``(expr, param_syms)`` for a function made
-    from a sympy expression.  The shared part is the sorted parameter names
-    and their index for ``with_params``, whether the function depends on t,
-    and the evaluators by multi-index.  An evaluator's source comes from the
-    frozen table when it has one, and is generated with sympy otherwise.  The
-    sympy tree is built by ``tree()`` on first use and checked then for
-    unbound symbols; a run served by the table never builds it.
+    from a sympy expression.  The shared part is the sorted parameter names,
+    whether the function depends on t, and the evaluators by multi-index.  An
+    evaluator's source comes from the frozen table when it has one, and is
+    generated with sympy otherwise.  The sympy tree is built by ``tree()`` on
+    first use and checked then for unbound symbols; a run served by the table
+    never builds it.
     """
 
     def __init__(self, name: str, key: tuple, param_names: tuple[str, ...], depends_on_t: bool, build):
         self.name, self.key, self.n = name, key, key[1]
         self.param_names, self.depends_on_t = param_names, depends_on_t
         self._build, self._tree = build, None
-        # full parameter names, then the unambiguous short names after the family prefix
-        self.index = {nm: i for i, nm in enumerate(param_names)}
-        for i, nm in enumerate(param_names):
-            self.index.setdefault(nm.split("_", 1)[-1], i)
         self.evaluators: dict[tuple[int, ...], object] = {}
 
     def tree(self) -> tuple:
@@ -451,8 +443,8 @@ class AnalyticFn:
 
     An instance holds its name, the part its whole family shares
     (``symbolic``, see ``_Symbolic``) and its parameter values in the order of
-    the family's sorted parameter names, so ``with_params`` and
-    ``with_values`` rebind values without touching sympy and never recompile.
+    the family's sorted parameter names, so ``with_values`` rebinds values
+    without touching sympy and never recompiles.
 
     The constructor makes a function from a sympy expression whose parameters
     are symbols bound to floats.  It is a family of its own, keyed by the
@@ -460,7 +452,7 @@ class AnalyticFn:
     by structure, with symbol assumptions and number types included
     (``2.0*x`` and ``2*x`` are different families).  Registry functions
     (``make_fn``) and psi (``weights.WeightFamily``) are keyed by name
-    instead, and build no sympy tree until something reads ``expr``.
+    instead, and build no sympy tree until an evaluator is generated.
     """
 
     def __init__(self, name: str, expr, n: int, params: dict):
@@ -484,30 +476,12 @@ class AnalyticFn:
         return fn
 
     @property
-    def expr(self):
-        return self.symbolic.tree()[0]
-
-    @property
-    def param_syms(self) -> tuple:
-        return self.symbolic.tree()[1]
-
-    @property
     def n(self) -> int:
         return self.symbolic.n
 
     @property
     def params(self) -> dict[str, float]:
         return dict(zip(self.symbolic.param_names, self.param_values))
-
-    def with_params(self, **updates: float) -> "AnalyticFn":
-        """Rebind parameters by full symbol name or unambiguous short name."""
-        index = self.symbolic.index
-        values = list(self.param_values)
-        for k, v in updates.items():
-            if k not in index:
-                raise CapabilityError(f"{self.name}: unknown parameter {k!r}")
-            values[index[k]] = float(v)
-        return self.with_values(tuple(values))
 
     def with_values(self, values: tuple[float, ...]) -> "AnalyticFn":
         """The same function with every parameter value given, in ``param_names`` order."""

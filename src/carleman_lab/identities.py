@@ -90,11 +90,6 @@ class CutoffSpec:
     def chi_d2(self, phi):
         return _smoothstep_d2((np.asarray(phi, dtype=float) - self.c2) / self.eps) / self.eps**2
 
-    @property
-    def derivative_maxima(self) -> tuple[float, float]:
-        """(max |chi'|, max |chi''|) over the transition band, in phi units."""
-        return 1.875 / self.eps, (10.0 / math.sqrt(3.0)) / self.eps**2
-
 
 @dataclass(frozen=True)
 class IdentityReport:

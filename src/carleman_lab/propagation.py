@@ -62,12 +62,12 @@ class SupportSet:
         return len(self.boxes[0][0])
 
 
-def distance_to_set(x, support: SupportSet):
-    """Euclidean distance to the union; exact per component, Lipschitz-1.
-
-    ``x`` is one point (length-n sequence) or an (m, n) array of points.
-    """
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
+def distance_to_set(x, support: SupportSet) -> np.ndarray:
+    """Euclidean distance to the union, one per row of the (m, n) array ``x``
+    of points; exact per component, Lipschitz-1."""
+    pts = np.asarray(x, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != support.n:
+        raise ConfigurationError(f"points of shape {pts.shape} are not an (m, {support.n}) array")
     best = np.full(pts.shape[0], np.inf)
     for center, radius in support.balls:
         d = np.linalg.norm(pts - np.asarray(center, dtype=float), axis=1) - radius
@@ -77,7 +77,7 @@ def distance_to_set(x, support: SupportSet):
         hi = np.asarray(hi, dtype=float)
         gap = np.maximum(np.maximum(lo - pts, pts - hi), 0.0)
         best = np.minimum(best, np.linalg.norm(gap, axis=1))
-    return float(best[0]) if np.ndim(x) == 1 and np.asarray(x).ndim == 1 and pts.shape[0] == 1 else best
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -92,11 +92,6 @@ class Mollifier:
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
         out = np.where(s > 0.0, s**2 / (1.0 + s**2), 0.0)
-        return float(out) if out.ndim == 0 else out
-
-    def derivative(self, s):
-        s = np.asarray(s, dtype=float)
-        out = np.where(s > 0.0, 2.0 * s / (1.0 + s**2) ** 2, 0.0)
         return float(out) if out.ndim == 0 else out
 
 
@@ -153,20 +148,17 @@ def run_propagation(
     seed: int,
     stride: int | None,
     halo_cells: int,
-    require_support: bool = True,
 ) -> EnergyTrace:
     """Monte Carlo mean of the mollified outside energy along solved paths.
 
     ``u0`` and ``u1`` are the initial data at the nodes (``u1`` None is zero)
     and ``samplers`` the coefficient samplers of ``solver.make_samplers``; a
     caller makes each once per run.  The data must be supported in K (their
-    ``relative_leak`` outside K at most ``DATA_SUPPORT_TOL``) unless
-    ``require_support`` is cleared for a deliberate witness run with a
-    positive trace.  K inflated at unit speed by t_max plus the halo must
-    stay clear of the solver's guard ring, or the run could only end in a
-    ``PropagationError``; that is checked before any step.  ``solver.solve``
-    reduces every recorded state to each path's two energies, so results do
-    not depend on its chunk size.
+    ``relative_leak`` outside K at most ``DATA_SUPPORT_TOL``).  K inflated at
+    unit speed by t_max plus the halo must stay clear of the solver's guard
+    ring, or the run could only end in a ``PropagationError``; that is checked
+    before any step.  ``solver.solve`` reduces every recorded state to each
+    path's two energies, so results do not depend on its chunk size.
     """
     if support.n != grid.n:
         raise ConfigurationError(f"support has dimension {support.n} for a grid of dimension {grid.n}")
@@ -177,10 +169,9 @@ def run_propagation(
             f"K inflated by t_max + halo = {reach:.6g} at unit speed reaches the "
             f"{_solver.GUARD_RING}-node guard ring at the boundary"
         )
-    if require_support:
-        leak = max(relative_leak(vals, d > 0.0) for vals in (u0, u1) if vals is not None)
-        if leak > DATA_SUPPORT_TOL:
-            raise ConfigurationError(f"initial data is not supported in K (relative leak {leak:.3g})")
+    leak = max(relative_leak(vals, d > 0.0) for vals in (u0, u1) if vals is not None)
+    if leak > DATA_SUPPORT_TOL:
+        raise ConfigurationError(f"initial data is not supported in K (relative leak {leak:.3g})")
     stride = stride or max(1, grid.num_steps // 10)
     init = _solver.initial_state(grid, u0, u1, samplers)
     e_total0 = _solver.total_energy(init, grid)

@@ -627,12 +627,6 @@ def psd_certificate(g_jet: Jet2, seed: int = 0, tangent_samples: int = 50) -> Ps
     )
 
 
-def certifies(hess: np.ndarray, tau: float) -> bool:
-    """Whether I - Hess/tau clears the eigenvalue floor (exposed for rejection tests)."""
-    n = hess.shape[0]
-    return float(jacobi_eigenvalues(np.eye(n) - np.asarray(hess, dtype=float) / tau)[0]) >= EIG_FLOOR
-
-
 ASSUMPTION_PRESETS = ("A2.1", "A2.2", "A2.3")
 
 # eigenvalue band around zero that separates semidefinite from definite

@@ -4,6 +4,10 @@ from carleman_lab.fields import make_fn
 from carleman_lab.weights import WeightFamily, WeightParams
 
 
+# parameters of the smooth test function u of the identity tests
+W_SMOOTH = dict(amp=1.3, att=-0.4, bt=0.2, ax1=-0.3, bx1=0.1)
+
+
 @pytest.fixture(scope="session")
 def rho_trig():
     return make_fn("trig_product", 1, amp=0.1, wt=1.1, wx1=0.9, pt=0.2, px1=0.4)
@@ -16,7 +20,7 @@ def varrho_quad():
 
 @pytest.fixture(scope="session")
 def w_smooth():
-    return make_fn("exp_quadratic", 1, amp=1.3, att=-0.4, bt=0.2, ax1=-0.3, bx1=0.1)
+    return make_fn("exp_quadratic", 1, **W_SMOOTH)
 
 
 @pytest.fixture(scope="session")

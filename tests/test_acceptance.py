@@ -17,10 +17,11 @@ import pytest
 
 from carleman_lab.fields import make_fn, make_grid, sample_brownian, uniform_stream
 from carleman_lab.weights import (
+    EIG_FLOOR,
     WeightFamily,
     WeightParams,
-    certifies,
     eval_D,
+    jacobi_eigenvalues,
     psd_certificate,
 )
 from carleman_lab.identities import (
@@ -34,6 +35,8 @@ from carleman_lab import solver as S
 from carleman_lab.propagation import SupportSet, run_propagation
 from carleman_lab.cones import ConeSpec, c3_constant, membership, vertex
 from carleman_lab.cli import run as cli_run
+
+from oracles import leapfrog_reference, scalar_noise_second_moment
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
@@ -140,7 +143,7 @@ def test_criterion_5_psd_certificate_radial_graph():
     g = make_fn("radial_norm", 2)
     jet = g.jet2(0.0, [2.0, 0.0])
     # tau at or below one half fails the floor; tau = 1 clears it
-    assert not certifies(jet.hess_xx, 0.5)
+    assert float(jacobi_eigenvalues(np.eye(2) - jet.hess_xx / 0.5)[0]) < EIG_FLOOR
     cert = psd_certificate(jet, seed=11, tangent_samples=50)
     assert cert.tau == 1.0
     assert cert.min_eigenvalue >= 1e-9
@@ -212,12 +215,12 @@ def test_criterion_8_solver_validation():
     s = S.make_samplers(S.Coefficients(), g)
     init = S.initial_state(g, g.sample(u0, 0.0), None, s)
     _, (u, _) = S.solve(init, s, g, [sample_brownian(3, g.dt, g.t_max)], _snapshots, stride=g.num_steps, support_guard=False)
-    _, (ref_u, _) = S.leapfrog_reference(init, g)
+    _, (ref_u, _) = leapfrog_reference(init, g)
     dev = float(np.max(np.abs(u[0, -1] - ref_u[0, -1])))
     assert dev <= 1e-10
 
     # scalar multiplicative-noise second moment
-    emp, exact = S.scalar_noise_second_moment(1.0, 1.0, 1.0, 1e-3, 10_000, 42)
+    emp, exact = scalar_noise_second_moment(1.0, 1.0, 1.0, 1e-3, 10_000, 42)
     rel = abs(emp - exact) / exact
     assert rel <= 0.10
     _ok(8, "solver validation", f"order {order:.2f}, leapfrog dev {dev:.2e}, moment rel {rel:.3f}")

@@ -971,8 +971,6 @@ ROUTES = {
     "cones.sweep_cover": {"sweep"},
     "cones.vertex": {"geometry"},
 }
-# exported, but no bundled config reaches it: a config's coeffs.manufactured_from does
-LIBRARY_ONLY = {"solver.manufactured_forcing"}
 
 
 def _exported_functions():
@@ -987,8 +985,7 @@ def _exported_functions():
 
 
 def test_route_table_covers_all_module_operations():
-    assert set(_exported_functions()) == set(ROUTES) | LIBRARY_ONLY
-    assert not set(ROUTES) & LIBRARY_ONLY
+    assert set(_exported_functions()) == set(ROUTES)
     for op, subs in ROUTES.items():
         assert subs <= set(SUBCOMMANDS), f"{op} routes to unknown subcommands {subs - set(SUBCOMMANDS)}"
 
@@ -1029,27 +1026,16 @@ def test_every_subcommand_has_schema_and_runner():
         assert set(record.nonfinite.values()) <= {"nan", "inf"}, name
 
 
-def test_manufactured_drift_reachable_from_propagation(tmp_path):
-    # config-space route for the manufactured forcing feedback
-    cfg = tmp_path / "prop.json"
-    cfg.write_text(
-        json.dumps(
-            {
-                "experiment": "propagation",
-                "grid": {"bounds": [[-1.5, 1.5]], "dx": 0.02, "dt": 0.01, "t_max": 0.1},
-                "support": {"balls": [{"center": [0.0], "radius": 0.25}]},
-                "u0": {"name": "space_bump4", "params": {"amp": 1.0, "cx1": 0.0, "rx1": 0.2}},
-                "coeffs": {
-                    "a3": 0.5,
-                    "manufactured_from": {"name": "space_bump4", "params": {"amp": 1.0, "cx1": 0.0, "rx1": 0.2}},
-                },
-                "paths": 2,
-                "seed": 0,
-                "outside_tolerance": 1e-4
-            }
-        )
-    )
-    assert run(str(cfg), "propagation", out_dir=str(tmp_path / "out")) == 0
+@pytest.mark.parametrize(
+    "name, subcommand",
+    [("propagation.json", "propagation"), ("qv_check.json", "qv-check"), ("ucp_decay.json", "ucp-decay")],
+)
+def test_manufactured_from_is_an_unknown_coefficient_key(tmp_path, capsys, name, subcommand):
+    # coeffs.manufactured_from was a drift knob without a verdict; a config that still holds it is unusable
+    spec = {"name": "space_bump4", "params": {"amp": 1.0, "cx1": 0.0, "rx1": 0.2}}
+    errors = _config_errors(tmp_path, capsys, name, subcommand, lambda c: c["coeffs"].update(manufactured_from=spec))
+    assert len(errors) == 1 and errors[0].startswith("config error: coeffs: "), errors
+    assert "'manufactured_from' unexpected" in errors[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1108,7 +1094,7 @@ def test_package_exports_resolve_to_their_modules():
     from carleman_lab import WeightFamily, cones, propagation, run_propagation, vertex, weights
 
     assert (WeightFamily, run_propagation, vertex) == (weights.WeightFamily, propagation.run_propagation, cones.vertex)
-    assert len(carleman_lab.__all__) == 39  # __version__ and 38 exported names
+    assert len(carleman_lab.__all__) == 38  # __version__ and 37 exported names
     for name in carleman_lab.__all__:
         getattr(carleman_lab, name)
     with pytest.raises(AttributeError):

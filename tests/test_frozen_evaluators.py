@@ -91,7 +91,7 @@ def test_table_equals_a_fresh_compile():
 def test_registry_declares_whether_a_family_depends_on_t(n):
     for name in BUILTIN_NAMES:
         fn = make_fn(name, n)
-        assert fn.symbolic.depends_on_t == fn.expr.has(T_SYM), name
+        assert fn.symbolic.depends_on_t == fn.symbolic.tree()[0].has(T_SYM), name
 
 
 def test_a_generated_evaluator_reads_only_numpy_names():

@@ -19,7 +19,7 @@ from carleman_lab.identities import (
 )
 from carleman_lab import solver as S
 
-from conftest import draw_uniform
+from conftest import W_SMOOTH, draw_uniform
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +40,8 @@ def test_cutoff_c2_matching_and_derivative_maxima():
     s = np.linspace(0.5, 0.7, 2001)
     d1 = cut.chi_d1(s)
     d2 = cut.chi_d2(s)
-    m1, m2 = cut.derivative_maxima
+    # max |chi'| and max |chi''| of the smoothstep over the band, in phi units
+    m1, m2 = 1.875 / cut.eps, (10.0 / math.sqrt(3.0)) / cut.eps**2
     assert np.max(np.abs(d1)) <= m1 * (1 + 1e-9)
     assert np.max(np.abs(d2)) <= m2 * (1 + 1e-9)
     # C^2 at both seams: derivatives decay to zero at the ends
@@ -78,7 +79,7 @@ def test_identity_constant_w_at_flat_weight_point():
     assert rep.relative_residual <= 1e-9
 
 
-def test_identity_200_random_cases(family, params, w_smooth):
+def test_identity_200_random_cases(family, params):
     u = draw_uniform(23, 200 * 6).reshape(200, 6)
     worst = 0.0
     for row in u:
@@ -89,7 +90,7 @@ def test_identity_200_random_cases(family, params, w_smooth):
             t0=0.4 * (row[3] - 0.5),
             x0=(0.4 * (row[4] - 0.5),),
         )
-        w = w_smooth.with_params(amp=0.5 + row[5])
+        w = make_fn("exp_quadratic", 1, **dict(W_SMOOTH, amp=0.5 + row[5]))
         rep = identity_case(w, family, pp, 0.6 * (row[0] - 0.5), [0.6 * (row[1] - 0.5)]).report
         worst = max(worst, rep.relative_residual)
     assert worst <= 1e-8

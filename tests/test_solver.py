@@ -14,6 +14,8 @@ from carleman_lab.fields import (
 )
 from carleman_lab import solver as S
 
+from oracles import leapfrog_reference, manufactured_forcing, scalar_noise_second_moment
+
 
 def _grid(dx=0.01, dt=None, t_max=0.5, half_width=1.0):
     return make_grid([(-half_width, half_width)], dx=dx, dt=dt or dx / 4, t_max=t_max)
@@ -90,7 +92,7 @@ def test_spatial_order_two():
 def test_temporal_order_one_with_damping():
     u_exact = make_fn("standing_wave", 1)
     base = S.Coefficients(a1=-1.0, a3=0.5)
-    forcing = S.manufactured_forcing(u_exact, base)
+    forcing = manufactured_forcing(u_exact, base)
     co = S.Coefficients(a1=-1.0, a3=0.5, g=forcing)
 
     def terr(dt):
@@ -107,7 +109,7 @@ def test_temporal_order_one_with_damping():
 def test_refinement_halving_dt_first_order_factor():
     u_exact = make_fn("standing_wave", 1)
     base = S.Coefficients(a1=-1.0, a3=0.5)
-    co = S.Coefficients(a1=-1.0, a3=0.5, g=S.manufactured_forcing(u_exact, base))
+    co = S.Coefficients(a1=-1.0, a3=0.5, g=manufactured_forcing(u_exact, base))
 
     def final(dt):
         g = _grid(dx=0.005, dt=dt, t_max=0.4)
@@ -125,13 +127,13 @@ def test_zero_noise_matches_leapfrog_reference():
     s = S.make_samplers(S.Coefficients(), g)
     init = _state(g, make_fn("standing_wave", 1), None, s)
     _, u, _ = _solve(init, s, g, sample_brownian(3, g.dt, g.t_max), stride=g.num_steps, support_guard=False)
-    _, (ref_u, _) = S.leapfrog_reference(init, g)
+    _, (ref_u, _) = leapfrog_reference(init, g)
     scale = float(np.max(np.abs(ref_u[0, -1])))
     assert float(np.max(np.abs(u[-1] - ref_u[0, -1]))) <= 1e-10 * max(1.0, scale)
 
 
 def test_scalar_mode_second_moment_matches_exponential():
-    emp, exact = S.scalar_noise_second_moment(1.0, 1.0, 1.0, 1e-3, 10_000, 42)
+    emp, exact = scalar_noise_second_moment(1.0, 1.0, 1.0, 1e-3, 10_000, 42)
     assert abs(emp - exact) <= 0.10 * exact
 
 
@@ -154,7 +156,7 @@ def test_solve_linearity_per_path():
 
 def test_manufactured_forcing_free_wave_is_zero():
     u = make_fn("standing_wave", 1)
-    g = S.manufactured_forcing(u, S.Coefficients())
+    g = manufactured_forcing(u, S.Coefficients())
     pts = np.linspace(-0.9, 0.9, 7)
     for x in pts:
         assert abs(g.value(0.3, [float(x)])) <= 1e-12
@@ -164,7 +166,7 @@ def test_manufactured_forcing_quadratic_time():
     # u = t^2: g = 2 - a1 2t - a3 t^2
     u = make_fn("quadratic", 1, c0=0.0, ct=0.0, qtt=2.0, cx1=0.0, qx1=0.0)
     co = S.Coefficients(a1=0.7, a3=-0.4)
-    g = S.manufactured_forcing(u, co)
+    g = manufactured_forcing(u, co)
     for t in (0.0, 0.5, 1.3):
         expected = 2.0 - 0.7 * 2.0 * t - (-0.4) * t**2
         assert g.value(t, [0.2]) == pytest.approx(expected, rel=1e-12)
@@ -172,8 +174,8 @@ def test_manufactured_forcing_quadratic_time():
 
 def test_manufactured_forcing_a3_shift_is_linear():
     u = make_fn("standing_wave", 1)
-    g0 = S.manufactured_forcing(u, S.Coefficients())
-    g1 = S.manufactured_forcing(u, S.Coefficients(a3=1.5))
+    g0 = manufactured_forcing(u, S.Coefficients())
+    g1 = manufactured_forcing(u, S.Coefficients(a3=1.5))
     for t, x in [(0.1, 0.2), (0.4, -0.3)]:
         shift = g1.value(t, [x]) - g0.value(t, [x])
         assert shift == pytest.approx(-1.5 * u.value(t, [x]), rel=1e-12, abs=1e-14)

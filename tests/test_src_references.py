@@ -1,10 +1,15 @@
-"""Every public top-level function and class in src/ is used by src/ itself.
+"""Everything src/ defines is used by src/ itself.
 
 A definition that only tests or library callers reach re-routes code that
-does run, and it keeps a second entry point alive; this check stops one from
-coming back.  A use is a Name or an Attribute outside the definition's own
-body that resolves to it: a name of its own module, a name imported from its
-module, or an attribute of an imported alias of its module.  Strings (such as
+does run, and it keeps a second entry point alive; these checks stop one from
+coming back.
+
+For a public top-level function or class, a use is a Name or an Attribute
+outside the definition's own body that resolves to it: a name of its own
+module, a name imported from its module, or an attribute of an imported alias
+of its module.  For a method or property of a top-level class, a use is a read
+of an attribute of that name anywhere in src/ outside the method's own body;
+dunder methods are exempt, since the language calls them.  Strings (such as
 the package's ``_EXPORTS`` table) do not count.
 """
 
@@ -15,15 +20,22 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "carleman_lab"
 
 # definitions nothing in src/ uses, each kept for the reason given
 UNREFERENCED = {
-    "solver.leapfrog_reference": "the independent scheme the solver tests compare solve against",
-    "solver.scalar_noise_second_moment": "the closed-form noise moment the solver tests check the update against",
-    "weights.certifies": "the eigenvalue-floor predicate the rejection tests call",
     "propagation.worker_count": "read by bench/run.py's environment record until the benchmark drops it",
 }
 
+# methods and properties nothing in src/ reads, each kept for the reason given
+UNREAD_MEMBERS = {
+    "fields.BrownianPath.passes_mean_sanity": "the noise-sanity record of bench/spans.py reads it",
+    "weights.WeightFamily.quantities": "bench/spans.py wraps it as the L3 span until the benchmark drops it",
+}
+
+
+def _trees():
+    return {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py")) if p.name != "_frozen_evaluators.py"}
+
 
 def _unreferenced():
-    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py")) if p.name != "_frozen_evaluators.py"}
+    trees = _trees()
     defined = {(m, s.name) for m, tree in trees.items() for s in tree.body if isinstance(s, (ast.FunctionDef, ast.ClassDef))}
     used = set()
     for module, tree in trees.items():
@@ -50,5 +62,25 @@ def _unreferenced():
     return {f"{m}.{name}" for m, name in defined if not name.startswith("_") and (m, name) not in used}
 
 
+def _unread_members():
+    trees = _trees()
+    reads = [(node.attr, node) for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+    unread = set()
+    for module, tree in trees.items():
+        for cls in (s for s in tree.body if isinstance(s, ast.ClassDef)):
+            for fn in (s for s in cls.body if isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef))):
+                if fn.name.startswith("__") and fn.name.endswith("__"):
+                    continue
+                own = {id(node) for node in ast.walk(fn)}
+                if not any(attr == fn.name and id(node) not in own for attr, node in reads):
+                    unread.add(f"{module}.{cls.name}.{fn.name}")
+    return unread
+
+
 def test_every_public_definition_is_used_in_src():
     assert _unreferenced() == set(UNREFERENCED)
+
+
+def test_every_method_and_property_is_read_in_src():
+    assert _unread_members() == set(UNREAD_MEMBERS)
