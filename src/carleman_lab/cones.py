@@ -34,7 +34,8 @@ _K_FRAC = math.sqrt(1.5) - 1.0  # interpolation fraction of the intersection ver
 
 # relative width of the boundary band of ``membership``
 BOUNDARY_TOL = 1e-12
-# relative residual ``vertex`` accepts in the separation and the defining equations
+# relative residual accepted in the separation that ``vertex`` requires and, by
+# the geometry run, in the defining equations of its result
 VERTEX_TOL = 1e-9
 
 
@@ -122,26 +123,20 @@ def cone_cross_offset(c3: float) -> float:
 
 
 def vertex(t0: float, x0, x1, alpha: float, c3: float):
-    """Minimal-time point (t2, x2) of the boundary intersection.
+    """Minimal-time point (t2, x2) of the boundary intersection, in closed form.
 
-    Requires |x1 - x0|^2 = 4 c3 (within 1e-9 relative); the result is verified
-    against both defining equations
+    Requires |x1 - x0|^2 = 4 c3 (within VERTEX_TOL relative).  The result should
+    satisfy both defining equations
         alpha (t2-t0)^2 - |x2-x0|^2 = 0,
-        alpha/2 (t2-t0)^2 - |x2-x1|^2 = c3.
+        alpha/2 (t2-t0)^2 - |x2-x1|^2 = c3;
+    the caller measures and judges their residuals.
     """
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
     sep2 = float(np.sum((x1 - x0) ** 2))
     if abs(sep2 - 4.0 * c3) > VERTEX_TOL * max(1.0, 4.0 * c3):
         raise GeometryError(f"|x1 - x0|^2 = {sep2} but 4 c3 = {4.0 * c3}")
-    t2 = t0 + cone_time_offset(alpha, c3)
-    x2 = x1 + _K_FRAC * (x0 - x1)
-    r1 = alpha * (t2 - t0) ** 2 - float(np.sum((x2 - x0) ** 2))
-    r2 = 0.5 * alpha * (t2 - t0) ** 2 - float(np.sum((x2 - x1) ** 2)) - c3
-    scale = max(1.0, alpha * (t2 - t0) ** 2, c3)
-    if abs(r1) > VERTEX_TOL * scale or abs(r2) > VERTEX_TOL * scale:
-        raise GeometryError(f"vertex residuals ({r1}, {r2}) exceed {VERTEX_TOL} relative")
-    return float(t2), x2
+    return float(t0 + cone_time_offset(alpha, c3)), x1 + _K_FRAC * (x0 - x1)
 
 
 @dataclass(frozen=True)
@@ -197,13 +192,15 @@ def _sample_intersection(alpha: float, c3: float, y3: np.ndarray, y4: np.ndarray
     return pts_t[inside], pts_x[inside]
 
 
-def sweep_cover(alpha: float, c1: float, target_t: float, mesh: float = 1e-2, direction=None) -> list[SweepState]:
+def sweep_cover(alpha: float, c1: float, target_t: float, mesh: float, direction) -> list[SweepState]:
     """Covering schedule: one slab per step, radius offset growing by X0.
 
     Each step's hypothesis surface (boundary of the step's base cone inside
     the step's offset cone) is sampled and verified to lie in the previous
     step's certified region; a violating sample raises ContainmentError.  The
     schedule runs until the slab at time T0 covers radius sqrt(alpha) target_t.
+    ``mesh`` is the sampling step relative to T0 (in time) and to a full turn
+    (in angle, for n = 2); the sweep runs along ``direction``, normalised here.
     """
     c3 = c3_constant(alpha, c1)
     t0_off = cone_time_offset(alpha, c3)
@@ -211,8 +208,6 @@ def sweep_cover(alpha: float, c1: float, target_t: float, mesh: float = 1e-2, di
     if target_t < t0_off:
         raise GeometryError(f"target_t = {target_t} is below the first covering time {t0_off}")
     n_steps = steps_for_radius(math.sqrt(alpha) * target_t, alpha, c1)
-    if direction is None:
-        direction = np.array([1.0])
     direction = np.asarray(direction, dtype=float)
     direction = direction / np.linalg.norm(direction)
     n = direction.size

@@ -108,9 +108,7 @@ def normal_stream(seed: int, count: int, stream: int = 0) -> np.ndarray:
 class BrownianPath:
     """Increments of one scalar Brownian motion, increment k ~ N(0, dt)."""
 
-    seed: int
     dt: float
-    t_max: float
     increments: np.ndarray
     stream: int = 0
 
@@ -138,7 +136,7 @@ def sample_brownian(seed: int, dt: float, t_max: float, stream: int = 0) -> Brow
     if n < 1 or abs(steps - n) > 1e-9 * max(1.0, steps):
         raise ConfigurationError(f"dt={dt} does not divide t_max={t_max}")
     dw = math.sqrt(dt) * normal_stream(seed, n, stream)
-    return BrownianPath(seed=int(seed), dt=float(dt), t_max=float(t_max), increments=dw, stream=int(stream))
+    return BrownianPath(dt=float(dt), increments=dw, stream=int(stream))
 
 
 # ---------------------------------------------------------------------------

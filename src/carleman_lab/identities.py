@@ -93,33 +93,16 @@ class CutoffSpec:
 
 @dataclass(frozen=True)
 class IdentityReport:
+    """The two sides of an identity and |lhs - rhs| / max(1, |lhs|, |rhs|)."""
+
     lhs: float
     rhs: float
-    residual: float
-    tolerance: float
-    passed: bool
-    t: float
-    x: tuple[float, ...]
-    params: WeightParams
-
-    @property
-    def relative_residual(self) -> float:
-        return abs(self.residual) / max(1.0, abs(self.lhs), abs(self.rhs))
+    relative_residual: float
 
 
-def _report(lhs: float, rhs: float, tol: float, t, x, params) -> IdentityReport:
-    residual = lhs - rhs
-    passed = abs(residual) <= tol * max(1.0, abs(lhs), abs(rhs))
-    return IdentityReport(
-        lhs=float(lhs),
-        rhs=float(rhs),
-        residual=float(residual),
-        tolerance=float(tol),
-        passed=bool(passed),
-        t=float(t),
-        x=tuple(float(v) for v in np.atleast_1d(x)),
-        params=params,
-    )
+def _report(lhs: float, rhs: float) -> IdentityReport:
+    lhs, rhs = float(lhs), float(rhs)
+    return IdentityReport(lhs, rhs, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +395,6 @@ def identity_case(
     params: WeightParams,
     t: float,
     x,
-    tol: float = 1e-8,
 ) -> IdentityCase:
     """The multiplier identity at one point, deterministic surrogate, from one assembly.
 
@@ -433,8 +415,7 @@ def identity_case(
     v_jet = Jet2.make(out["v"], out["vt"], out["vx"], out["vtt"], out["vtx"], [[vxx[min(j, k)][max(j, k)] for k in r] for j in r])
     psi_d = PsiDerivatives(float(q["Psi"]), float(q["Psi_t"]), np.array(q["Psi_x"], dtype=float))
     V, N = eval_VN(v_jet, frame, psi_d, float(q["a"]))
-    report = _report(float(out["identity_lhs"]), float(out["identity_rhs"]), tol, t, x, params)
-    return IdentityCase(report, frame, V, N)
+    return IdentityCase(_report(out["identity_lhs"], out["identity_rhs"]), frame, V, N)
 
 
 def conjugation_residual(
@@ -444,7 +425,6 @@ def conjugation_residual(
     cutoff: CutoffSpec,
     t: float,
     x,
-    tol: float = 1e-8,
 ) -> tuple[IdentityReport, IdentityReport]:
     """Residuals of the conjugation identity and of the cutoff commutation.
 
@@ -473,7 +453,7 @@ def conjugation_residual(
         - 2.0 * lt * vt
         + 2.0 * sum(lx[j] * vx[j] for j in range(n))
     )
-    conj = _report(conj_lhs, conj_rhs, tol, t, x, params)
+    conj = _report(conj_lhs, conj_rhs)
 
     chi = out["w_parts"]["chi"]
     u = out["w_parts"]["u"]
@@ -486,7 +466,7 @@ def conjugation_residual(
         - 2.0 * sum(float(chi["x"][j]) * float(u["x"][j]) for j in range(n))
         - sum(float(chi["xx"][j][j]) for j in range(n)) * float(u["v"])
     )
-    cut = _report(cut_lhs, cut_rhs, tol, t, x, params)
+    cut = _report(cut_lhs, cut_rhs)
     return conj, cut
 
 
@@ -494,7 +474,7 @@ def conjugation_residual(
 # Quadratic-variation bookkeeping (Monte Carlo)
 # ---------------------------------------------------------------------------
 
-# fewest paths whose standard error qv_check will judge against a tolerance
+# fewest paths whose Monte Carlo mean a qv-check tolerance can judge
 QV_MIN_PATHS = 100
 
 
@@ -502,11 +482,8 @@ QV_MIN_PATHS = 100
 class QvReport:
     empirical: float           # realized variation of the martingale part
     predicted: float           # compensator integral
-    relative_error: float
+    relative_error: float      # |empirical - predicted| / |predicted|, |empirical| when predicted is 0
     standard_error: float
-    paths: int
-    tolerance: float
-    passed: bool
 
 
 def qv_check(
@@ -518,7 +495,6 @@ def qv_check(
     seed: int,
     family: WeightFamily | None,
     params: WeightParams | None,
-    tol: float,
 ) -> QvReport:
     """Realized quadratic variation of v_t against its compensator integral.
 
@@ -560,16 +536,7 @@ def qv_check(
     se = float(np.std(emp_vals, ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0
     denom = max(abs(pred_mean), 1e-300)
     rel = abs(emp_mean - pred_mean) / denom if pred_mean != 0.0 else abs(emp_mean)
-    passed = rel <= tol if pred_mean != 0.0 else emp_mean == 0.0
-    return QvReport(
-        empirical=emp_mean,
-        predicted=pred_mean,
-        relative_error=rel,
-        standard_error=se,
-        paths=paths,
-        tolerance=tol,
-        passed=passed,
-    )
+    return QvReport(empirical=emp_mean, predicted=pred_mean, relative_error=rel, standard_error=se)
 
 
 # ---------------------------------------------------------------------------
@@ -606,8 +573,7 @@ class RegionSpec:
 
     @property
     def measure(self) -> float:
-        dt = (self.t_hi - self.t_lo) / (self.nt - 1)
-        out = dt
+        out = self.dt
         for lo, hi in zip(self.x_lo, self.x_hi):
             out *= (hi - lo) / (self.nx - 1)
         return out
@@ -628,7 +594,6 @@ class GapRow:
 
 @dataclass(frozen=True)
 class GapScan:
-    preset: str
     rows: tuple
     margins: dict
     homogeneity_pair: tuple[float, float]
@@ -636,14 +601,6 @@ class GapScan:
 
 # largest |w| jet on the region boundary, relative to its peak, that a scan accepts
 SUPPORT_TOL = 1e-10
-
-
-def _support_ratio(w) -> float:
-    mag = np.abs(w["v"]) + np.abs(w["t"]) + sum(np.abs(a) for a in w["x"])
-    peak = float(np.max(mag))
-    if peak == 0.0:
-        return 0.0
-    return float(np.max(mag[_solver.near_boundary(mag.shape, 1)])) / peak
 
 
 def _qv_expanded(out, params, b1: float, b2: float):
@@ -713,13 +670,13 @@ def inequality_gap(
     params: WeightParams,
     lambdas,
     region: RegionSpec,
-    cutoff: CutoffSpec | None = None,
-    c0: float = 1.0,
-    c1: float = 1.0,
-    b1: float | None = None,
-    b2: float = 0.0,
-    paths: int = 0,
-    seed: int = 0,
+    cutoff: CutoffSpec | None,
+    c0: float,
+    c1: float,
+    b1: float,
+    b2: float,
+    paths: int,
+    seed: int,
 ) -> GapScan:
     """Integrated gap of the preset weighted inequality for each lam.
 
@@ -735,8 +692,6 @@ def inequality_gap(
         raise ConfigurationError(f"unknown preset {preset!r}; have {GAP_PRESETS}")
     if preset == "T6.2" and (params.mu != 0.0 or params.gamma != 1.0):
         raise ConfigurationError("the cone preset fixes mu = 0 and gamma = 1")
-    if b1 is None:
-        b1 = c1
     T, Xs = region.mesh()
     meas = region.measure
     base = lambda_free(family, params, T, Xs, u_fn, cutoff)
@@ -751,7 +706,9 @@ def inequality_gap(
         qv_weight /= paths
 
     # w does not depend on lam and doubling it is exact, so one support check covers every assembly
-    support_ratio = _support_ratio(base.w)
+    w = base.w
+    mag = np.abs(w["v"]) + np.abs(w["t"]) + sum(np.abs(a) for a in w["x"])
+    support_ratio = _solver.relative_leak(mag, _solver.near_boundary(mag.shape, 1))
     if support_ratio > SUPPORT_TOL:
         raise SupportError(f"field support touches the region boundary (ratio {support_ratio:.3g})")
     rows, margins = [], {}
@@ -802,7 +759,6 @@ def inequality_gap(
         rows.append(GapRow(lam=lamf, gap_scaled=gap_scaled, log_scale=log_scale, gap=float(gap_raw), components=comp))
     doubled = rows.pop()
     return GapScan(
-        preset=preset,
         rows=tuple(rows),
         margins=margins,
         homogeneity_pair=(4.0 * rows[0].gap_scaled, doubled.gap_scaled),

@@ -123,19 +123,7 @@ class EnergyTrace:
     outside_mean: np.ndarray         # raw energy outside the halo-inflated cone
     outside_standard_error: np.ndarray
     total_initial: float
-    paths: int
     gronwall_constant: float
-
-
-def relative_leak(vals: np.ndarray, outside: np.ndarray) -> float:
-    """Largest |vals| on the ``outside`` mask relative to the largest |vals| at all
-    (0 for zero data): a datum counts as supported off the mask when this is at
-    most ``DATA_SUPPORT_TOL``."""
-    mag = np.abs(vals)
-    peak = float(np.max(mag))
-    if peak == 0.0 or not outside.any():
-        return 0.0
-    return float(np.max(mag[outside])) / peak
 
 
 def run_propagation(
@@ -154,7 +142,7 @@ def run_propagation(
     ``u0`` and ``u1`` are the initial data at the nodes (``u1`` None is zero)
     and ``samplers`` the coefficient samplers of ``solver.make_samplers``; a
     caller makes each once per run.  The data must be supported in K (their
-    ``relative_leak`` outside K at most ``DATA_SUPPORT_TOL``).  K inflated at
+    ``solver.relative_leak`` outside K at most ``DATA_SUPPORT_TOL``).  K inflated at
     unit speed by t_max plus the halo must stay clear of the solver's guard
     ring, or the run could only end in a ``PropagationError``; that is checked
     before any step.  ``solver.solve`` reduces every recorded state to each
@@ -169,7 +157,7 @@ def run_propagation(
             f"K inflated by t_max + halo = {reach:.6g} at unit speed reaches the "
             f"{_solver.GUARD_RING}-node guard ring at the boundary"
         )
-    leak = max(relative_leak(vals, d > 0.0) for vals in (u0, u1) if vals is not None)
+    leak = max(_solver.relative_leak(vals, d > 0.0) for vals in (u0, u1) if vals is not None)
     if leak > DATA_SUPPORT_TOL:
         raise ConfigurationError(f"initial data is not supported in K (relative leak {leak:.3g})")
     stride = stride or max(1, grid.num_steps // 10)
@@ -203,6 +191,5 @@ def run_propagation(
         outside_mean=out_mean,
         outside_standard_error=out_se,
         total_initial=e_total0,
-        paths=paths,
         gronwall_constant=c_emp,
     )

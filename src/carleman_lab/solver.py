@@ -89,6 +89,16 @@ def near_boundary(shape: tuple[int, ...], rings: int) -> np.ndarray:
     return near
 
 
+def relative_leak(vals: np.ndarray, mask: np.ndarray) -> float:
+    """Largest |vals| on ``mask`` relative to the largest |vals| at all (0 for
+    zero data or an empty mask)."""
+    mag = np.abs(vals)
+    peak = float(np.max(mag))
+    if peak == 0.0 or not mask.any():
+        return 0.0
+    return float(np.max(mag[mask])) / peak
+
+
 def _ring_max(arr: np.ndarray, n: int, rings: int):
     """Largest |value| within ``rings`` nodes of the boundary of the trailing
     ``n`` axes, one per leading index (a 0-d array for a single field)."""

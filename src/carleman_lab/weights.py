@@ -565,7 +565,6 @@ class PsdCertificate:
     min_eigenvalue: float
     tangent_min_quadform: float
     tangent_checks: int
-    t0: float
     passed: bool
 
 
@@ -575,7 +574,7 @@ TAU_CAP = 2.0**20
 EIG_FLOOR = 1e-9
 
 
-def psd_certificate(g_jet: Jet2, seed: int = 0, tangent_samples: int = 50) -> PsdCertificate:
+def psd_certificate(g_jet: Jet2, seed: int, tangent_samples: int) -> PsdCertificate:
     """Doubling search for tau with I - Hess(g)/tau positive, then a tangent check.
 
     g must be a unit-gradient graph function at the base point (|grad g| = 1
@@ -622,7 +621,6 @@ def psd_certificate(g_jet: Jet2, seed: int = 0, tangent_samples: int = 50) -> Ps
         min_eigenvalue=min_eig,
         tangent_min_quadform=worst,
         tangent_checks=checks,
-        t0=t0,
         passed=passed,
     )
 
@@ -636,7 +634,6 @@ PSD_TOL = 1e-12
 @dataclass(frozen=True)
 class AssumptionReport:
     preset: str
-    matrix: np.ndarray
     min_eigenvalue: float
     rho_t: float
     rho_t_required: bool
@@ -649,8 +646,8 @@ def assumption_check(
     rho_jet: Jet2,
     varrho,
     preset: str,
-    c0: float = 0.0,
-    b1_norm: float = 0.0,
+    c0: float,
+    b1_norm: float,
 ) -> AssumptionReport:
     """Matrix positivity report for the three assumption presets.
 
@@ -678,7 +675,6 @@ def assumption_check(
     rho_t_ok = (rho_t >= c0) if rho_t_required else True
     return AssumptionReport(
         preset=preset,
-        matrix=m,
         min_eigenvalue=min_eig,
         rho_t=rho_t,
         rho_t_required=rho_t_required,

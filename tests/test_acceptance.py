@@ -5,7 +5,6 @@ see them); tolerances are pinned here, not configurable.
 """
 
 import csv
-import json
 import math
 import time
 from dataclasses import replace
@@ -13,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
-import pytest
 
 from carleman_lab.fields import make_fn, make_grid, sample_brownian, uniform_stream
 from carleman_lab.weights import (
@@ -235,7 +233,7 @@ def test_criterion_9_inequality_scan_local_ucp_preset():
     cutoff = CutoffSpec(c2=0.65, eps=0.1)
     scan = inequality_gap(
         "T4.2", u_fn, fam, params, [8.0, 16.0, 32.0, 64.0], region,
-        cutoff=cutoff, c0=1.0, c1=1.0, b1=1.0, b2=0.0,
+        cutoff=cutoff, c0=1.0, c1=1.0, b1=1.0, b2=0.0, paths=0, seed=0,
     )
     assert all(r.gap_scaled >= 0.0 for r in scan.rows)
     expect, actual = scan.homogeneity_pair

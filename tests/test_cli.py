@@ -1,6 +1,5 @@
 import collections
 import csv
-import importlib
 import inspect
 import json
 import math
@@ -727,6 +726,79 @@ def test_sweep_containment_violation_is_a_named_run_failure(tmp_path, monkeypatc
     assert fail[1].startswith("FAIL coverage_reached"), fail
     with open(out / "sweep.csv") as fh:
         assert [r["step"] for r in csv.DictReader(fh)] == ["1"]
+
+
+def test_geometry_bad_vertex_fails_vertex_residuals_and_keeps_its_csv(tmp_path, monkeypatch):
+    from carleman_lab import cones
+
+    # a vertex off the boundary intersection: vertex's separation precondition still holds
+    monkeypatch.setattr(cones, "_K_FRAC", cones._K_FRAC * 1.001)
+    out = tmp_path / "out"
+    assert run(str(CONFIG_DIR / "geometry.json"), "geometry", out_dir=str(out)) == 1
+    fail = _fail_lines(out / "geometry.log")
+    assert fail[0].startswith("FAIL vertex_residuals: ("), fail
+    with open(out / "geometry.csv") as fh:
+        (row,) = csv.DictReader(fh)
+    assert max(float(row["vertex_residual_1"]), float(row["vertex_residual_2"])) > cones.VERTEX_TOL
+
+
+# each randomized check and the relative residual that decides each of its rows
+RESIDUAL_OF_ROW = {
+    "identity-check": lambda row: float(row["relative_residual"]),
+    "conjugation-check": lambda row: max(float(row["conjugation_residual"]), float(row["cutoff_residual"])),
+}
+
+
+@pytest.mark.parametrize("subcommand, cases", [("identity-check", 20), ("conjugation-check", 10)])
+def test_row_pass_and_max_relative_residual_share_one_predicate(tmp_path, subcommand, cases):
+    first = tmp_path / "first"
+    assert run(_write(tmp_path, {"experiment": subcommand, "cases": cases}), subcommand, out_dir=str(first)) == 0
+    with open(first / f"{subcommand}.csv") as fh:
+        residuals = sorted({RESIDUAL_OF_ROW[subcommand](row) for row in csv.DictReader(fh)})
+    # a tolerance strictly between two of the cases' residuals
+    mid = len(residuals) // 2
+    tol = 0.5 * (residuals[mid - 1] + residuals[mid])
+    assert residuals[mid - 1] < tol < residuals[mid]
+    out = tmp_path / "out"
+    cfg = {"experiment": subcommand, "cases": cases, "tolerance": tol}
+    assert run(_write(tmp_path, cfg), subcommand, out_dir=str(out)) == 1
+    assert [line.split(":")[0] for line in _fail_lines(out / f"{subcommand}.log")] == ["FAIL max_relative_residual"]
+    with open(out / f"{subcommand}.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    failed = {row["case"] for row in rows if row["pass"] == "0"}
+    assert failed == {row["case"] for row in rows if RESIDUAL_OF_ROW[subcommand](row) > tol}
+    assert 0 < len(failed) < len(rows)
+
+
+def test_nan_residual_fails_its_row_and_max_relative_residual(tmp_path, monkeypatch):
+    from carleman_lab import identities
+
+    real, calls = identities.identity_case, []
+
+    def nan_second_case(*args):
+        case = real(*args)
+        calls.append(1)
+        if len(calls) != 2:
+            return case
+        return identities.IdentityCase(identities.IdentityReport(case.report.lhs, math.nan, math.nan), case.frame, case.V, case.N)
+
+    monkeypatch.setattr(identities, "identity_case", nan_second_case)
+    out = tmp_path / "out"
+    assert run(_write(tmp_path, {"experiment": "identity-check", "cases": 5}), "identity-check", out_dir=str(out)) == 1
+    fail = [line.split(":")[0] for line in _fail_lines(out / "identity-check.log")]
+    assert fail == ["FAIL max_relative_residual", "FAIL numbers_finite"]
+    with open(out / "identity-check.csv") as fh:
+        assert [row["pass"] for row in csv.DictReader(fh)] == ["1", "0", "1", "1", "1"]
+
+
+def test_qv_check_without_diffusion_passes_on_two_exact_zeros(tmp_path):
+    out = tmp_path / "out"
+    cfg = _edited("qv_check.json", coeffs={"b1": 0.0, "b2": 0.0})
+    assert run(_write(tmp_path, cfg), "qv-check", out_dir=str(out)) == 0
+    assert "PASS qv_agreement: rel 0.000e+00 <= 0.05" in (out / "qv-check.log").read_text()
+    with open(out / "qv-check.csv") as fh:
+        (row,) = csv.DictReader(fh)
+    assert (row["empirical_qv"], row["predicted_qv"], row["pass"]) == ("0.0", "0.0", "1")
 
 
 def test_sweep_precondition_stays_a_usage_error(tmp_path):

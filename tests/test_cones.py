@@ -148,7 +148,7 @@ def test_sweep_radius_schedule():
     c3 = c3_constant(alpha, c1)
     t0_off = cone_time_offset(alpha, c3)
     x0_off = cone_cross_offset(c3)
-    states = sweep_cover(alpha, c1, target_t=3.0 * t0_off, mesh=5e-3)
+    states = sweep_cover(alpha, c1, target_t=3.0 * t0_off, mesh=5e-3, direction=[1.0])
     for k, s in enumerate(states, start=1):
         assert s.step == k
         assert s.radius_offset == pytest.approx(k * x0_off, rel=1e-12)
@@ -169,7 +169,7 @@ def test_steps_for_radius_arithmetic():
 
 def test_sweep_rejects_small_target():
     with pytest.raises(GeometryError):
-        sweep_cover(0.9, 2.0, target_t=0.1)
+        sweep_cover(0.9, 2.0, target_t=0.1, mesh=1e-2, direction=[1.0])
 
 
 def test_sweep_two_dimensional():

@@ -299,7 +299,7 @@ def test_ensemble_blow_up_names_the_path():
     s = S.make_samplers(S.Coefficients(b2=1.0), g)
     init = _state(g, make_fn("space_bump4", 1, amp=1.0, cx1=0.0, rx1=0.4), None, s)
     paths = [sample_brownian(1, g.dt, g.t_max, stream=p) for p in range(3)]
-    paths[2] = S.BrownianPath(seed=1, dt=g.dt, t_max=g.t_max, increments=np.full(g.num_steps, 1e300), stream=2)
+    paths[2] = S.BrownianPath(dt=g.dt, increments=np.full(g.num_steps, 1e300), stream=2)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(S.BlowUpError, match="on path 2 at step"):
         S.solve(init, s, g, paths, _snapshots, support_guard=False)
 
@@ -327,7 +327,7 @@ def test_ensemble_blow_up_reports_the_recorded_path_and_step(n, co, amp0, amp1, 
     s = S.make_samplers(co, g)
     init = _state(g, bump(amp0), bump(amp1), s)
     paths = [sample_brownian(1, g.dt, g.t_max, stream=p) for p in range(3)]
-    paths[hot] = S.BrownianPath(seed=1, dt=g.dt, t_max=g.t_max, increments=np.full(g.num_steps, dw), stream=hot)
+    paths[hot] = S.BrownianPath(dt=g.dt, increments=np.full(g.num_steps, dw), stream=hot)
     with np.errstate(all="ignore"), pytest.raises(S.BlowUpError) as info:
         S.solve(init, s, g, paths, _snapshots, support_guard=False)
     assert str(info.value) == message

@@ -11,12 +11,17 @@ of its module.  For a method or property of a top-level class, a use is a read
 of an attribute of that name anywhere in src/ outside the method's own body;
 dunder methods are exempt, since the language calls them.  Strings (such as
 the package's ``_EXPORTS`` table) do not count.
+
+Every module-level import in src/, tests/ and scripts/ is read in its module:
+some Name in the module is the name the import binds (the first component of
+``import a.b``).
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "carleman_lab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "carleman_lab"
 
 # definitions nothing in src/ uses, each kept for the reason given
 UNREFERENCED = {
@@ -84,3 +89,22 @@ def test_every_public_definition_is_used_in_src():
 
 def test_every_method_and_property_is_read_in_src():
     assert _unread_members() == set(UNREAD_MEMBERS)
+
+
+def _unused_imports(path: Path) -> list:
+    """``path:line: name`` for each module-level import of ``path`` whose bound name the module never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Import):
+            bound.update({alias.asname or alias.name.split(".")[0]: stmt.lineno for alias in stmt.names})
+        elif isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
+            bound.update({alias.asname or alias.name: stmt.lineno for alias in stmt.names})
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.relative_to(ROOT)}:{line}: {name}" for name, line in bound.items() if name not in read]
+
+
+def test_no_module_level_import_is_unused():
+    files = [p for d in ("src", "tests", "scripts") for p in sorted((ROOT / d).rglob("*.py"))]
+    assert files
+    assert [u for p in files for u in _unused_imports(p)] == []

@@ -6,7 +6,6 @@ sides) and differentiating the composites, with no reuse of the package's
 chain-rule assembly.  Agreement to roundoff pins the assembly formulas.
 """
 
-import numpy as np
 import pytest
 import sympy as sp
 
