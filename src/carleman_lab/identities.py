@@ -159,8 +159,8 @@ def _w_derivatives(u_fn: AnalyticFn, cutoff, point: PointStage, mu: float, t, xs
 
 
 class LambdaFree(NamedTuple):
-    """The lam-free part of an assembly: the weights' point stage and the jets
-    of w (``_w_derivatives``), which depend on neither lam nor ``w_scale``."""
+    """The lam-free part of an assembly or a scan: the weights' point stage and
+    the jets of w (``_w_derivatives``)."""
 
     point: PointStage
     w: dict
@@ -183,6 +183,45 @@ def lambda_free(family: WeightFamily, params: WeightParams, t, xs, u_fn: Analyti
     return LambdaFree(point, *_w_derivatives(u_fn, cutoff, point, params.mu, t, xs, family.n))
 
 
+def _first_order(point: PointStage, stage: dict, params: WeightParams, th, w) -> dict:
+    """v = theta w to first order, S, and the forms the quadratic derivative terms regroup into:
+    the characteristic square ``qf_char``, the structure-matrix form ``qf_mat`` and ``mu_terms``.
+    ``stage`` is ``point.lambda_stage(params.lam)``; of ``w`` only w, w_t and grad w are read."""
+    n = len(point.xs)
+    A = multi_indices(n)
+    ell = stage["ell"]
+    lt = ell[A.t]
+    lx = [ell[A.x[j]] for j in range(n)]
+
+    v = th * w["v"]
+    vt = th * (lt * w["v"] + w["t"])
+    vx = [th * (lx[j] * w["v"] + w["x"][j]) for j in range(n)]
+    grad_v_sq = sum(vx[j] ** 2 for j in range(n))
+    gl_dot_gv = sum(lx[j] * vx[j] for j in range(n))
+    S = -2.0 * lt * vt + 2.0 * gl_dot_gv + stage["Psi"] * v
+
+    # exact regrouping of e1 + e2 + e3 + e4 at the canonical Psi
+    rj = point["rho"]
+    r_t, r_tt = rj[A.t], rj[A.tt]
+    r_x = [rj[A.x[j]] for j in range(n)]
+    r_tx = [rj[A.tx[j]] for j in range(n)]
+    r_xx = [[rj[A.xx[j][k]] for k in range(n)] for j in range(n)]
+    psi0 = point["psi"][A.zero]
+    vr = point.vr[A.zero]
+    lam, gamma, mu = params.lam, params.gamma, params.mu
+    qf_char = 2.0 * lam * gamma**2 * psi0 * (r_t * vt - sum(r_x[j] * vx[j] for j in range(n))) ** 2
+    qf_mat = 2.0 * lam * gamma * psi0 * (
+        (r_tt - vr) * vt**2
+        - 2.0 * sum(r_tx[j] * vx[j] for j in range(n)) * vt
+        + sum((r_xx[j][k] + (vr if j == k else 0.0)) * vx[j] * vx[k] for j in range(n) for k in range(n))
+    )
+    mu_terms = -10.0 * lam * mu * vt**2 + 2.0 * lam * mu * grad_v_sq
+    return {
+        "v": v, "vt": vt, "vx": vx, "grad_v_sq": grad_v_sq, "gl_dot_gv": gl_dot_gv, "S": S, "s_sq": S**2,
+        "qf_char": qf_char, "qf_mat": qf_mat, "mu_terms": mu_terms,
+    }
+
+
 def assemble(
     family: WeightFamily,
     params: WeightParams,
@@ -190,31 +229,23 @@ def assemble(
     xs,
     u_fn: AnalyticFn,
     cutoff: CutoffSpec | None = None,
-    rescale: bool = False,
-    w_scale: float = 1.0,
     base: LambdaFree | None = None,
 ) -> dict:
-    """All multiplier-identity and inequality ingredients at (t, xs).
+    """Both sides of the multiplier identity and their ingredients at (t, xs).
 
     ``base`` is ``lambda_free(family, params, t, xs, u_fn, cutoff)`` when the
-    caller already holds it (a scan over lam builds it once); the assembly
-    then adds the lam stage and everything that reads ell.
-
-    With ``rescale`` the weight theta is replaced by exp(ell - shift), shift
-    being the largest ell on the jet support of w (the nodes where some jet
-    of w is nonzero), and by zero off it.  So 0 <= theta <= 1 at every node,
-    and no weight overflows.  Every returned quadratic quantity
-    carries the common factor exp(-2 shift), which cancels in any inequality
-    formed from them; ``log_scale`` reports 2 shift.  The shift does not keep
-    the scaled values of order one: where w is small at the largest ell they
-    fall far below it (1.8e-85 at lam 64 on a cone scan) and can underflow.
+    caller already holds it.  On ``_first_order`` this adds the second-order
+    jets of v, div V, dt N and ``e_terms``, the sum of the four quadratic
+    derivative terms.  theta = exp(ell) unscaled: a |lam phi| above 350 raises
+    RangeError (the scans rescale theta instead, see ``inequality_gap``).
     """
     n = family.n
     if base is None:
         base = lambda_free(family, params, t, xs, u_fn, cutoff)
     point = base.point
-    quant = {**point.values, **point.lambda_stage(params.lam)}
-    ell = quant["ell"]
+    stage = point.lambda_stage(params.lam)
+    quant = {**point.values, **stage}
+    ell = stage["ell"]
     A = multi_indices(n)
     l0 = ell[A.zero]
     lt, ltt = ell[A.t], ell[A.tt]
@@ -223,41 +254,14 @@ def assemble(
     lxx = [[ell[A.xx[j][k]] for k in range(n)] for j in range(n)]
     lap_l = sum(lxx[j][j] for j in range(n))
 
-    w, w_parts = base.w, base.w_parts
-    if rescale:
-        # shift by the largest ell on the jet support of w, so theta <= 1 there
-        # (any common shift cancels in the inequalities); off the support every
-        # theta-weighted term carries a w factor and is exactly zero, so theta
-        # is set to zero there instead of overflowing where ell exceeds its
-        # on-support maximum
-        wmag = (
-            np.abs(np.asarray(w["v"])) + np.abs(np.asarray(w["t"])) + np.abs(np.asarray(w["tt"]))
-            + sum(np.abs(np.asarray(a)) for a in w["x"])
-            + sum(np.abs(np.asarray(a)) for a in w["tx"])
-            + sum(np.abs(np.asarray(w["xx"][j][k])) for j in range(n) for k in range(n))
-        )
-        mask = wmag > 0.0
-        shift = float(np.max(np.asarray(l0)[mask])) if mask.any() else float(np.max(l0))
-        th = np.zeros_like(np.asarray(l0, dtype=float))
-        th[mask] = np.exp(np.asarray(l0, dtype=float)[mask] - shift)
-    else:
-        shift = 0.0
-        if float(np.max(np.abs(l0))) > 350.0:
-            raise RangeError(f"lam*phi reaches {float(np.max(np.abs(l0))):.3g}; theta^2 overflows")
-        th = np.exp(l0 - shift)
-    if w_scale != 1.0:
-        w = {
-            "v": w_scale * w["v"],
-            "t": w_scale * w["t"],
-            "tt": w_scale * w["tt"],
-            "x": [w_scale * a for a in w["x"]],
-            "tx": [w_scale * a for a in w["tx"]],
-            "xx": [[w_scale * a for a in row] for row in w["xx"]],
-        }
+    if float(np.max(np.abs(l0))) > 350.0:
+        raise RangeError(f"lam*phi reaches {float(np.max(np.abs(l0))):.3g}; theta^2 overflows")
+    th = np.exp(l0)
+    w = base.w
+    first = _first_order(point, stage, params, th, w)
+    v, vt, vx = first["v"], first["vt"], first["vx"]
+    grad_v_sq, gl_dot_gv, S = first["grad_v_sq"], first["gl_dot_gv"], first["S"]
 
-    v = th * w["v"]
-    vt = th * (lt * w["v"] + w["t"])
-    vx = [th * (lx[j] * w["v"] + w["x"][j]) for j in range(n)]
     vtt = th * ((ltt + lt**2) * w["v"] + 2.0 * lt * w["t"] + w["tt"])
     vtx = [
         th * ((ltx[j] + lt * lx[j]) * w["v"] + lt * w["x"][j] + lx[j] * w["t"] + w["tx"][j])
@@ -277,17 +281,13 @@ def assemble(
         for j in range(n)
     ]
     lap_v = sum(vxx[j][j] for j in range(n))
-    grad_v_sq = sum(vx[j] ** 2 for j in range(n))
-    gl_dot_gv = sum(lx[j] * vx[j] for j in range(n))
 
     Psi, Psi_t, Psi_tt = quant["Psi"], quant["Psi_t"], quant["Psi_tt"]
     Psi_x, lap_Psi = quant["Psi_x"], quant["lap_Psi"]
     a, a_t, a_x = quant["a"], quant["a_t"], quant["a_x"]
     b = quant["b"]
 
-    S = -2.0 * lt * vt + 2.0 * gl_dot_gv + Psi * v
     w_wave = w["tt"] - sum(w["xx"][j][j] for j in range(n))
-    lhs_mult = th * S * w_wave
 
     div_V = (
         2.0 * sum((sum(lxx[k][j] * vx[k] + lx[k] * vxx[k][j] for k in range(n))) * vx[j] for j in range(n))
@@ -325,51 +325,21 @@ def assemble(
     e2 = (ltt - lap_l + Psi) * grad_v_sq
     e3 = 2.0 * sum(lxx[j][k] * vx[j] * vx[k] for j in range(n) for k in range(n))
     e4 = -4.0 * sum(ltx[j] * vx[j] for j in range(n)) * vt
-    b_v2 = b * v**2
-    s_sq = S**2
-
-    # exact regrouping of e1 + e2 + e3 + e4 at the canonical Psi
-    rj = quant["rho"]
-    r_t, r_tt = rj[A.t], rj[A.tt]
-    r_x = [rj[A.x[j]] for j in range(n)]
-    r_tx = [rj[A.tx[j]] for j in range(n)]
-    r_xx = [[rj[A.xx[j][k]] for k in range(n)] for j in range(n)]
-    psi0 = quant["psi"][A.zero]
-    vr = point.vr[A.zero]
-    lam, gamma, mu = params.lam, params.gamma, params.mu
-    qf_char = 2.0 * lam * gamma**2 * psi0 * (r_t * vt - sum(r_x[j] * vx[j] for j in range(n))) ** 2
-    qf_mat = 2.0 * lam * gamma * psi0 * (
-        (r_tt - vr) * vt**2
-        - 2.0 * sum(r_tx[j] * vx[j] for j in range(n)) * vt
-        + sum((r_xx[j][k] + (vr if j == k else 0.0)) * vx[j] * vx[k] for j in range(n) for k in range(n))
-    )
-    mu_terms = -10.0 * lam * mu * vt**2 + 2.0 * lam * mu * grad_v_sq
 
     return {
-        "n": n,
-        "log_scale": 2.0 * shift,
+        **first,
         "theta": th,
         "w": w,
-        "w_parts": w_parts,
-        "v": v,
-        "vt": vt,
-        "vx": vx,
+        "w_parts": base.w_parts,
         "vtt": vtt,
         "vtx": vtx,
         "vxx": vxx,
-        "S": S,
         "w_wave": w_wave,
-        "lhs_mult": lhs_mult,
         "div_V": div_V,
         "dt_N": dt_N,
-        "identity_lhs": lhs_mult + div_V + dt_N,
-        "identity_rhs": e1 + e2 + e3 + e4 + b_v2 + s_sq,
+        "identity_lhs": th * S * w_wave + div_V + dt_N,
+        "identity_rhs": e1 + e2 + e3 + e4 + b * v**2 + first["s_sq"],
         "e_terms": e1 + e2 + e3 + e4,
-        "qf_char": qf_char,
-        "qf_mat": qf_mat,
-        "mu_terms": mu_terms,
-        "b_v2": b_v2,
-        "s_sq": s_sq,
         "quant": quant,
     }
 
@@ -434,7 +404,7 @@ def conjugation_residual(
     """
     x = [float(v) for v in np.atleast_1d(x)]
     out = assemble(family, params, float(t), x, u_fn, cutoff=cutoff)
-    n = out["n"]
+    n = family.n
     ell = out["quant"]["ell"]
     A = multi_indices(n)
     lt, ltt = float(ell[A.t]), float(ell[A.tt])
@@ -603,7 +573,7 @@ class GapScan:
 SUPPORT_TOL = 1e-10
 
 
-def _qv_expanded(out, params, b1: float, b2: float):
+def _qv_expanded(point: PointStage, params, b1: float, b2: float):
     """Exact expanded compensator lam phi_t (b1 v_t + (b2 - b1 ell_t) v)^2.
 
     The v v_t cross term is integrated by parts in time; over the compact
@@ -611,7 +581,7 @@ def _qv_expanded(out, params, b1: float, b2: float):
     terms below.  Returns (coefficient of v_t^2, coefficient of v^2).
     """
     lam = params.lam
-    phi_t, phi_tt = out["quant"]["phi_t"], out["quant"]["phi_tt"]
+    phi_t, phi_tt = point["phi_t"], point["phi_tt"]
     c_vt2 = lam * phi_t * b1**2
     c_v2 = (
         lam * phi_t * (b2 - b1 * lam * phi_t) ** 2
@@ -621,13 +591,12 @@ def _qv_expanded(out, params, b1: float, b2: float):
     return c_vt2, c_v2
 
 
-def _structure_min_eig(out, params, vr, support_mask) -> float:
+def _structure_min_eig(point: PointStage, params, vr, support_mask) -> float:
     """min over the support of the smallest eigenvalue of 2 gamma psi M(varrho) + mu I, with one
     Jacobi solve per distinct matrix (by its bytes, so +0.0 and -0.0 stay apart)."""
-    n = out["n"]
-    q = out["quant"]
+    n = len(point.xs)
     A = multi_indices(n)
-    rj = q["rho"]
+    rj = point["rho"]
     idx = np.argwhere(support_mask)
     sel = tuple(idx[:: max(1, len(idx) // 2000)].T)  # cap the eigen loop at ~2000 nodes
     m = np.zeros((len(sel[0]), 1 + n, 1 + n))
@@ -636,7 +605,7 @@ def _structure_min_eig(out, params, vr, support_mask) -> float:
         m[:, 0, 1 + j] = m[:, 1 + j, 0] = -rj[A.tx[j]][sel]
         for k in range(j, n):
             m[:, 1 + j, 1 + k] = m[:, 1 + k, 1 + j] = rj[A.xx[j][k]][sel] + (vr[sel] if j == k else 0.0)
-    scaled = (2.0 * params.gamma * q["psi"][A.zero][sel])[:, None, None] * m + params.mu * np.eye(1 + n)
+    scaled = (2.0 * params.gamma * point["psi"][A.zero][sel])[:, None, None] * m + params.mu * np.eye(1 + n)
     seen, worst = set(), math.inf
     for mat in scaled:
         key = mat.tobytes()
@@ -646,20 +615,18 @@ def _structure_min_eig(out, params, vr, support_mask) -> float:
     return worst
 
 
-def _margins(preset: str, out, params, varrho0, c0: float, c1: float) -> dict:
+def _margins(preset: str, point: PointStage, support_mask, params, varrho0, c0: float, c1: float) -> dict:
     """T4.2 / T5.1 coefficient margins on the support of w.  They read w's
     support, phi_t, d2, d3, psi, rho and varrho, none of which depends on lam."""
-    support_mask = np.abs(out["w"]["v"]) > 0.0
     if preset not in ("T4.2", "T5.1") or not support_mask.any():
         return {}
-    q = out["quant"]
-    phi_t = q["phi_t"]
+    phi_t = point["phi_t"]
     m1 = 0.5 * phi_t * c1**2 - 11.0 * params.mu - params.gamma * c0 * c1**2 / 4.0
-    m2 = 0.5 * c1**2 * phi_t**3 + q["d2_matrix"] + q["d3"] - params.gamma**3 * c0**3 * c1**2 / 4.0
+    m2 = 0.5 * c1**2 * phi_t**3 + point["d2_matrix"] + point["d3"] - params.gamma**3 * c0**3 * c1**2 / 4.0
     return {
         "vt_margin": float(np.min(m1[support_mask])),
         "v_margin": float(np.min(m2[support_mask])),
-        "structure_min_eig": _structure_min_eig(out, params, varrho0, support_mask),
+        "structure_min_eig": _structure_min_eig(point, params, varrho0, support_mask),
     }
 
 
@@ -684,9 +651,19 @@ def inequality_gap(
     integrals on the deterministic surrogate.  With ``paths`` > 0 the
     compensator term is re-weighted by realized squared Brownian increments
     (mean dt) and the gap is averaged over paths.  The lam-free part
-    (``lambda_free``) is built once; each lam takes one assembly on it, and
-    one more, with w doubled, at the first lam gives the quadratic
-    homogeneity pair.  The margins come from the first assembly.
+    (``lambda_free``) and the margins are built once; each lam then takes
+    one lam stage and one ``_first_order`` pass, and one more pass, with w
+    doubled, at the first lam gives the quadratic homogeneity pair.  No
+    second-order jet of v is formed.
+
+    theta is rescaled to exp(ell - shift), shift being the largest ell on the
+    jet support of w (the nodes where some jet of w is nonzero), and to zero
+    off it.  So 0 <= theta <= 1 at every node, and no weight overflows.  Every
+    integrated quadratic quantity carries the common factor exp(-2 shift),
+    which cancels in the inequality; ``log_scale`` reports 2 shift.  The shift
+    does not keep the scaled values of order one: where w is small at the
+    largest ell they fall far below it (1.8e-85 at lam 64 on a cone scan) and
+    can underflow.
     """
     if preset not in GAP_PRESETS:
         raise ConfigurationError(f"unknown preset {preset!r}; have {GAP_PRESETS}")
@@ -694,33 +671,50 @@ def inequality_gap(
         raise ConfigurationError("the cone preset fixes mu = 0 and gamma = 1")
     T, Xs = region.mesh()
     meas = region.measure
+    n = family.n
     base = lambda_free(family, params, T, Xs, u_fn, cutoff)
-    varrho0 = np.broadcast_to(np.asarray(base.point.vr[multi_indices(family.n).zero], dtype=float), T.shape)
+    point, w = base.point, base.w
+    zero = multi_indices(n).zero
+    varrho0 = np.broadcast_to(np.asarray(point.vr[zero], dtype=float), T.shape)
     qv_weight = 1.0
     if paths > 0:
         qv_weight = np.zeros_like(T)
         for p in range(paths):
             bw = sample_brownian(seed, region.dt, region.dt * (region.nt - 1), stream=p)
             inc2 = np.concatenate([bw.increments**2 / region.dt, [1.0]])
-            qv_weight += inc2.reshape((-1,) + (1,) * family.n)
+            qv_weight += inc2.reshape((-1,) + (1,) * n)
         qv_weight /= paths
 
-    # w does not depend on lam and doubling it is exact, so one support check covers every assembly
-    w = base.w
+    # w does not depend on lam and doubling it is exact, so one support check covers every row
     mag = np.abs(w["v"]) + np.abs(w["t"]) + sum(np.abs(a) for a in w["x"])
     support_ratio = _solver.relative_leak(mag, _solver.near_boundary(mag.shape, 1))
     if support_ratio > SUPPORT_TOL:
         raise SupportError(f"field support touches the region boundary (ratio {support_ratio:.3g})")
-    rows, margins = [], {}
-    for lamf, w_scale in [(float(lam), 1.0) for lam in lambdas] + [(float(lambdas[0]), 2.0)]:
+    # the jet support of w, where theta is kept; off it every theta-weighted term carries a w
+    # factor and is exactly zero, so theta is set to zero there instead of overflowing where
+    # ell exceeds its on-support maximum
+    wmag = (
+        np.abs(w["v"]) + np.abs(w["t"]) + np.abs(w["tt"])
+        + sum(np.abs(a) for a in w["x"])
+        + sum(np.abs(a) for a in w["tx"])
+        + sum(np.abs(w["xx"][j][k]) for j in range(n) for k in range(n))
+    )
+    jet_support = wmag > 0.0
+    margins = _margins(preset, point, np.abs(w["v"]) > 0.0, params, varrho0, c0, c1)
+    d23 = point["d2_matrix"] + point["d3"]
+    w_doubled = {"v": 2.0 * w["v"], "t": 2.0 * w["t"], "x": [2.0 * a for a in w["x"]]}
+    rows = []
+    for lamf, wl in [(float(lam), w) for lam in lambdas] + [(float(lambdas[0]), w_doubled)]:
         pl = replace(params, lam=lamf)
-        out = assemble(family, pl, T, Xs, u_fn, cutoff=cutoff, rescale=True, w_scale=w_scale, base=base)
-        if not rows:
-            margins = _margins(preset, out, params, varrho0, c0, c1)
+        stage = point.lambda_stage(lamf)
+        l0 = stage["ell"][zero]
+        # shift by the largest ell on the jet support, so theta <= 1 there
+        shift = float(np.max(l0[jet_support])) if jet_support.any() else float(np.max(l0))
+        th = np.zeros_like(l0)
+        th[jet_support] = np.exp(l0[jet_support] - shift)
+        out = _first_order(point, stage, pl, th, wl)
         vt2, v2 = out["vt"] ** 2, out["v"] ** 2
-        q = out["quant"]
-        d23 = q["d2_matrix"] + q["d3"]
-        c_vt2, c_v2 = _qv_expanded(out, pl, b1, b2)
+        c_vt2, c_v2 = _qv_expanded(point, pl, b1, b2)
         comp = {
             "qf_char": float(np.sum(out["qf_char"]) * meas),
             "qf_mat": float(np.sum(out["qf_mat"]) * meas),
@@ -728,12 +722,10 @@ def inequality_gap(
             "cubic": float(np.sum(lamf**3 * d23 * v2) * meas),
             "qv": float(np.sum((c_vt2 * vt2 + c_v2 * v2) * qv_weight) * meas),
             "s_sq": float(np.sum(out["s_sq"]) * meas),
-            "identity_lhs": float(np.sum(out["identity_lhs"]) * meas),
-            "identity_rhs": float(np.sum(out["identity_rhs"]) * meas),
             "bound": 0.0,
         }
         if preset == "T3.2":
-            gap_scaled = float(np.sum((q["b"] - lamf**3 * d23) * v2) * meas)
+            gap_scaled = float(np.sum((stage["b"] - lamf**3 * d23) * v2) * meas)
         elif preset == "T4.2":
             comp["bound"] = float(
                 np.sum(
@@ -746,7 +738,7 @@ def inequality_gap(
                 comp["qf_char"] + comp["qf_mat"] + comp["mu_terms"] + comp["cubic"] + comp["qv"] - comp["bound"]
             )
         elif preset == "T5.1":
-            phi_t = q["phi_t"]
+            phi_t = point["phi_t"]
             penalty = 3.0 * lamf * np.abs(phi_t) * (b1**2 * vt2 + (b2 - b1 * lamf * phi_t) ** 2 * v2)
             comp["bound"] = float(np.sum(penalty) * meas)
             gap_scaled = (
@@ -754,7 +746,7 @@ def inequality_gap(
             )
         else:  # T6.2: mu = 0 so the mu and d3 terms vanish identically
             gap_scaled = comp["qf_char"] + comp["qf_mat"] + comp["cubic"] + comp["qv"]
-        log_scale = float(out["log_scale"])
+        log_scale = 2.0 * shift
         gap_raw = gap_scaled * math.exp(log_scale) if log_scale < 700.0 else math.inf * np.sign(gap_scaled)
         rows.append(GapRow(lam=lamf, gap_scaled=gap_scaled, log_scale=log_scale, gap=float(gap_raw), components=comp))
     doubled = rows.pop()

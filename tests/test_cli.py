@@ -263,7 +263,8 @@ def test_conjugation_check_builds_one_point_stage_per_found_case(tmp_path, monke
     cfg = tmp_path / "conj.json"
     cfg.write_text(json.dumps({"experiment": "conjugation-check", "cases": 10, "seed": 0}))
     assert run(str(cfg), "conjugation-check", out_dir=str(tmp_path / "out")) == 0
-    rows = list(csv.DictReader(open(tmp_path / "out" / "conjugation-check.csv")))
+    with open(tmp_path / "out" / "conjugation-check.csv") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 10
     # the search reads phi alone; each found case takes one assembly
     assert len(stages) == 10
@@ -356,6 +357,31 @@ def test_expansion_and_d2_checks_build_no_frame(tmp_path, monkeypatch, sub, name
     frames = _count_frames(monkeypatch)
     assert run(str(CONFIG_DIR / f"{name}.json"), sub, out_dir=str(tmp_path)) == 0
     assert frames == []
+
+
+@pytest.mark.parametrize("sub, field, assertion", [
+    ("d2-check", "d2_divergence", "dual_form_agreement"),
+    ("expansion-check", "d1", "quadratic_coefficient"),
+    ("expansion-check", "d3", "cubic_coefficient"),
+])
+def test_a_nan_coefficient_fails_its_assertion(tmp_path, monkeypatch, sub, field, assertion):
+    from dataclasses import replace
+
+    from carleman_lab import weights
+
+    calls = []
+    original = weights.eval_D
+
+    def nan_on_sample_2(point):
+        calls.append(1)
+        dq = original(point)
+        return replace(dq, **{field: math.nan}) if len(calls) == 3 else dq
+
+    monkeypatch.setattr(weights, "eval_D", nan_on_sample_2)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": sub, "samples": 5, "seed": 0}))
+    assert run(str(cfg), sub, out_dir=str(tmp_path / "out")) == 1
+    assert f"FAIL {assertion}:" in (tmp_path / "out" / f"{sub}.log").read_text()
 
 
 def test_weighted_qv_check_evaluates_no_quantities(tmp_path, monkeypatch):
@@ -851,7 +877,8 @@ def _write(tmp_path, cfg) -> str:
 def test_propagation_writes_its_last_step_once(tmp_path):
     cfg = _edited("propagation.json", grid=SHORT_STEP_GRID, stride=1)
     assert run(_write(tmp_path, cfg), "propagation", out_dir=str(tmp_path / "out")) == 0
-    times = [float(row["time"]) for row in csv.DictReader(open(tmp_path / "out" / "propagation.csv"))]
+    with open(tmp_path / "out" / "propagation.csv") as fh:
+        times = [float(row["time"]) for row in csv.DictReader(fh)]
     # steps 0 .. 11, the last at 11 * dt
     assert len(times) == 12 and times[-1] == 11 * 0.03
     assert all(a < b for a, b in zip(times, times[1:]))

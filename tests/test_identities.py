@@ -383,9 +383,11 @@ def test_gap_t32_remainder_is_subcubic():
     # the remainder is O(lam^2): dividing by lam^3 must vanish as lam grows
     ratios = [abs(r.gap_scaled) / r.lam**3 for r in scan.rows]
     assert ratios[-1] <= 0.5 * ratios[0]
-    # the exact identity backs every row
+    # the exact identity backs every row: both sides integrated on the scan's mesh at its lam
+    T, Xs = region.mesh()
     for r in scan.rows:
-        lhs, rhs = r.components["identity_lhs"], r.components["identity_rhs"]
+        out = assemble(fam, replace(params, mu=0.2, lam=r.lam), T, Xs, u_fn, cutoff=cutoff)
+        lhs, rhs = float(np.sum(out["identity_lhs"])), float(np.sum(out["identity_rhs"]))
         assert abs(lhs - rhs) <= 1e-7 * max(1.0, abs(lhs), abs(rhs))
 
 
@@ -449,30 +451,44 @@ def _record_calls(monkeypatch, name) -> list:
     return calls
 
 
-def test_gap_assembles_once_per_lambda_plus_the_doubled_field(monkeypatch):
-    calls = _record_calls(monkeypatch, "assemble")
+def test_gap_takes_one_first_order_pass_per_lambda_plus_the_doubled_field(monkeypatch):
+    from carleman_lab import identities
+
+    assembled = _record_calls(monkeypatch, "assemble")
+    passes = []
+    original = identities._first_order
+
+    def recording(point, stage, params, th, w):
+        out = original(point, stage, params, th, w)
+        passes.append((params.lam, w["v"], out))
+        return out
+
+    monkeypatch.setattr(identities, "_first_order", recording)
     fam, u_fn, params, lambdas, region, cutoff = _t42_setup()
     _gap("T4.2", u_fn, fam, params, lambdas, region, cutoff=cutoff)
-    assert len(lambdas) == 4
-    assert [c["w_scale"] for c in calls] == [1.0, 1.0, 1.0, 1.0, 2.0]
+    assert len(lambdas) == 4 and assembled == []
+    assert [lam for lam, _, _ in passes] == lambdas + lambdas[:1]
+    # the last pass takes w doubled, and no pass forms a second-order jet of v
+    assert np.array_equal(passes[-1][1], 2.0 * passes[0][1])
+    assert all(not {"vtt", "vtx", "vxx"} & out.keys() for _, _, out in passes)
 
 
 def test_inequality_gap_builds_the_lambda_free_stage_once(monkeypatch):
     w_calls = _record_calls(monkeypatch, "_w_derivatives")
     fam, u_fn, params, lambdas, region, cutoff = _t42_setup()
     _gap("T4.2", u_fn, fam, params, lambdas, region, cutoff=cutoff)
-    # five assemblies (four lambdas and the doubled field) share one lam-free part
+    # five first-order passes (four lambdas and the doubled field) share one lam-free part
     assert len(w_calls) == 1
 
 
-def _structure_min_eig_per_node(out, params, vr, support_mask) -> float:
+def _structure_min_eig_per_node(point, params, vr, support_mask) -> float:
     """The per-node loop _structure_min_eig replaced: one matrix and one Jacobi solve per node."""
     from carleman_lab.identities import multi_indices
     from carleman_lab.weights import jacobi_eigenvalues
 
-    n, q = out["n"], out["quant"]
+    n = len(point.xs)
     A = multi_indices(n)
-    rj, psi0 = q["rho"], q["psi"][A.zero]
+    rj, psi0 = point["rho"], point["psi"][A.zero]
     idx = np.argwhere(support_mask)
     worst = math.inf
     for flat in idx[:: max(1, len(idx) // 2000)]:
@@ -490,7 +506,7 @@ def _structure_min_eig_per_node(out, params, vr, support_mask) -> float:
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_structure_min_eig_equals_the_per_node_loop(n, varrho_quad):
-    from carleman_lab.identities import _structure_min_eig
+    from carleman_lab.identities import _structure_min_eig, lambda_free
 
     # rho's jets vary from node to node, so the matrices do too
     rho = make_fn("trig_product", n, amp=0.1, wt=1.1, wx1=0.9, pt=0.2, px1=0.4)
@@ -498,12 +514,12 @@ def test_structure_min_eig_equals_the_per_node_loop(n, varrho_quad):
     params = WeightParams(lam=8.0, gamma=2.0, mu=0.01, t0=0.0, x0=(0.0,) * n)
     region = RegionSpec(t_lo=-0.1, t_hi=0.1, nt=21 if n == 1 else 9, x_lo=(-0.1,) * n, x_hi=(0.1,) * n, nx=41 if n == 1 else 11)
     T, Xs = region.mesh()
-    out = assemble(fam, params, T, Xs, make_fn("exp_quadratic", n), rescale=True)
+    base = lambda_free(fam, params, T, Xs, make_fn("exp_quadratic", n))
     zero = multi_indices(n).zero
     vr = np.broadcast_to(fam.varrho_partials(T, Xs, [zero])[zero], T.shape)
-    mask = np.abs(out["w"]["v"]) > 0.0
-    want = _structure_min_eig_per_node(out, params, vr, mask)
-    assert np.asarray(_structure_min_eig(out, params, vr, mask)).tobytes() == np.asarray(want).tobytes()
+    mask = np.abs(base.w["v"]) > 0.0
+    want = _structure_min_eig_per_node(base.point, params, vr, mask)
+    assert np.asarray(_structure_min_eig(base.point, params, vr, mask)).tobytes() == np.asarray(want).tobytes()
 
 
 def test_gap_samples_each_brownian_path_once(monkeypatch):
