@@ -369,6 +369,11 @@ def _in(u, lo, hi):
     return lo + (hi - lo) * u
 
 
+def _worst(values) -> float:
+    """The largest value, or NaN if any is NaN (the builtin max skips a NaN after the first); 0 for none."""
+    return float(np.max(list(values), initial=0.0))
+
+
 # ---------------------------------------------------------------------------
 # Random sample pools for the randomized checks
 # ---------------------------------------------------------------------------
@@ -446,12 +451,10 @@ def _run_identity_check(cfg: dict):
     seed = cfg.get("seed", 0)
     u = _stream(seed, cases * _CASE_DRAWS[n], tag=1).reshape(cases, -1)
     rows = []
-    worst = 0.0
     for i in range(cases):
         rho, varrho, w, params, t, x = _draw_identity_case(u[i], n)
         case = identity_case(w, WeightFamily(rho, varrho), params, t, x)
         rep, frame = case.report, case.frame
-        worst = max(worst, rep.relative_residual)
         rows.append(
             [i, rho.name, w.name, params.lam, params.gamma, params.mu, t]
             + list(x)
@@ -463,7 +466,8 @@ def _run_identity_check(cfg: dict):
         + [f"x{j+1}" for j in range(n)]
         + ["psi", "phi", "theta", "flux_norm", "time_density", "lhs", "rhs", "relative_residual", "pass"]
     )
-    # the rows' own verdicts: a NaN residual, which max skips, fails its row and so the run
+    # the rows' own verdicts: a NaN residual fails its row and so the run
+    worst = _worst(row[-2] for row in rows)
     assertions = [("max_relative_residual", all(row[-1] for row in rows), f"{worst:.3e} <= {tol:.0e}")]
     return ResultTable(cols, rows, {}), assertions
 
@@ -486,7 +490,6 @@ def _run_conjugation_check(cfg: dict):
     draws = _CASE_DRAWS[n] + 1
     u = _stream(seed, _SEARCH_ATTEMPTS * cases * draws, tag=2).reshape(-1, cases, _SEARCH_BLOCK, draws)
     rows = []
-    worst = 0.0
     found = 0
     for i in range(cases):
         # draw a random point, then solve for mu placing phi inside the
@@ -514,7 +517,6 @@ def _run_conjugation_check(cfg: dict):
             continue
         rho, varrho, w, params, t, x, fam, phi = hit
         conj, cut = conjugation_residual(w, fam, params, cutoff, t, x)
-        worst = max(worst, conj.relative_residual, cut.relative_residual)
         found += 1
         rows.append(
             [i, phi, t] + list(x) + [conj.lhs, conj.rhs, conj.relative_residual, cut.relative_residual]
@@ -523,6 +525,7 @@ def _run_conjugation_check(cfg: dict):
     cols = ["case", "phi", "t"] + [f"x{j+1}" for j in range(n)] + [
         "conjugation_lhs", "conjugation_rhs", "conjugation_residual", "cutoff_residual", "pass",
     ]
+    worst = _worst(v for row in rows for v in row[-3:-1])
     assertions = [
         ("transition_points_found", found == cases, f"{found} of {cases}"),
         ("max_relative_residual", all(row[-1] for row in rows), f"{worst:.3e} <= {tol:.0e}"),
@@ -554,7 +557,6 @@ def _run_expansion_check(cfg: dict):
     u = _stream(seed, samples * _CASE_DRAWS[1], tag=3).reshape(samples, -1)
     scale = float(np.max(lambdas))
     rows = []
-    worst_a = worst_b = 0.0
     for i in range(samples):
         rho, varrho, _, params, t, x = _draw_identity_case(u[i], 1)
         point = WeightFamily(rho, varrho).point_stage(t, x, params)
@@ -570,9 +572,9 @@ def _run_expansion_check(cfg: dict):
         b_fit = float(npoly.polyfit(lambdas / scale, np.asarray(b_vals), 3)[3]) / scale**3
         rel_a = abs(a_fit - a_direct) / max(1e-300, abs(a_direct))
         rel_b = abs(b_fit - b_direct) / max(1e-300, abs(b_direct))
-        worst_a, worst_b = max(worst_a, rel_a), max(worst_b, rel_b)
         rows.append([i, rho.name, params.gamma, params.mu, a_fit, a_direct, rel_a, b_fit, b_direct, rel_b, rel_a <= tol_a and rel_b <= tol_b])
     cols = ["sample", "rho", "gamma", "mu", "quadratic_fit", "quadratic_direct", "rel_quadratic", "cubic_fit", "cubic_direct", "rel_cubic", "pass"]
+    worst_a, worst_b = _worst(row[6] for row in rows), _worst(row[9] for row in rows)
     assertions = [
         ("quadratic_coefficient", all(row[6] <= tol_a for row in rows), f"{worst_a:.3e} <= {tol_a:.0e}"),
         ("cubic_coefficient", all(row[9] <= tol_b for row in rows), f"{worst_b:.3e} <= {tol_b:.0e}"),
@@ -589,7 +591,6 @@ def _run_d2_check(cfg: dict):
     seed = cfg.get("seed", 0)
     u = _stream(seed, samples * _CASE_DRAWS[1], tag=4).reshape(samples, -1)
     rows = []
-    worst = 0.0
     for i in range(samples):
         rho, varrho, _, params, t, x = _draw_identity_case(u[i], 1)
         params = replace(params, gamma=_in(float(u[i, -1]), 0.5, 8.0))
@@ -603,12 +604,12 @@ def _run_d2_check(cfg: dict):
         g, psi = params.gamma, math.exp(params.gamma * rj.value)
         d2_m_indep = 4.0 * g**3 * psi**3 * varrho * char + 2.0 * g**3 * psi**3 * float(rvec @ m @ rvec) + 2.0 * g**4 * psi**3 * char**2
         denom = max(abs(dq.d2_matrix), abs(dq.d2_divergence))
-        # denom is 0 only where both routes give zero, or where one gives NaN, which must stay NaN
+        # denom is 0 where both routes give zero, and 0 or NaN where one gives NaN, which must stay NaN
         rel = abs(dq.d2_matrix - dq.d2_divergence) / denom if denom > 0 else abs(dq.d2_matrix - dq.d2_divergence)
         rel_m = abs(dq.d2_matrix - d2_m_indep) / max(denom, 1e-300) if denom > 0 else 0.0
-        worst = max(worst, rel, rel_m)
         rows.append([i, rho.name, params.gamma, varrho, dq.d2_matrix, dq.d2_divergence, rel, rel_m, rel <= tol and rel_m <= tol])
     cols = ["sample", "rho", "gamma", "varrho", "d2_matrix", "d2_divergence", "rel_disagreement", "rel_matrix_route", "pass"]
+    worst = _worst(v for row in rows for v in row[6:8])
     assertions = [("dual_form_agreement", all(row[-1] for row in rows), f"{worst:.3e} <= {tol:.0e}")]
     return ResultTable(cols, rows, {}), assertions
 

@@ -653,8 +653,8 @@ def inequality_gap(
     (mean dt) and the gap is averaged over paths.  The lam-free part
     (``lambda_free``) and the margins are built once; each lam then takes
     one lam stage and one ``_first_order`` pass, and one more pass, with w
-    doubled, at the first lam gives the quadratic homogeneity pair.  No
-    second-order jet of v is formed.
+    doubled, on the first lam's stage and theta gives the quadratic
+    homogeneity pair.  No second-order jet of v is formed.
 
     theta is rescaled to exp(ell - shift), shift being the largest ell on the
     jet support of w (the nodes where some jet of w is nonzero), and to zero
@@ -704,7 +704,8 @@ def inequality_gap(
     d23 = point["d2_matrix"] + point["d3"]
     w_doubled = {"v": 2.0 * w["v"], "t": 2.0 * w["t"], "x": [2.0 * a for a in w["x"]]}
     rows = []
-    for lamf, wl in [(float(lam), w) for lam in lambdas] + [(float(lambdas[0]), w_doubled)]:
+    for i, lam in enumerate(lambdas):
+        lamf = float(lam)
         pl = replace(params, lam=lamf)
         stage = point.lambda_stage(lamf)
         l0 = stage["ell"][zero]
@@ -712,44 +713,46 @@ def inequality_gap(
         shift = float(np.max(l0[jet_support])) if jet_support.any() else float(np.max(l0))
         th = np.zeros_like(l0)
         th[jet_support] = np.exp(l0[jet_support] - shift)
-        out = _first_order(point, stage, pl, th, wl)
-        vt2, v2 = out["vt"] ** 2, out["v"] ** 2
-        c_vt2, c_v2 = _qv_expanded(point, pl, b1, b2)
-        comp = {
-            "qf_char": float(np.sum(out["qf_char"]) * meas),
-            "qf_mat": float(np.sum(out["qf_mat"]) * meas),
-            "mu_terms": float(np.sum(out["mu_terms"]) * meas),
-            "cubic": float(np.sum(lamf**3 * d23 * v2) * meas),
-            "qv": float(np.sum((c_vt2 * vt2 + c_v2 * v2) * qv_weight) * meas),
-            "s_sq": float(np.sum(out["s_sq"]) * meas),
-            "bound": 0.0,
-        }
-        if preset == "T3.2":
-            gap_scaled = float(np.sum((stage["b"] - lamf**3 * d23) * v2) * meas)
-        elif preset == "T4.2":
-            comp["bound"] = float(
-                np.sum(
-                    (params.gamma * c0 * c1**2 / 4.0) * lamf * vt2
-                    + (params.gamma**3 * c0**3 * c1**2 / 4.0) * lamf**3 * v2
-                )
-                * meas
-            )
-            gap_scaled = (
-                comp["qf_char"] + comp["qf_mat"] + comp["mu_terms"] + comp["cubic"] + comp["qv"] - comp["bound"]
-            )
-        elif preset == "T5.1":
-            phi_t = point["phi_t"]
-            penalty = 3.0 * lamf * np.abs(phi_t) * (b1**2 * vt2 + (b2 - b1 * lamf * phi_t) ** 2 * v2)
-            comp["bound"] = float(np.sum(penalty) * meas)
-            gap_scaled = (
-                comp["qf_char"] + comp["qf_mat"] + comp["mu_terms"] + comp["cubic"] - comp["bound"]
-            )
-        else:  # T6.2: mu = 0 so the mu and d3 terms vanish identically
-            gap_scaled = comp["qf_char"] + comp["qf_mat"] + comp["cubic"] + comp["qv"]
         log_scale = 2.0 * shift
-        gap_raw = gap_scaled * math.exp(log_scale) if log_scale < 700.0 else math.inf * np.sign(gap_scaled)
-        rows.append(GapRow(lam=lamf, gap_scaled=gap_scaled, log_scale=log_scale, gap=float(gap_raw), components=comp))
-    doubled = rows.pop()
+        c_vt2, c_v2 = _qv_expanded(point, pl, b1, b2)
+        # the first lam also takes w doubled, on the same stage and theta, for the homogeneity pair
+        for wl in (w, w_doubled) if i == 0 else (w,):
+            out = _first_order(point, stage, pl, th, wl)
+            vt2, v2 = out["vt"] ** 2, out["v"] ** 2
+            comp = {
+                "qf_char": float(np.sum(out["qf_char"]) * meas),
+                "qf_mat": float(np.sum(out["qf_mat"]) * meas),
+                "mu_terms": float(np.sum(out["mu_terms"]) * meas),
+                "cubic": float(np.sum(lamf**3 * d23 * v2) * meas),
+                "qv": float(np.sum((c_vt2 * vt2 + c_v2 * v2) * qv_weight) * meas),
+                "s_sq": float(np.sum(out["s_sq"]) * meas),
+                "bound": 0.0,
+            }
+            if preset == "T3.2":
+                gap_scaled = float(np.sum((stage["b"] - lamf**3 * d23) * v2) * meas)
+            elif preset == "T4.2":
+                comp["bound"] = float(
+                    np.sum(
+                        (params.gamma * c0 * c1**2 / 4.0) * lamf * vt2
+                        + (params.gamma**3 * c0**3 * c1**2 / 4.0) * lamf**3 * v2
+                    )
+                    * meas
+                )
+                gap_scaled = (
+                    comp["qf_char"] + comp["qf_mat"] + comp["mu_terms"] + comp["cubic"] + comp["qv"] - comp["bound"]
+                )
+            elif preset == "T5.1":
+                phi_t = point["phi_t"]
+                penalty = 3.0 * lamf * np.abs(phi_t) * (b1**2 * vt2 + (b2 - b1 * lamf * phi_t) ** 2 * v2)
+                comp["bound"] = float(np.sum(penalty) * meas)
+                gap_scaled = (
+                    comp["qf_char"] + comp["qf_mat"] + comp["mu_terms"] + comp["cubic"] - comp["bound"]
+                )
+            else:  # T6.2: mu = 0 so the mu and d3 terms vanish identically
+                gap_scaled = comp["qf_char"] + comp["qf_mat"] + comp["cubic"] + comp["qv"]
+            gap_raw = gap_scaled * math.exp(log_scale) if log_scale < 700.0 else math.inf * np.sign(gap_scaled)
+            rows.append(GapRow(lam=lamf, gap_scaled=gap_scaled, log_scale=log_scale, gap=float(gap_raw), components=comp))
+    doubled = rows.pop(1)  # the first lam's second pass, on w doubled
     return GapScan(
         rows=tuple(rows),
         margins=margins,

@@ -381,7 +381,8 @@ def test_a_nan_coefficient_fails_its_assertion(tmp_path, monkeypatch, sub, field
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"experiment": sub, "samples": 5, "seed": 0}))
     assert run(str(cfg), sub, out_dir=str(tmp_path / "out")) == 1
-    assert f"FAIL {assertion}:" in (tmp_path / "out" / f"{sub}.log").read_text()
+    # the detail reports the NaN, not the largest finite value
+    assert f"FAIL {assertion}: nan <= " in (tmp_path / "out" / f"{sub}.log").read_text()
 
 
 def test_weighted_qv_check_evaluates_no_quantities(tmp_path, monkeypatch):
@@ -813,6 +814,7 @@ def test_nan_residual_fails_its_row_and_max_relative_residual(tmp_path, monkeypa
     assert run(_write(tmp_path, {"experiment": "identity-check", "cases": 5}), "identity-check", out_dir=str(out)) == 1
     fail = [line.split(":")[0] for line in _fail_lines(out / "identity-check.log")]
     assert fail == ["FAIL max_relative_residual", "FAIL numbers_finite"]
+    assert "FAIL max_relative_residual: nan <= 1e-08" in (out / "identity-check.log").read_text()
     with open(out / "identity-check.csv") as fh:
         assert [row["pass"] for row in csv.DictReader(fh)] == ["1", "0", "1", "1", "1"]
 

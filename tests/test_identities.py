@@ -453,6 +453,7 @@ def _record_calls(monkeypatch, name) -> list:
 
 def test_gap_takes_one_first_order_pass_per_lambda_plus_the_doubled_field(monkeypatch):
     from carleman_lab import identities
+    from carleman_lab.weights import PointStage
 
     assembled = _record_calls(monkeypatch, "assemble")
     passes = []
@@ -464,12 +465,22 @@ def test_gap_takes_one_first_order_pass_per_lambda_plus_the_doubled_field(monkey
         return out
 
     monkeypatch.setattr(identities, "_first_order", recording)
+    stages = []
+    original_stage = PointStage.lambda_stage
+
+    def recording_stage(self, lam):
+        stages.append(lam)
+        return original_stage(self, lam)
+
+    monkeypatch.setattr(PointStage, "lambda_stage", recording_stage)
     fam, u_fn, params, lambdas, region, cutoff = _t42_setup()
     _gap("T4.2", u_fn, fam, params, lambdas, region, cutoff=cutoff)
     assert len(lambdas) == 4 and assembled == []
-    assert [lam for lam, _, _ in passes] == lambdas + lambdas[:1]
-    # the last pass takes w doubled, and no pass forms a second-order jet of v
-    assert np.array_equal(passes[-1][1], 2.0 * passes[0][1])
+    # one lam stage per lam; the doubled field reuses the first lam's stage
+    assert stages == lambdas
+    assert [lam for lam, _, _ in passes] == lambdas[:1] + lambdas
+    # the second pass takes w doubled, and no pass forms a second-order jet of v
+    assert np.array_equal(passes[1][1], 2.0 * passes[0][1])
     assert all(not {"vtt", "vtx", "vxx"} & out.keys() for _, _, out in passes)
 
 
