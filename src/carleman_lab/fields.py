@@ -796,5 +796,6 @@ def gradient_array(arr: np.ndarray, dx: float, axis: int) -> np.ndarray:
     out = np.empty(arr.shape)
     mid = out.reshape(-1)[s:-s]
     np.divide(np.subtract(flat[2 * s :], flat[: -2 * s], out=mid), 2.0 * dx, out=mid)
-    np.moveaxis(out, axis, 0)[[0, -1]] = 0.0
+    lead = (slice(None),) * (axis % arr.ndim)
+    out[lead + (0,)] = out[lead + (-1,)] = 0.0
     return out

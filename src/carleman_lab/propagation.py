@@ -104,15 +104,15 @@ MOLLIFIER = Mollifier()
 # ---------------------------------------------------------------------------
 
 
-def _energies(u: np.ndarray, ut: np.ndarray, d: np.ndarray, t: float, grid: Grid, halo_cells: int):
-    """Per path of (paths, *grid.shape) fields at time t: the mollified local energy
-    (1/2) sum cell_volume rho_m(d_K(x) - t) (|grad u|^2 + u_t^2 + u^2), and the
-    raw energy strictly outside K_{t + halo}; ``d`` is d_K at every node."""
+def _energies(u: np.ndarray, ut: np.ndarray, outside: np.ndarray, weight: np.ndarray, grid: Grid):
+    """Per path of (paths, *grid.shape) fields: the mollified local energy
+    (1/2) sum cell_volume weight (|grad u|^2 + u_t^2 + u^2), and the raw energy
+    at the nodes of the flat indices ``outside``, gathered in their order."""
     dens = _solver.energy_density(u, ut, grid)
     vol = grid.cell_volume
-    outside = 0.5 * _solver.row_sums(dens[:, d > t + halo_cells * grid.dx]) * vol
-    dens *= MOLLIFIER(d - t)
-    return 0.5 * _solver.row_sums(dens) * vol, outside
+    outside_energy = 0.5 * _solver.row_sums(np.take(dens.reshape(len(dens), -1), outside, axis=1)) * vol
+    dens *= weight
+    return 0.5 * _solver.row_sums(dens) * vol, outside_energy
 
 
 @dataclass
@@ -163,10 +163,17 @@ def run_propagation(
     stride = stride or max(1, grid.num_steps // 10)
     init = _solver.initial_state(grid, u0, u1, samplers)
     e_total0 = _solver.total_energy(init, grid)
+    # per record index: the flat indices of the nodes strictly outside K_{t + halo}
+    # and the weight rho_m(d_K - t), shared by every chunk of paths
+    weights = {}
+
+    def reduce(k, state):
+        if k not in weights:
+            weights[k] = (np.flatnonzero(d > state.time + halo_cells * grid.dx), MOLLIFIER(d - state.time))
+        return _energies(state.u, state.ut, *weights[k], grid)
+
     times, (loc, out) = _solver.solve(
-        init, samplers, grid, _solver.brownian_paths(seed, grid, paths),
-        lambda k, state: _energies(state.u, state.ut, d, state.time, grid, halo_cells),
-        stride=stride,
+        init, samplers, grid, _solver.brownian_paths(seed, grid, paths), reduce, stride=stride
     )
     mean = loc.mean(axis=0)
     se = loc.std(axis=0, ddof=1) / math.sqrt(paths) if paths > 1 else np.zeros_like(mean)

@@ -6,6 +6,25 @@ order is semi-implicit Euler-Maruyama (u_t first, then u with the new u_t),
 which reduces to plain leapfrog when all lower-order coefficients vanish.
 Boundaries are a homogeneous Dirichlet ring that the support must never
 reach; reaching it is an error, not a reflection.
+
+The stencils have radius one, so a node can leave zero only when a step
+reaches it from a nonzero neighbour: the numerical domain of dependence grows
+one node per step.  ``solve`` therefore steps each chunk on working arrays
+that cover only the box of nodes that can be nonzero, plus a margin.  The box
+starts as the bounding box of the nodes where u or u_t is not +0.0 after the
+first step, which is taken on the whole grid: sampled data hold -0.0 wherever
+a negative amplitude multiplies zero, and a step turns such zeros into +0.0
+(the Laplacian of equal zeros is +0.0).  The box grows by one node per side
+per step, clamped to the interior; every ``BOX_MARGIN`` steps, before it can
+reach the working arrays' edge, they are re-embedded in larger ones.  This is
+exact: at a node whose stencil reads only +0.0, every drift and noise term is
++0.0 or -0.0, and ``+0.0 + (-0.0)`` is +0.0, so u and u_t stay +0.0 there and
+every recorded state equals the whole-grid march bit for bit.  A coefficient
+that is non-finite anywhere makes NaN (inf * 0) on the whole-grid first step,
+which ends the march as it always did.  Two cases break the argument and march
+the whole grid throughout: a nonzero source f or g, and a coefficient that
+depends on time.  The whole grid is just the largest box: its working arrays
+are the state itself.
 """
 
 from __future__ import annotations
@@ -40,6 +59,13 @@ GUARD_RING = 3
 
 # that roundoff level, relative to the largest of 1, |u| and |u_t| on the path
 GUARD_TOL = 1e-12
+
+# nodes of slack on each side of the box of live nodes: the working arrays of
+# ``solve`` are re-embedded once per BOX_MARGIN steps, not on every step
+BOX_MARGIN = 8
+
+# the scalar-or-array coefficients of ``make_samplers``; a2 is a list beside them
+COEFFICIENT_NAMES = ("a1", "a3", "b1", "b2", "f", "g")
 
 
 def _coeff_sampler(coeff, grid: Grid):
@@ -101,8 +127,21 @@ def relative_leak(vals: np.ndarray, mask: np.ndarray) -> float:
 
 def _ring_max(arr: np.ndarray, n: int, rings: int):
     """Largest |value| within ``rings`` nodes of the boundary of the trailing
-    ``n`` axes, one per leading index (a 0-d array for a single field)."""
-    return np.abs(arr[..., near_boundary(arr.shape[arr.ndim - n :], rings)]).max(axis=-1)
+    ``n`` axes, one per leading index (a 0-d array for a single field): the
+    largest max and -min of the boundary slabs."""
+    axes = tuple(range(arr.ndim - n, arr.ndim))
+    peaks = []
+    for j in axes:
+        for side in (slice(None, rings), slice(-rings, None)):
+            slab = arr[(slice(None),) * j + (side,)]
+            peaks += [slab.max(axis=axes), -slab.min(axis=axes)]
+    return np.maximum.reduce(peaks)
+
+
+def _row_peaks(arr: np.ndarray) -> np.ndarray:
+    """Per-path largest |value| of a contiguous (paths, ...) array, from its max and -min."""
+    rows = arr.reshape(len(arr), -1)
+    return np.maximum(rows.max(axis=1), -rows.min(axis=1))
 
 
 def initial_state(grid: Grid, u0: np.ndarray | None, u1: np.ndarray | None, samplers) -> WaveState:
@@ -125,16 +164,18 @@ def initial_state(grid: Grid, u0: np.ndarray | None, u1: np.ndarray | None, samp
 
 def make_samplers(coeffs: Coefficients, grid: Grid):
     """Coefficient samplers t -> scalar or grid array, after the a2 length check
-    and the noise step-size guard."""
+    and the noise step-size guard; ``frozen`` says that none depends on time."""
     if len(coeffs.a2) > grid.n:
         # an extra entry would differentiate along a leading (path) axis
         raise ConfigurationError(f"a2 has {len(coeffs.a2)} entries for a grid of dimension {grid.n}")
     a2 = tuple(coeffs.a2) + (None,) * (grid.n - len(coeffs.a2))
-    s = {name: _coeff_sampler(getattr(coeffs, name), grid)[0] for name in ("a1", "a3", "b2", "f", "g")}
-    s["a2"] = [_coeff_sampler(c, grid)[0] for c in a2]
-    s["b1"], bound = _coeff_sampler(coeffs.b1, grid)
-    if coeffs.b1_bound is not None:
-        bound = float(coeffs.b1_bound)
+    built = {name: _coeff_sampler(getattr(coeffs, name), grid) for name in COEFFICIENT_NAMES}
+    a2_built = [_coeff_sampler(c, grid) for c in a2]
+    s = {name: sampler for name, (sampler, _) in built.items()}
+    s["a2"] = [sampler for sampler, _ in a2_built]
+    # a time-dependent coefficient has no frozen bound; ``solve`` then marches the whole grid
+    s["frozen"] = all(b is not None for _, b in [*built.values(), *a2_built])
+    bound = built["b1"][1] if coeffs.b1_bound is None else float(coeffs.b1_bound)
     if bound is None:
         raise ConfigurationError("time-dependent b1 requires an explicit b1_bound")
     if bound > 0.0 and grid.dt > NOISE_DT_SAFETY / bound**2:
@@ -216,40 +257,128 @@ def recorded_steps(num_steps: int, stride: int) -> list[int]:
     return [k for k in range(num_steps + 1) if k % stride == 0 or k == num_steps]
 
 
-def _march(init: WaveState, samplers, grid: Grid, bpaths, reduce, stride: int, support_guard: bool):
+def _keeps_zero(samplers) -> bool:
+    """Whether a node whose stencil reads only +0.0 stays +0.0 under ``samplers``
+    from the second step on: no coefficient depends on time and the sources f
+    and g vanish.  (A non-finite coefficient makes NaN, inf * 0, on the first
+    step, which is taken on the whole grid.)"""
+    return samplers["frozen"] and not np.any(samplers["f"](0.0)) and not np.any(samplers["g"](0.0))
+
+
+def _live_box(u: np.ndarray, ut: np.ndarray, grid: Grid):
+    """Per axis, the first and last node of the bounding box of the nodes where u or
+    u_t of any path of the (paths, ...) fields is not +0.0; the first interior node
+    for all-zero fields."""
+    live = np.zeros(grid.shape, dtype=bool)
+    for arr in (u, ut):
+        live |= ((arr != 0.0) | np.signbit(arr)).any(axis=0)
+    if not live.any():
+        return ((1, 1),) * grid.n
+    return tuple((int(ix.min()), int(ix.max())) for ix in np.nonzero(live))
+
+
+def _window(box, grow: int, shape):
+    """The nodes of the working arrays for ``box`` grown by ``grow`` nodes: per side,
+    the grown box, one node that a step zeroes and ``BOX_MARGIN`` nodes to grow
+    into, clamped to the grid."""
+    reach = grow + 1 + BOX_MARGIN
+    return tuple((max(0, lo - reach), min(m - 1, hi + reach)) for (lo, hi), m in zip(box, shape))
+
+
+def _cut(window) -> tuple:
+    return tuple(slice(lo, hi + 1) for lo, hi in window)
+
+
+def _rewindow(arr: np.ndarray, window, new) -> np.ndarray:
+    """The (paths, ...) fields ``arr`` on the nodes of ``window`` moved to the nodes
+    of ``new``: cut where ``new`` is narrower, +0.0 where it is wider, and ``arr``
+    itself where they are the same."""
+    if new == window:
+        return arr
+    both = [(max(lo, nlo), min(hi, nhi)) for (lo, hi), (nlo, nhi) in zip(window, new)]
+    out = np.zeros(arr.shape[:1] + tuple(hi - lo + 1 for lo, hi in new))
+    out[(slice(None),) + _cut([(lo - nlo, hi - nlo) for (lo, hi), (nlo, _) in zip(both, new)])] = arr[
+        (slice(None),) + _cut([(lo - wlo, hi - wlo) for (lo, hi), (wlo, _) in zip(both, window)])
+    ]
+    return out
+
+
+def _window_samplers(samplers, window, grid: Grid):
+    """The frozen ``samplers`` with every grid array cut to the nodes of ``window``."""
+    cut = _cut(window)
+
+    def frozen(sampler):
+        value = sampler(0.0)
+        if np.shape(value) == grid.shape:
+            value = value[cut].copy()
+        return lambda t: value
+
+    out = {name: frozen(samplers[name]) for name in COEFFICIENT_NAMES}
+    out["a2"] = [frozen(a2j) for a2j in samplers["a2"]]
+    return out
+
+
+def _march(init: WaveState, samplers, grid: Grid, boxed: bool, bpaths, reduce, stride: int, support_guard: bool):
     """Step one ``(paths, *grid.shape)`` ensemble over the full horizon; returns the
     times of the ``recorded_steps`` and ``reduce`` of each of their states, called
-    while that state is current so that no field outlives its step."""
-    batch = (len(bpaths),) + grid.shape
-    u, ut = np.broadcast_to(init.u, batch).copy(), np.broadcast_to(init.ut, batch).copy()
-    dw = np.stack([bp.increments for bp in bpaths]).reshape((len(bpaths), grid.num_steps) + (1,) * grid.n)
+    while that state is current so that no field outlives its step.
+
+    With ``boxed``, the steps after the first run on working arrays around the
+    ``_live_box`` of the first stepped state (see the module docstring); while
+    the working arrays cover the grid they are the state itself, and otherwise
+    the whole-grid state is built at the recorded steps alone."""
+    shape, paths = grid.shape, len(bpaths)
+    window = grid_window = tuple((0, m - 1) for m in shape)
+    u, ut = np.broadcast_to(init.u, (paths,) + shape).copy(), np.broadcast_to(init.ut, (paths,) + shape).copy()
+    dw = np.stack([bp.increments for bp in bpaths]).reshape((paths, grid.num_steps) + (1,) * grid.n)
+    local = samplers
     times, records = [], []
 
-    def record(time):
-        records.append(reduce(len(times), WaveState(u=u, ut=ut, time=time)))
-        times.append(time)
+    def state(time):
+        return WaveState(u=_rewindow(u, window, grid_window), ut=_rewindow(ut, window, grid_window), time=time)
 
-    record(0.0)
+    def record(current):
+        records.append(reduce(len(times), current))
+        times.append(current.time)
+
+    record(state(0.0))
     recorded = set(recorded_steps(grid.num_steps, stride))
     t = 0.0
     for k in range(grid.num_steps):
-        u, ut = step_arrays(u, ut, t, samplers, dw[:, k], grid)
+        u, ut = step_arrays(u, ut, t, local, dw[:, k], grid)
         t = (k + 1) * grid.dt
         # u' = u + dt u_t' with u finite (or a non-finite initial u kept in u'), so u' is
         # non-finite wherever u_t' is: checking u' alone finds every blow-up's path and step
         finite = np.isfinite(u)
         if not finite.all():
-            p = bpaths[int(np.argmin(finite.reshape(len(bpaths), -1).all(axis=1)))].stream
+            p = bpaths[int(np.argmin(finite.reshape(paths, -1).all(axis=1)))].stream
             raise BlowUpError(f"non-finite field on path {p} at step {k + 1} (t = {t})")
+        if boxed and k % BOX_MARGIN == 0:
+            # the nodes that can be nonzero now are the live box of the first stepped state
+            # grown by one node per side per step since; the new working arrays hold them
+            # for the next BOX_MARGIN steps
+            if k == 0:
+                first = _live_box(u, ut, grid)
+            new = _window(first, k, shape)
+            if new != window:
+                u, ut = _rewindow(u, window, new), _rewindow(ut, window, new)
+                window = new
+                local = samplers if window == grid_window else _window_samplers(samplers, window, grid)
+            boxed = window != grid_window
         if k + 1 in recorded:
+            current = state(t)
             if support_guard:
-                mag = np.maximum(np.abs(u), np.abs(ut))
-                scale = np.maximum(1.0, mag.reshape(len(bpaths), -1).max(axis=1))
-                reached = _ring_max(mag, grid.n, GUARD_RING) > GUARD_TOL * scale
+                scale = np.maximum(1.0, np.maximum(_row_peaks(u), _row_peaks(ut)))
+                ring = np.maximum(_ring_max(current.u, grid.n, GUARD_RING), _ring_max(current.ut, grid.n, GUARD_RING))
+                reached = ring > GUARD_TOL * scale
                 if reached.any():
                     p = bpaths[int(np.argmax(reached))].stream
-                    raise PropagationError(f"support reached the boundary ring on path {p} at t = {t} (step {k + 1})")
-            record(t)
+                    raise PropagationError(
+                        f"support reached the boundary ring on path {p} at t = {t} (step {k + 1}); "
+                        f"reach from the initial data: numerical {(k + 1) * grid.dx:.6g} (one node per step), "
+                        f"unit speed {t:.6g}"
+                    )
+            record(current)
     return times, records
 
 
@@ -270,10 +399,11 @@ def solve(
     step 0, every ``stride``-th step and the last, each once, step k at time
     k * dt.  Paths are stepped in chunks of about ``CHUNK_ELEMENTS`` values,
     each one ``(chunk, *grid.shape)`` ensemble whose rows equal single-path
-    solves.  ``reduce(k, state)`` maps the k-th recorded state of a chunk (never
-    modified afterwards) to a tuple of per-path rows.  Returns the record times
-    and, per output of ``reduce``, one ``(paths, records, ...)`` array.  Errors
-    name the path by its stream.
+    solves, stepped on the box of nodes that can be nonzero (module
+    docstring).  ``reduce(k, state)`` maps the k-th recorded state of a chunk,
+    on the whole grid and never modified afterwards, to a tuple of per-path
+    rows.  Returns the record times and, per output of ``reduce``, one
+    ``(paths, records, ...)`` array.  Errors name the path by its stream.
     """
     if not paths:
         raise ConfigurationError("solve needs at least one Brownian path")
@@ -282,10 +412,11 @@ def solve(
             raise ConfigurationError("Brownian path discretization does not match the grid")
     if _ring_max(init.u, grid.n, 1) > 0.0 or _ring_max(init.ut, grid.n, 1) > 0.0:
         raise ConfigurationError("initial data must vanish on the boundary ring")
+    boxed = _keeps_zero(samplers)
     size = max(1, CHUNK_ELEMENTS // grid.num_nodes)
     chunks = []
     for lo in range(0, len(paths), size):
-        times, records = _march(init, samplers, grid, paths[lo : lo + size], reduce, stride, support_guard)
+        times, records = _march(init, samplers, grid, boxed, paths[lo : lo + size], reduce, stride, support_guard)
         chunks.append([np.stack(rows, axis=1) for rows in zip(*records)])
     return np.asarray(times), tuple(np.concatenate(parts) for parts in zip(*chunks))
 

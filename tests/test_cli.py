@@ -604,9 +604,16 @@ def test_support_reaching_the_boundary_is_a_run_error(tmp_path):
     assert run(str(path), "ucp-decay", out_dir=str(out)) == 1
     fail = _fail_lines(out / "ucp-decay.log")
     assert len(fail) == 1
-    assert re.fullmatch(
-        r"FAIL run_error: support reached the boundary ring on path 0 at t = [0-9.]+ \(step \d+\)", fail[0]
-    ), fail[0]
+    match = re.fullmatch(
+        r"FAIL run_error: support reached the boundary ring on path 0 at t = ([0-9.]+) \(step (\d+)\); "
+        r"reach from the initial data: numerical ([0-9.e+-]+) \(one node per step\), unit speed ([0-9.e+-]+)",
+        fail[0],
+    )
+    assert match, fail[0]
+    # the scheme's numerical domain of dependence runs ahead of unit speed: one node per step
+    t, step, numerical, unit = match.groups()
+    assert float(numerical) == pytest.approx(int(step) * 0.02) and float(unit) == pytest.approx(float(t))
+    assert float(numerical) > float(unit)
     assert "exit: 1" in (out / "ucp-decay.log").read_text()
     assert not (out / "ucp-decay.csv").exists()
 

@@ -3,16 +3,20 @@
 Every run either exits 0 or 1 with a log whose last line is its exit code, that
 names a FAIL exactly when the code is 1, and with a CSV exactly when the log
 names no run_error; or it exits 2 having written nothing.  ``cli.run`` never
-raises.
+raises.  Every run also ends the same, exit code, assertion lines and CSV bytes
+(but the wall time), with the solver's box of live nodes forced to the whole
+grid.
 """
 
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from carleman_lab import solver
 from carleman_lab.cli import run
 
 # the huge bumps overflow on purpose
@@ -87,13 +91,35 @@ def configs(draw, subcommand):
     return cfg
 
 
+def _outcome(cfg: dict, out: Path):
+    """Exit code, assertion lines and CSV bytes without the wall time of one run."""
+    sub = cfg["experiment"]
+    code = run(str(out.parent / "config.json"), sub, out_dir=str(out))
+    if code == 2:
+        return code, None, None
+    log = (out / f"{sub}.log").read_text().splitlines()
+    csv = out / f"{sub}.csv"
+    rows = None
+    if csv.exists():
+        lines = csv.read_text().splitlines()
+        assert lines[0].endswith(",wall_time_s")
+        rows = [line.rsplit(",", 1)[0] for line in lines]
+    return code, [line for line in log if line.startswith(("PASS ", "FAIL ", "exit: "))], rows
+
+
+def _whole_interior(u, ut, grid):
+    return tuple((1, m - 2) for m in grid.shape)
+
+
 def _check_outcome(cfg: dict):
     sub = cfg["experiment"]
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "config.json"
-        path.write_text(json.dumps(cfg))
+        (Path(tmp) / "config.json").write_text(json.dumps(cfg))
         out = Path(tmp) / "out"
-        code = run(str(path), sub, out_dir=str(out))
+        outcome = _outcome(cfg, out)
+        with mock.patch.object(solver, "_live_box", _whole_interior):
+            assert _outcome(cfg, Path(tmp) / "whole") == outcome, cfg
+        code = outcome[0]
         if code == 2:
             assert not out.exists(), cfg
             return

@@ -22,7 +22,8 @@ def _energy_pair(state, support, t, g, halo_cells=DEFAULT_HALO_CELLS):
     """(mollified local energy, raw energy outside K_{t + halo}) of one state,
     through the reduction ``run_propagation`` applies to every path."""
     d = distance_to_set(g.node_positions(), support).reshape(g.shape)
-    loc, out = _energies(state.u[None], state.ut[None], d, t, g, halo_cells)
+    outside = np.flatnonzero(d > t + halo_cells * g.dx)
+    loc, out = _energies(state.u[None], state.ut[None], outside, propagation.MOLLIFIER(d - t), g)
     return float(loc[0]), float(out[0])
 
 

@@ -380,3 +380,180 @@ def test_step_kernel_equals_the_textbook_expression_and_aliases_nothing(case, n)
     assert not np.shares_memory(u_new, ut_new)
     for out in (u_new, ut_new):
         assert not any(np.shares_memory(out, a) for a in (u, ut, dw, *frozen))
+
+
+# ---------------------------------------------------------------------------
+# The box of live nodes: every recorded state equals the whole-grid march bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _whole_interior(u, ut, grid):
+    return tuple((1, m - 2) for m in grid.shape)
+
+
+def _bump(n, amp, centre, radius):
+    return make_fn("space_bump4", n, amp=amp, **{f"{k}{j + 1}": v for j in range(n) for k, v in (("cx", centre), ("rx", radius))})
+
+
+def _counting_steps(monkeypatch) -> list:
+    """Wrap step_arrays so that each call appends the size of the u it steps."""
+    sizes = []
+    original = S.step_arrays
+
+    def counted(u, *args):
+        sizes.append(u.size)
+        return original(u, *args)
+
+    monkeypatch.setattr(S, "step_arrays", counted)
+    return sizes
+
+
+def _bytes_of_every_record(init, samplers, g, paths, **kwargs):
+    """The bytes of the record times and of each output of a reduce that keeps u,
+    u_t, the row sums of u and a view of u at one node, for every path and record."""
+    node = (slice(None),) + tuple(m // 3 for m in g.shape)
+
+    def reduce(k, state):
+        return state.u, state.ut, S.row_sums(state.u), state.u[node]
+
+    times, outs = S.solve(init, samplers, g, paths, reduce, **kwargs)
+    return [times.tobytes()] + [out.tobytes() for out in outs]
+
+
+def _box_and_whole(monkeypatch, init, samplers, g, paths, **kwargs):
+    """(bytes, node-steps) of the box march and of the march with the box forced to the whole interior."""
+    sizes = _counting_steps(monkeypatch)
+    box = _bytes_of_every_record(init, samplers, g, paths, **kwargs)
+    box_steps = sum(sizes)
+    sizes.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(S, "_live_box", _whole_interior)
+        whole = _bytes_of_every_record(init, samplers, g, paths, **kwargs)
+    assert sum(sizes) == len(paths) * g.num_nodes * g.num_steps
+    return (box, box_steps), (whole, sum(sizes))
+
+
+def _box_grid(n, half_width=1.0):
+    # 41 nodes per axis at half width 1 in 1-D, 21 in 2-D; 40 and 16 steps
+    if n == 1:
+        return make_grid([(-half_width, half_width)], dx=0.05, dt=0.025, t_max=1.0)
+    return make_grid([(-half_width, half_width)] * 2, dx=0.1, dt=0.05, t_max=0.8)
+
+
+BOX_COEFFICIENTS = {
+    "free": lambda n: S.Coefficients(),
+    "noise": lambda n: S.Coefficients(b1=0.5, b2=-0.3),
+    # frozen arrays of both signs and a negative b1: -0.0 products at zero nodes
+    "frozen": lambda n: S.Coefficients(
+        a1=_bump(n, -0.7, 0.2, 0.9),
+        a2=tuple(_bump(n, 0.4 * (-1) ** j, -0.1, 0.8) for j in range(n)),
+        a3=_bump(n, 2.0, 0.3, 0.5),
+        b1=-0.4,
+        b2=_bump(n, -1.5, -0.2, 0.6),
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("coeffs", sorted(BOX_COEFFICIENTS))
+@pytest.mark.parametrize("data", ["u0", "u1", "both"])
+def test_box_march_equals_the_whole_grid_march_bit_for_bit(monkeypatch, n, coeffs, data):
+    # the box reaches the boundary ring on one side first, and then on every side
+    g = _box_grid(n, half_width=1.5)
+    s = S.make_samplers(BOX_COEFFICIENTS[coeffs](n), g)
+    assert S._keeps_zero(s)
+    # compact data; the negative u1 holds -0.0 off its support
+    u0 = _bump(n, 1.0, 0.3, 0.2) if data != "u1" else None
+    u1 = _bump(n, -2.0, 0.25, 0.15) if data != "u0" else None
+    init = _state(g, u0, u1, s)
+    paths = [sample_brownian(5, g.dt, g.t_max, stream=p) for p in range(3)]
+    with np.errstate(all="ignore"):
+        (box, box_steps), (whole, whole_steps) = _box_and_whole(monkeypatch, init, s, g, paths, stride=3, support_guard=False)
+    assert box == whole
+    assert box_steps < whole_steps
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_box_march_of_all_zero_data_is_all_positive_zero(monkeypatch, n):
+    g = _box_grid(n)
+    s = S.make_samplers(BOX_COEFFICIENTS["frozen"](n), g)
+    init = S.initial_state(g, None, None, s)
+    paths = [sample_brownian(2, g.dt, g.t_max, stream=p) for p in range(2)]
+    (box, box_steps), (whole, whole_steps) = _box_and_whole(monkeypatch, init, s, g, paths, stride=4)
+    assert box == whole
+    assert set(box[1]) == {0}  # every u is +0.0, not -0.0
+    assert box_steps < 0.8 * whole_steps
+
+
+@pytest.mark.parametrize("coeffs", [
+    S.Coefficients(f=0.05),
+    S.Coefficients(g=_bump(1, 1.0, -0.8, 0.1)),
+    # 0.3 + 0.5 t depends on time
+    S.Coefficients(b1=make_fn("affine", 1, c0=0.3, ct=0.5, cx1=0.0), b1_bound=0.8),
+])
+def test_a_source_or_a_time_dependent_coefficient_marches_the_whole_grid(monkeypatch, coeffs):
+    g = _box_grid(1)
+    s = S.make_samplers(coeffs, g)
+    assert not S._keeps_zero(s)
+    sizes = _counting_steps(monkeypatch)
+    _solve(_state(g, _bump(1, 1.0, 0.3, 0.2), None, s), s, g, sample_brownian(3, g.dt, g.t_max), support_guard=False)
+    assert sizes == [g.num_nodes] * g.num_steps
+
+
+def test_the_box_grows_one_node_per_step_after_a_whole_grid_first_step(monkeypatch):
+    g = _box_grid(1, half_width=2.0)
+    s = S.make_samplers(S.Coefficients(b1=0.5), g)
+    init = _state(g, _bump(1, 1.0, 0.3, 0.2), None, s)
+    sizes = _counting_steps(monkeypatch)
+    _solve(init, s, g, sample_brownian(3, g.dt, g.t_max), support_guard=False)
+    # u0 is nonzero on nodes 42 .. 49 and, after the half step, u_t on 41 .. 50; the first
+    # step, on the whole grid, leaves the box 41 .. 50
+    assert sizes[0] == g.num_nodes
+    assert sizes[1] == (50 - 41 + 1) + 2 * (1 + S.BOX_MARGIN)
+    # re-embedded once per BOX_MARGIN steps until the working arrays hold the grid
+    assert sizes[1 + S.BOX_MARGIN] > sizes[S.BOX_MARGIN] == sizes[1]
+    assert sizes[1:] == sorted(sizes[1:]) and sizes[-1] == g.num_nodes
+    assert sum(sizes) < 0.8 * g.num_nodes * g.num_steps
+
+
+def test_an_infinite_frozen_coefficient_far_from_the_data_keeps_its_blow_up():
+    # inf * 0 = NaN appears at the inf node on the first step, which is taken on the whole
+    # grid; the message is the one the whole-grid march raised
+    g = _box_grid(1)
+    s = S.make_samplers(S.Coefficients(b1=0.5), g)
+    a3 = np.zeros(g.shape)
+    a3[3] = np.inf
+    s["a3"] = lambda t: a3
+    paths = [sample_brownian(4, g.dt, g.t_max, stream=p) for p in range(2, 5)]
+    with np.errstate(all="ignore"), pytest.raises(S.BlowUpError) as info:
+        init = _state(g, _bump(1, 1.0, 0.3, 0.2), None, s)
+        S.solve(init, s, g, paths, _snapshots, support_guard=False)
+    assert str(info.value) == "non-finite field on path 2 at step 1 (t = 0.025)"
+
+
+@pytest.mark.parametrize("u0", ["bump", "standing_wave"])
+def test_a_reduce_that_returns_views_keeps_its_own_steps_values(u0):
+    # ucp-decay's reduce returns state.u[mid], a view: no state is written after its
+    # reduce, on the box (bump) and on the whole grid (standing wave) alike
+    g = _box_grid(1)
+    s = S.make_samplers(S.Coefficients(b1=0.5), g)
+    fn = _bump(1, 1.0, 0.3, 0.2) if u0 == "bump" else make_fn("standing_wave", 1)
+    init = _state(g, fn, None, s)
+    node = (slice(None), 26)
+    paths = [sample_brownian(6, g.dt, g.t_max, stream=p) for p in range(3)]
+    _, (views, ut_views) = S.solve(init, s, g, paths, lambda k, st: (st.u[node], st.ut), stride=2, support_guard=False)
+    _, (copies, ut_copies) = S.solve(
+        init, s, g, paths, lambda k, st: (st.u[node].copy(), st.ut.copy()), stride=2, support_guard=False
+    )
+    assert views.tobytes() == copies.tobytes() and ut_views.tobytes() == ut_copies.tobytes()
+    assert len(set(views[0].tolist())) > 2
+
+
+def test_ring_max_takes_every_boundary_slab():
+    arr = np.zeros((2, 7, 6))
+    arr[0, 1, 3] = -4.0   # inside two layers of the x1 = lo edge
+    arr[1, 4, 4] = 3.0    # inside two layers of the x2 = hi edge
+    arr[1, 3, 2] = 9.0    # interior: not counted
+    assert S._ring_max(arr, 2, 2).tolist() == [4.0, 3.0]
+    assert S._ring_max(arr, 2, 1).tolist() == [0.0, 0.0]
+    assert float(S._ring_max(arr[1], 2, 3)) == 9.0
