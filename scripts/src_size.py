@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Print the size of the hand-written src/: its line count and its knobs.
+"""Print the size of the hand-written src/: its line count, its concepts and its knobs.
 
     python scripts/src_size.py
 
-The library knobs are the defaulted parameters (positional and keyword-only)
-of every function, method and lambda, counted with ``ast``.  The user-facing
-knobs are the config keys: the property names of every subcommand's schema in
-``cli.SUBCOMMANDS``, nested ones and ``oneOf`` branches included, each counted
-where it occurs.  The generated evaluator table,
-src/carleman_lab/_frozen_evaluators.py, is not counted.
+The concepts are the top-level classes and functions of each module, so a
+deletion shows as names removed as well as lines.  The library knobs are the
+defaulted parameters (positional and keyword-only) of every function, method
+and lambda, counted with ``ast``.  The user-facing knobs are the config keys:
+the property names of every subcommand's schema in ``cli.SUBCOMMANDS``, nested
+ones and ``oneOf`` branches included, each counted where it occurs.  The
+generated evaluator table, src/carleman_lab/_frozen_evaluators.py, is not
+counted.
 """
 
 import ast
@@ -30,16 +32,19 @@ def config_keys(schema) -> int:
 
 
 def main() -> None:
-    lines = knobs = 0
+    lines = concepts = knobs = 0
     for path in sorted(SRC.rglob("*.py")):
         if path.name == "_frozen_evaluators.py":
             continue
         text = path.read_text(encoding="utf-8")
         lines += text.count("\n")
-        for node in ast.walk(ast.parse(text)):
+        tree = ast.parse(text)
+        concepts += sum(isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) for node in tree.body)
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 knobs += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
     print(f"hand-written src/ lines: {lines}")
+    print(f"top-level classes and functions: {concepts}")
     print(f"defaulted parameters: {knobs}")
     sys.path.insert(0, str(SRC))
     from carleman_lab.cli import SUBCOMMANDS

@@ -6,13 +6,14 @@ Everything downstream leans on two guarantees made here:
   evaluator is a numpy function exec'd from the source sympy's ``lambdify``
   writes for one (family, multi-index), compiled once and shared by every
   instance of the family.  A family is a registry entry or psi of one at a
-  dimension n, or else the sympy expression itself with its parameter
-  symbols.  The sources the bundled runs need are shipped in
+  dimension n.  The sources the bundled runs need are shipped in
   ``_frozen_evaluators`` (written by ``scripts/freeze_evaluators.py``, and
   imported on the first evaluator load), so those runs never import sympy;
   any other source is generated on demand.
-  Parameter values are call arguments, so rebinding them never recompiles.
-  Identity checks therefore see exact jets, not finite differences.
+  An instance is (name, family, parameter values), made by its one
+  constructor; parameter values are call arguments, so a new instance never
+  recompiles.  Identity checks therefore see exact jets, not finite
+  differences.
   ``AnalyticFn.partials`` evaluates every multi-index a caller asks for in
   one sweep, checking the point and deciding scalar against array once, and
   ``d`` is its one-index case; a verify check makes one sweep per function
@@ -326,15 +327,6 @@ def _coordinates():
     return sp.Symbol("t", real=True), (sp.Symbol("x1", real=True), sp.Symbol("x2", real=True))
 
 
-def __getattr__(name):
-    # T_SYM and X_SYMS: made when first read, so that importing this module does not import sympy
-    if name == "T_SYM":
-        return _coordinates()[0]
-    if name == "X_SYMS":
-        return _coordinates()[1]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 _SYMBOLIC: dict[tuple, "_Symbolic"] = {}
 _SCALAR_TYPES = (float, int)
 _UNBOUND = object()
@@ -347,19 +339,20 @@ def is_scalar(v) -> bool:
     return type(v) in _SCALAR_TYPES or getattr(v, "ndim", None) == 0 or np.ndim(v) == 0
 
 
-def _numpy_names(fn) -> dict[str, str]:
+def _numpy_names(fn, label: str) -> dict[str, str]:
     """{global name: numpy attribute} for each global name a lambdify'd function reads.
 
     Each must be bound in lambdify's namespace to an object of the numpy
     module, so that the source exec'd against those objects computes exactly
-    what the lambdify'd function does; any other name raises CapabilityError.
+    what the lambdify'd function does; any other name raises CapabilityError,
+    which names the evaluator by ``label``.
     """
     names = {}
     for name in fn.__code__.co_names:
         obj = fn.__globals__.get(name, _UNBOUND)
         attrs = [a for a, v in vars(np).items() if v is obj]
         if not attrs:
-            raise CapabilityError(f"generated evaluator reads {name!r}, which is not a numpy object")
+            raise CapabilityError(f"{label} reads {name!r}, which is not a numpy object")
         names[name] = name if name in attrs else attrs[0]
     return names
 
@@ -375,9 +368,10 @@ def _load_evaluator(source: str, names: dict[str, str]):
 class _Symbolic:
     """What every AnalyticFn of one family shares, keyed by ``(family, n)``.
 
-    ``family`` is a registry name, ``("psi", family)`` for psi = exp(cw_gamma
-    rho) on a family of rho, or ``(expr, param_syms)`` for a function made
-    from a sympy expression.  The shared part is the sorted parameter names,
+    ``family`` is a registry name, or ``("psi", family)`` for psi =
+    exp(cw_gamma rho) on a family of rho; any other hashable key, such as a
+    sympy expression with its parameter symbols, makes a family of its own
+    through ``family``.  The shared part is the sorted parameter names,
     whether the function depends on t, and the evaluators by multi-index.  An
     evaluator's source comes from the frozen table when it has one, and is
     generated with sympy otherwise.  The sympy tree is built by ``tree()`` on
@@ -414,7 +408,7 @@ class _Symbolic:
             if alpha[1 + j]:
                 expr = sp.diff(expr, xs[j], alpha[1 + j])
         fn = sp.lambdify((t, *xs[: self.n], *param_syms), expr, modules="numpy", cse=True)
-        return inspect.getsource(fn), _numpy_names(fn)
+        return inspect.getsource(fn), _numpy_names(fn, f"{self.name}: the evaluator of d^{alpha}")
 
     def compile(self, alpha: tuple[int, ...]):
         from . import _frozen_evaluators
@@ -439,51 +433,20 @@ def family(name: str, key: tuple, param_names: tuple[str, ...], depends_on_t: bo
 class AnalyticFn:
     """Closed-form scalar function of (t, x) with exact partial derivatives.
 
-    An instance holds its name, the part its whole family shares
-    (``symbolic``, see ``_Symbolic``) and its parameter values in the order of
-    the family's sorted parameter names, so ``with_values`` rebinds values
-    without touching sympy and never recompiles.
-
-    The constructor makes a function from a sympy expression whose parameters
-    are symbols bound to floats.  It is a family of its own, keyed by the
-    expression and its parameter symbols; sympy expressions hash and compare
-    by structure, with symbol assumptions and number types included
-    (``2.0*x`` and ``2*x`` are different families).  Registry functions
-    (``make_fn``) and psi (``weights.WeightFamily``) are keyed by name
-    instead, and build no sympy tree until an evaluator is generated.
+    An instance is its name, the part its whole family shares (``symbolic``,
+    see ``_Symbolic``) and its parameter values in the order of the family's
+    sorted parameter names.  The constructor takes all three and creates no
+    sympy object: registry functions come from ``make_fn``, psi from
+    ``weights.WeightFamily.psi``, and a new parameter value makes a new
+    instance of the same family, never a recompile.
     """
 
-    def __init__(self, name: str, expr, n: int, params: dict):
-        param_syms = tuple(sorted(params.keys(), key=lambda s: s.name))
-        self.name = name
-        self.symbolic = family(
-            name,
-            ((expr, param_syms), int(n)),
-            tuple(s.name for s in param_syms),
-            expr.has(_coordinates()[0]),
-            lambda: (expr, param_syms),
-        )
-        self.symbolic.tree()  # the unbound-symbol check, once per family
-        self.param_values = tuple(float(params[s]) for s in param_syms)
-
-    @staticmethod
-    def of_family(name: str, symbolic: _Symbolic, values: tuple[float, ...]) -> "AnalyticFn":
-        """An instance of an existing family, with every parameter value given."""
-        fn = AnalyticFn.__new__(AnalyticFn)
-        fn.name, fn.symbolic, fn.param_values = name, symbolic, values
-        return fn
+    def __init__(self, name: str, symbolic: _Symbolic, values: tuple[float, ...]):
+        self.name, self.symbolic, self.param_values = name, symbolic, values
 
     @property
     def n(self) -> int:
         return self.symbolic.n
-
-    @property
-    def params(self) -> dict[str, float]:
-        return dict(zip(self.symbolic.param_names, self.param_values))
-
-    def with_values(self, values: tuple[float, ...]) -> "AnalyticFn":
-        """The same function with every parameter value given, in ``param_names`` order."""
-        return AnalyticFn.of_family(self.name, self.symbolic, values)
 
     def _evaluator(self, alpha: tuple[int, ...]):
         fn = self.symbolic.evaluators.get(alpha)
@@ -713,14 +676,15 @@ _REGISTRY = {
 BUILTIN_NAMES = tuple(sorted(_REGISTRY))
 
 
-_BUILTINS: dict[tuple[str, int], tuple[AnalyticFn, dict[str, int]]] = {}
+_BUILTINS: dict[tuple[str, int], tuple[_Symbolic, tuple[float, ...], dict[str, int]]] = {}
 
 
 def make_fn(name: str, n: int, **params: float) -> AnalyticFn:
     """Instantiate a built-in family; unknown names or parameters raise CapabilityError.
 
-    Each (name, n) reads its registry entry's declaration once; an instance
-    only rebinds the value tuple.
+    Each (name, n) reads its registry entry's declaration once, into its
+    family, its default values and the position of each short parameter name;
+    an instance only rebinds the value tuple.
     """
     if name not in _REGISTRY:
         raise CapabilityError(f"unknown built-in function {name!r}; have {BUILTIN_NAMES}")
@@ -730,17 +694,18 @@ def make_fn(name: str, n: int, **params: float) -> AnalyticFn:
     if entry is None:
         defaults, depends_on_t, build = _REGISTRY[name](n)
         names = tuple(sorted(defaults))
-        sym = family(name, (name, n), names, depends_on_t, build)
-        default = AnalyticFn.of_family(name, sym, tuple(defaults[k] for k in names))
-        by_short = {nm.split("_", 1)[1]: i for i, nm in enumerate(names)}
-        entry = _BUILTINS[(name, n)] = (default, by_short)
-    default, by_short = entry
-    values = list(default.param_values)
+        entry = _BUILTINS[(name, n)] = (
+            family(name, (name, n), names, depends_on_t, build),
+            tuple(defaults[k] for k in names),
+            {nm.split("_", 1)[1]: i for i, nm in enumerate(names)},
+        )
+    sym, default, by_short = entry
+    values = list(default)
     for k, v in params.items():
         if k not in by_short:
             raise CapabilityError(f"{name}: unknown parameter {k!r}; have {sorted(by_short)}")
         values[by_short[k]] = float(v)
-    return default.with_values(tuple(values))
+    return AnalyticFn(name, sym, tuple(values))
 
 
 def fn_from_spec(spec, n: int) -> AnalyticFn:

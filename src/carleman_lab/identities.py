@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from .fields import (
     Jet2,
     StatisticsError,
     SupportError,
-    is_scalar,
     multi_indices,
     sample_brownian,
 )
@@ -110,9 +108,10 @@ def _report(lhs: float, rhs: float) -> IdentityReport:
 # ---------------------------------------------------------------------------
 
 
-def _w_derivatives(u_fn: AnalyticFn, cutoff, point: PointStage, mu: float, t, xs, n):
-    """Jets of w = chi(phi) u (or plain u) to second order, from one sweep of u's partials;
-    floats at a scalar point, arrays otherwise."""
+def _w_derivatives(u_fn: AnalyticFn, cutoff, point: PointStage):
+    """Jets of w = chi(phi) u (or plain u) to second order at the point stage's
+    point, from one sweep of u's partials; floats at a scalar point, arrays otherwise."""
+    t, xs, n, mu = point.t, point.xs, len(point.xs), point.params.mu
     A = multi_indices(n)
     ud = u_fn.partials(t, xs, A.jet2)
     u = {"v": ud[A.zero], "t": ud[A.t], "tt": ud[A.tt]}
@@ -156,31 +155,6 @@ def _w_derivatives(u_fn: AnalyticFn, cutoff, point: PointStage, mu: float, t, xs
         ],
     }
     return w, {"chi": chi, "u": u}
-
-
-class LambdaFree(NamedTuple):
-    """The lam-free part of an assembly or a scan: the weights' point stage and
-    the jets of w (``_w_derivatives``)."""
-
-    point: PointStage
-    w: dict
-    w_parts: dict | None
-
-
-def lambda_free(family: WeightFamily, params: WeightParams, t, xs, u_fn: AnalyticFn, cutoff=None) -> LambdaFree:
-    """The lam-free part of ``assemble`` at (t, xs); ``params.lam`` is not read.
-
-    At a point, where t and every entry of xs are scalars, they become Python
-    floats, and everything built from them stays on floats.  Otherwise each
-    becomes a float array, and every value follows their broadcast shape.
-    """
-    xs = list(xs) if isinstance(xs, (list, tuple)) else list(np.atleast_1d(xs))
-    if is_scalar(t) and all(map(is_scalar, xs)):
-        t, xs = float(t), [float(v) for v in xs]
-    else:
-        t, xs = np.asarray(t, dtype=float), [np.asarray(v, dtype=float) for v in xs]
-    point = family.point_stage(t, xs, params)
-    return LambdaFree(point, *_w_derivatives(u_fn, cutoff, point, params.mu, t, xs, family.n))
 
 
 def _first_order(point: PointStage, stage: dict, params: WeightParams, th, w) -> dict:
@@ -229,20 +203,19 @@ def assemble(
     xs,
     u_fn: AnalyticFn,
     cutoff: CutoffSpec | None = None,
-    base: LambdaFree | None = None,
 ) -> dict:
     """Both sides of the multiplier identity and their ingredients at (t, xs).
 
-    ``base`` is ``lambda_free(family, params, t, xs, u_fn, cutoff)`` when the
-    caller already holds it.  On ``_first_order`` this adds the second-order
-    jets of v, div V, dt N and ``e_terms``, the sum of the four quadratic
-    derivative terms.  theta = exp(ell) unscaled: a |lam phi| above 350 raises
+    Builds the point stage (``WeightFamily.point_stage``, which normalises
+    the point) and the jets of w (``_w_derivatives``), and returns the stage
+    under ``point``.  On ``_first_order`` this adds the second-order jets of
+    v, div V, dt N and ``e_terms``, the sum of the four quadratic derivative
+    terms.  theta = exp(ell) unscaled: a |lam phi| above 350 raises
     RangeError (the scans rescale theta instead, see ``inequality_gap``).
     """
     n = family.n
-    if base is None:
-        base = lambda_free(family, params, t, xs, u_fn, cutoff)
-    point = base.point
+    point = family.point_stage(t, xs, params)
+    w, w_parts = _w_derivatives(u_fn, cutoff, point)
     stage = point.lambda_stage(params.lam)
     quant = {**point.values, **stage}
     ell = stage["ell"]
@@ -257,7 +230,6 @@ def assemble(
     if float(np.max(np.abs(l0))) > 350.0:
         raise RangeError(f"lam*phi reaches {float(np.max(np.abs(l0))):.3g}; theta^2 overflows")
     th = np.exp(l0)
-    w = base.w
     first = _first_order(point, stage, params, th, w)
     v, vt, vx = first["v"], first["vt"], first["vx"]
     grad_v_sq, gl_dot_gv, S = first["grad_v_sq"], first["gl_dot_gv"], first["S"]
@@ -330,7 +302,7 @@ def assemble(
         **first,
         "theta": th,
         "w": w,
-        "w_parts": base.w_parts,
+        "w_parts": w_parts,
         "vtt": vtt,
         "vtx": vtx,
         "vxx": vxx,
@@ -341,6 +313,7 @@ def assemble(
         "identity_rhs": e1 + e2 + e3 + e4 + b * v**2 + first["s_sq"],
         "e_terms": e1 + e2 + e3 + e4,
         "quant": quant,
+        "point": point,
     }
 
 
@@ -374,12 +347,9 @@ def identity_case(
     the assembled jet of v and the frame's jets, which the frame forms from
     rho's jet in the assembly's point stage by the chain rule.
     """
-    t, x = float(t), [float(v) for v in np.atleast_1d(x)]
-    base = lambda_free(family, params, t, x, w_fn)
-    out = assemble(family, params, t, x, w_fn, base=base)
-    q = out["quant"]
-    point, zero = base.point, multi_indices(family.n).zero
-    frame = CarlemanFrame.make(t, x, Jet2.from_partials(point["rho"]), params, point.vr[zero])
+    out = assemble(family, params, t, x, w_fn)
+    q, point, zero = out["quant"], out["point"], multi_indices(family.n).zero
+    frame = CarlemanFrame.make(point.t, point.xs, Jet2.from_partials(point["rho"]), params, point.vr[zero])
     # the assembled vxx is symmetric only to roundoff and eval_VN reads no Hessian: its upper triangle serves
     vxx, r = out["vxx"], range(family.n)
     v_jet = Jet2.make(out["v"], out["vt"], out["vx"], out["vtt"], out["vtx"], [[vxx[min(j, k)][max(j, k)] for k in r] for j in r])
@@ -402,8 +372,7 @@ def conjugation_residual(
     to v = theta w.  Cutoff: (chi u) propagates the wave operator with the
     commutator chi_tt u + 2 chi_t u_t - 2 grad chi . grad u - lap chi u.
     """
-    x = [float(v) for v in np.atleast_1d(x)]
-    out = assemble(family, params, float(t), x, u_fn, cutoff=cutoff)
+    out = assemble(family, params, t, x, u_fn, cutoff=cutoff)
     n = family.n
     ell = out["quant"]["ell"]
     A = multi_indices(n)
@@ -650,11 +619,12 @@ def inequality_gap(
     Every term is evaluated exactly from jets; expectations reduce to plain
     integrals on the deterministic surrogate.  With ``paths`` > 0 the
     compensator term is re-weighted by realized squared Brownian increments
-    (mean dt) and the gap is averaged over paths.  The lam-free part
-    (``lambda_free``) and the margins are built once; each lam then takes
-    one lam stage and one ``_first_order`` pass, and one more pass, with w
-    doubled, on the first lam's stage and theta gives the quadratic
-    homogeneity pair.  No second-order jet of v is formed.
+    (mean dt) and the gap is averaged over paths.  The lam-free part (the
+    point stage on the region's mesh and the jets of w) and the margins are
+    built once; each lam then takes one lam stage and one ``_first_order``
+    pass, and one more pass, with w doubled, on the first lam's stage and
+    theta gives the quadratic homogeneity pair.  No second-order jet of v is
+    formed.
 
     theta is rescaled to exp(ell - shift), shift being the largest ell on the
     jet support of w (the nodes where some jet of w is nonzero), and to zero
@@ -663,7 +633,10 @@ def inequality_gap(
     which cancels in the inequality; ``log_scale`` reports 2 shift.  The shift
     does not keep the scaled values of order one: where w is small at the
     largest ell they fall far below it (1.8e-85 at lam 64 on a cone scan) and
-    can underflow.
+    can underflow; where they overflow instead, the first non-finite
+    component or ``gap_scaled`` raises RangeError, named with its lam and
+    ``log_scale``.  Only ``gap`` = ``gap_scaled`` exp(``log_scale``) may be
+    ±inf.
     """
     if preset not in GAP_PRESETS:
         raise ConfigurationError(f"unknown preset {preset!r}; have {GAP_PRESETS}")
@@ -672,8 +645,8 @@ def inequality_gap(
     T, Xs = region.mesh()
     meas = region.measure
     n = family.n
-    base = lambda_free(family, params, T, Xs, u_fn, cutoff)
-    point, w = base.point, base.w
+    point = family.point_stage(T, Xs, params)
+    w, _ = _w_derivatives(u_fn, cutoff, point)
     zero = multi_indices(n).zero
     varrho0 = np.broadcast_to(np.asarray(point.vr[zero], dtype=float), T.shape)
     qv_weight = 1.0
@@ -750,6 +723,9 @@ def inequality_gap(
                 )
             else:  # T6.2: mu = 0 so the mu and d3 terms vanish identically
                 gap_scaled = comp["qf_char"] + comp["qf_mat"] + comp["cubic"] + comp["qv"]
+            for name, value in (*comp.items(), ("gap_scaled", gap_scaled)):
+                if not math.isfinite(value):
+                    raise RangeError(f"scan {name} is {value} at lam {lamf:g} (log_scale {log_scale:.3g})")
             gap_raw = gap_scaled * math.exp(log_scale) if log_scale < 700.0 else math.inf * np.sign(gap_scaled)
             rows.append(GapRow(lam=lamf, gap_scaled=gap_scaled, log_scale=log_scale, gap=float(gap_raw), components=comp))
     doubled = rows.pop(1)  # the first lam's second pass, on w doubled

@@ -23,11 +23,12 @@ lam stage (``PointStage.lambda_stage``) holds ell = lam phi and what ell
 scales: Psi and its derivatives, a, a_t, a_x and b.  A check that sweeps lam
 builds one point stage per point and one lam stage per lam.
 
-The point stage is where a check's point meets the evaluators of rho, psi
-and varrho; the rest is built from it.  ``eval_D`` reads d1, d2 and d3 off
-it, and ``CarlemanFrame.make`` takes rho's jet and varrho's value from it
-(``Jet2.from_partials``) to form psi, phi, ell and theta by the chain rule,
-a route that shares no formula with psi's evaluator.
+The point stage is where a check's point is normalised and meets the
+evaluators of rho, psi and varrho; the rest is built from it.  ``eval_D``
+reads d1, d2 and d3 off it, and ``CarlemanFrame.make`` takes rho's jet and
+varrho's value from it (``Jet2.from_partials``) to form psi, phi, ell and
+theta by the chain rule, a route that shares no formula with psi's
+evaluator.
 """
 
 from __future__ import annotations
@@ -85,11 +86,6 @@ class WeightParams:
 class CarlemanFrame:
     """psi, phi, ell, theta and their jets at one point, plus the Psi choice."""
 
-    t: float
-    x: tuple[float, ...]
-    params: WeightParams
-    varrho: float
-    rho_jet: Jet2
     psi_jet: Jet2
     phi_jet: Jet2
     ell_jet: Jet2
@@ -122,11 +118,6 @@ class CarlemanFrame:
         lap_ell = float(np.trace(ell_jet.hess_xx))
         Psi = lap_ell - ell_jet.hess_tt + 2.0 * params.lam * params.gamma * psi_jet.value * varrho + 6.0 * params.lam * params.mu
         return CarlemanFrame(
-            t=t,
-            x=x,
-            params=params,
-            varrho=varrho,
-            rho_jet=rho_jet,
             psi_jet=psi_jet,
             phi_jet=phi_jet,
             ell_jet=ell_jet,
@@ -208,8 +199,10 @@ _PSI: dict = {}  # rho.symbolic -> (psi's family, position of cw_gamma)
 class PointStage:
     """The lam-free stage of ``WeightFamily.quantities`` at (t, xs).
 
-    ``values`` holds the jets of psi and rho (``multi_indices(n).jet2``), phi,
-    phi_t, phi_tt, phi_x, p, d1, d3 and both d2 routes; ``vr`` is varrho's jet
+    ``t`` and ``xs`` are the point as ``WeightFamily.point_stage`` normalised
+    it: Python floats at a point, float arrays otherwise.  ``values`` holds
+    the jets of psi and rho (``multi_indices(n).jet2``), phi, phi_t, phi_tt,
+    phi_x, p, d1, d3 and both d2 routes; ``vr`` is varrho's jet
     and ``pv`` the derivatives of psi varrho that Psi reads.  The third- and
     fourth-order psi partials in ``phi_partials`` are evaluated in one sweep
     on its first call and kept, so a check that reads no ell never asks for
@@ -315,7 +308,7 @@ class WeightFamily:
     def psi(self, gamma: float) -> AnalyticFn:
         """psi = exp(gamma rho) at rho's parameter values."""
         i, values = self._gamma_at, self.rho.param_values
-        return AnalyticFn.of_family(self._psi.name, self._psi, values[:i] + (float(gamma),) + values[i:])
+        return AnalyticFn(self._psi.name, self._psi, values[:i] + (float(gamma),) + values[i:])
 
     def phi(self, t, xs, params: WeightParams):
         """phi = psi - mu q at (t, xs) (scalars or broadcastable arrays), alone."""
@@ -338,12 +331,25 @@ class WeightFamily:
     # -- expansion coefficients (array-compatible), in two stages -----------
 
     def point_stage(self, t, xs, params: WeightParams) -> PointStage:
-        """The lam-free stage of ``quantities`` at (t, xs); ``params.lam`` is not read."""
+        """The lam-free stage of ``quantities`` at (t, xs); ``params.lam`` is not read.
+
+        The point is normalised here, and the stage keeps it as normalised.
+        At a point, where t and every entry of xs are scalars, they become
+        Python floats, and everything built from them stays on floats.
+        Otherwise each becomes a float array, and every value follows their
+        broadcast shape.  xs is a list or tuple of coordinates; anything else
+        is split by ``np.atleast_1d``, so a bare scalar is the one coordinate
+        at n == 1.
+        """
+        xs = list(xs) if isinstance(xs, (list, tuple)) else list(np.atleast_1d(xs))
+        if is_scalar(t) and all(map(is_scalar, xs)):
+            t, xs = float(t), [float(v) for v in xs]
+        else:
+            t, xs = np.asarray(t, dtype=float), [np.asarray(v, dtype=float) for v in xs]
         n = self.n
         A = multi_indices(n)
         gamma, mu, t0, x0 = params.gamma, params.mu, params.t0, params.x0
         psi = self.psi(gamma)
-        xs = list(xs)
         a0, et, ett, ex = A.zero, A.t, A.tt, A.x
 
         pj = psi.partials(t, xs, A.jet2)
@@ -360,8 +366,8 @@ class WeightFamily:
         psi_x = [pj[ex[j]] for j in range(n)]
         psi_tx = [pj[A.tx[j]] for j in range(n)]
         psi_xx = [[pj[A.xx[j][k]] for k in range(n)] for j in range(n)]
-        dt_ = (t - t0) if is_scalar(t) else np.asarray(t, dtype=float) - t0
-        dxs = [(xs[j] - x0[j]) if is_scalar(xs[j]) else np.asarray(xs[j], dtype=float) - x0[j] for j in range(n)]
+        dt_ = t - t0
+        dxs = [xs[j] - x0[j] for j in range(n)]
 
         p = psi_t**2 - sum(v * v for v in psi_x)
         p_t = 2.0 * psi_t * psi_tt - 2.0 * sum(psi_x[j] * psi_tx[j] for j in range(n))

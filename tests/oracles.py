@@ -12,6 +12,8 @@ import numpy as np
 from carleman_lab.fields import (
     AnalyticFn,
     ConfigurationError,
+    _coordinates,
+    family,
     laplacian_array,
     normal_stream,
     zero_ring,
@@ -38,6 +40,28 @@ def leapfrog_reference(init: WaveState, grid):
     return times, (np.stack(us)[None], np.stack(uts)[None])
 
 
+def expression_fn(name: str, expr, n: int, params: dict) -> AnalyticFn:
+    """A function made from a sympy expression whose parameters are symbols
+    bound to floats (``params``, {symbol: value}).
+
+    It is a family of its own, keyed by the expression and its parameter
+    symbols; sympy expressions hash and compare by structure, with symbol
+    assumptions and number types included (``2.0*x`` and ``2*x`` are
+    different families).  The family's tree is checked for unbound symbols
+    here, once per family.
+    """
+    param_syms = tuple(sorted(params, key=lambda s: s.name))
+    sym = family(
+        name,
+        ((expr, param_syms), int(n)),
+        tuple(s.name for s in param_syms),
+        expr.has(_coordinates()[0]),
+        lambda: (expr, param_syms),
+    )
+    sym.tree()
+    return AnalyticFn(name, sym, tuple(float(params[s]) for s in param_syms))
+
+
 def manufactured_forcing(u_exact: AnalyticFn, coeffs: Coefficients) -> AnalyticFn:
     """Drift source g = u_tt - lap u - a1 u_t - a2 . grad u - a3 u for u_exact.
 
@@ -52,8 +76,7 @@ def manufactured_forcing(u_exact: AnalyticFn, coeffs: Coefficients) -> AnalyticF
             raise ConfigurationError("manufactured forcing needs scalar a2 entries")
     import sympy as sp
 
-    from carleman_lab.fields import T_SYM, X_SYMS
-
+    T_SYM, X_SYMS = _coordinates()
     n = u_exact.n
     u, param_syms = u_exact.symbolic.tree()
     expr = sp.diff(u, T_SYM, 2)
@@ -66,7 +89,7 @@ def manufactured_forcing(u_exact: AnalyticFn, coeffs: Coefficients) -> AnalyticF
             expr -= float(c) * sp.diff(u, X_SYMS[j])
     if coeffs.a3 is not None:
         expr -= float(coeffs.a3) * u
-    return AnalyticFn(f"forcing[{u_exact.name}]", sp.expand(expr), n, dict(zip(param_syms, u_exact.param_values)))
+    return expression_fn(f"forcing[{u_exact.name}]", sp.expand(expr), n, dict(zip(param_syms, u_exact.param_values)))
 
 
 def scalar_noise_second_moment(

@@ -519,6 +519,27 @@ def test_scan_whose_gap_overflows_by_design_exits_0(tmp_path, case):
     assert all(math.isfinite(float(r[col])) for r in rows for col in ("gap_scaled", "log_scale"))
 
 
+def test_scan_whose_terms_overflow_is_a_run_error_naming_the_first(tmp_path):
+    # T6.2 at the sweep's own alpha 0.5 and c1 2, bump at its T0 = 35.2: e^{gamma rho} overflows the sums
+    cfg = {
+        "experiment": "inequality-scan",
+        "preset": "T6.2",
+        "rho": {"name": "cone_level", "params": {"a": 0.5, "t0": 0.0, "cx1": 0.0}},
+        "varrho": 2.0,
+        "u": {"name": "bump4", "params": {"amp": 1.0, "tc": 35.2, "rt": 0.15, "cx1": 0.0, "rx1": 0.15}},
+        "weights": {"lambdas": [8.0, 16.0, 64.0], "gamma": 1.0, "mu": 0.0, "t0": 0.0, "x0": [0.0]},
+        "region": {"t_lo": 34.9, "t_hi": 35.5, "nt": 61, "x_lo": [-0.35], "x_hi": [0.35], "nx": 71},
+        "c1": 2.0,
+    }
+    path = tmp_path / "scan.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run(str(path), "inequality-scan", out_dir=str(out)) == 1
+    assert _fail_lines(out / "inequality-scan.log") == ["FAIL run_error: scan cubic is nan at lam 8 (log_scale 7.59e+136)"]
+    assert not (out / "inequality-scan.csv").exists()
+
+
 def test_conjugation_check_finds_every_transition_point_on_seed_1(tmp_path):
     out = tmp_path / "out"
     assert run(str(CONFIG_DIR / "conjugation_check.json"), "conjugation-check", out_dir=str(out), seed=1) == 0
@@ -694,6 +715,13 @@ def test_dimension_mismatch_is_a_config_error(tmp_path, capsys, case):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
+
+
+def test_an_evaluator_that_cannot_be_built_names_its_family_and_derivative(tmp_path, capsys):
+    # d^2/dx^2 |x - c| at n = 1 is a DiracDelta, which no numpy object evaluates
+    edit = lambda c: c.update(rho={"name": "radial_norm"}, x=[0.5])
+    errors = _config_errors(tmp_path, capsys, "assumption_check.json", "assumption-check", edit)
+    assert errors == ["config error: radial_norm: the evaluator of d^(0, 2) reads 'DiracDelta', which is not a numpy object"]
 
 
 def test_qv_check_below_the_path_minimum_is_a_usage_error(tmp_path):

@@ -8,20 +8,22 @@ from hypothesis import given, settings, strategies as st
 from carleman_lab import fields
 from carleman_lab.fields import (
     BUILTIN_NAMES,
-    AnalyticFn,
     CapabilityError,
     ConfigurationError,
     Jet2,
+    _coordinates,
     gradient_array,
     laplacian_array,
     make_fn,
     make_grid,
     normal_stream,
     sample_brownian,
-    T_SYM,
-    X_SYMS,
     uniform_stream,
 )
+
+from oracles import expression_fn
+
+T_SYM, X_SYMS = _coordinates()
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +212,9 @@ def test_parameter_values_share_compiled_evaluators(compiles):
     # every function made from the same expression
     expr, param_syms = a.symbolic.tree()
     params = dict(zip(param_syms, a.param_values))
-    AnalyticFn("g", expr, 1, params).jet2(0.1, [0.2])
+    expression_fn("g", expr, 1, params).jet2(0.1, [0.2])
     assert len(compiles) == before + 6
-    AnalyticFn("h", expr, 1, params).jet2(0.1, [0.2])
+    expression_fn("h", expr, 1, params).jet2(0.1, [0.2])
     assert len(compiles) == before + 6
 
 
@@ -229,15 +231,15 @@ def test_evaluator_key_separates_dimension_number_type_and_assumptions(compiles)
     c_real, c_plain = sp.Symbol("keytest_c", real=True), sp.Symbol("keytest_c")
     # the same expression at n = 1 and n = 2
     expr = T_SYM * x1 + sp.Rational(1, 7)
-    f1, f2 = (AnalyticFn("f", expr, n, {}) for n in (1, 2))
+    f1, f2 = (expression_fn("f", expr, n, {}) for n in (1, 2))
     assert _evaluator_pair(compiles, f1, f2, [2.0, 3.0]) == (pytest.approx(1.0 + 1 / 7),) * 2
     # 2.0*x and 2*x are different expressions
-    fa, fb = AnalyticFn("f", 2.0 * x1 * T_SYM**3, 1, {}), AnalyticFn("f", 2 * x1 * T_SYM**3, 1, {})
+    fa, fb = expression_fn("f", 2.0 * x1 * T_SYM**3, 1, {}), expression_fn("f", 2 * x1 * T_SYM**3, 1, {})
     assert fa.symbolic.tree()[0] != fb.symbolic.tree()[0]
     assert _evaluator_pair(compiles, fa, fb, [2.0]) == (0.5, 0.5)
     # a real parameter symbol and a plain one of the same name
-    fr = AnalyticFn("f", c_real * T_SYM, 1, {c_real: 4.0})
-    fp = AnalyticFn("f", c_plain * T_SYM, 1, {c_plain: 6.0})
+    fr = expression_fn("f", c_real * T_SYM, 1, {c_real: 4.0})
+    fp = expression_fn("f", c_plain * T_SYM, 1, {c_plain: 6.0})
     assert _evaluator_pair(compiles, fr, fp, [0.0]) == (2.0, 3.0)
 
 

@@ -14,7 +14,9 @@ import sympy as sp
 
 from carleman_lab import _frozen_evaluators as frozen
 from carleman_lab import fields
-from carleman_lab.fields import BUILTIN_NAMES, AnalyticFn, CapabilityError, T_SYM, make_fn
+from carleman_lab.fields import BUILTIN_NAMES, CapabilityError, _coordinates, make_fn
+
+from oracles import expression_fn
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -91,12 +93,12 @@ def test_table_equals_a_fresh_compile():
 def test_registry_declares_whether_a_family_depends_on_t(n):
     for name in BUILTIN_NAMES:
         fn = make_fn(name, n)
-        assert fn.symbolic.depends_on_t == fn.symbolic.tree()[0].has(T_SYM), name
+        assert fn.symbolic.depends_on_t == fn.symbolic.tree()[0].has(_coordinates()[0]), name
 
 
 def test_a_generated_evaluator_reads_only_numpy_names():
     # an undefined function prints as a call of a name numpy does not bind
-    fn = AnalyticFn("undefined", sp.Function("mystery")(T_SYM), 1, {})
+    fn = expression_fn("undefined", sp.Function("mystery")(_coordinates()[0]), 1, {})
     with pytest.raises(CapabilityError, match="'mystery'.*not a numpy object"):
         fn.value(0.0, [0.0])
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from carleman_lab.fields import Jet2, make_fn, make_grid, multi_indices
-from carleman_lab.weights import CarlemanFrame, PsiDerivatives, WeightFamily, WeightParams, eval_VN
+from carleman_lab.weights import CarlemanFrame, PointStage, PsiDerivatives, RangeError, WeightFamily, WeightParams, eval_VN
 from carleman_lab.identities import (
     CutoffSpec,
     RegionSpec,
@@ -213,19 +213,11 @@ def test_conjugation_and_cutoff_random_transition_points(w_smooth):
     assert worst <= 1e-8
 
 
-def _parent_lambda_free(family, params, t, xs, u_fn, cutoff=None):
-    """``lambda_free`` as it was before a point stayed on Python floats: every
-    coordinate became a float array, a 0-d one at a point."""
-    from carleman_lab.identities import LambdaFree, _w_derivatives
-
-    t = np.asarray(t, dtype=float)
-    xs = [np.asarray(v, dtype=float) for v in xs]
-    point = family.point_stage(t, xs, params)
-    return LambdaFree(point, *_w_derivatives(u_fn, cutoff, point, params.mu, t, xs, family.n))
-
-
 def _leaves(value, path=()):
-    """(path, bits) of every number in a nested assembly, in order."""
+    """(path, bits) of every number in a nested assembly, in order; a point
+    stage by its point, its values and its varrho jets."""
+    if isinstance(value, PointStage):
+        return _leaves({"t": value.t, "xs": value.xs, "values": value.values, "vr": value.vr, "pv": value.pv}, path)
     if isinstance(value, dict):
         return [leaf for k, v in value.items() for leaf in _leaves(v, path + (k,))]
     if isinstance(value, (list, tuple)):
@@ -235,9 +227,8 @@ def _leaves(value, path=()):
 
 @pytest.mark.parametrize("with_cutoff", [False, True])
 @pytest.mark.parametrize("n", [1, 2])
-def test_assemble_at_a_float_point_equals_the_zero_d_array_route(n, with_cutoff):
+def test_assemble_takes_a_point_in_any_scalar_form_to_the_same_floats(n, with_cutoff):
     from carleman_lab.cli import _CASE_DRAWS, _draw_identity_case, _stream
-    from carleman_lab.identities import lambda_free
 
     checked = 0
     for row in _stream(3, 30 * _CASE_DRAWS[n], tag=1).reshape(30, -1):
@@ -249,10 +240,15 @@ def test_assemble_at_a_float_point_equals_the_zero_d_array_route(n, with_cutoff)
             if not 0.3 < phi < 1.2:
                 continue
             cutoff = CutoffSpec(c2=phi - 0.25, eps=0.5)
-        assert type(lambda_free(fam, params, t, x, w, cutoff).point["d1"]) is float
-        got = assemble(fam, params, t, x, w, cutoff=cutoff)
-        want = assemble(fam, params, t, x, w, cutoff=cutoff, base=_parent_lambda_free(fam, params, t, x, w, cutoff))
-        assert _leaves(got) == _leaves(want)
+        want = assemble(fam, params, t, x, w, cutoff=cutoff)
+        # Python floats, 0-d arrays, numpy float64 and, at n = 1, a bare scalar x
+        forms = [(np.asarray(t), [np.asarray(v) for v in x]), (np.float64(t), tuple(map(np.float64, x)))]
+        forms += [(t, x[0]), (np.asarray(t), np.asarray(x[0]))] if n == 1 else []
+        for t_form, x_form in forms:
+            got = assemble(fam, params, t_form, x_form, w, cutoff=cutoff)
+            assert type(got["point"]["d1"]) is float and type(got["point"].t) is float
+            assert _leaves(got) == _leaves(want)
+        assert type(want["point"]["d1"]) is float
         checked += 1
     assert checked >= 20
 
@@ -413,6 +409,18 @@ def test_gap_t62_cone_preset_positive():
     assert all(r.gap_scaled > 0.0 for r in scan.rows)
 
 
+def test_gap_t62_names_the_first_non_finite_term_at_the_sweeps_own_alpha():
+    # the sweep's T0 at alpha 0.5, c1 2 is 35.2; there e^{gamma rho} overflows the cubic and qv sums
+    rho = make_fn("cone_level", 1, a=0.5, t0=0.0, cx1=0.0)
+    fam = WeightFamily(rho, 2.0)
+    u_fn = make_fn("bump4", 1, amp=1.0, tc=35.2, rt=0.15, cx1=0.0, rx1=0.15)
+    params = WeightParams(lam=8.0, gamma=1.0, mu=0.0, t0=0.0, x0=(0.0,))
+    region = RegionSpec(t_lo=34.9, t_hi=35.5, nt=61, x_lo=(-0.35,), x_hi=(0.35,), nx=71)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RangeError, match=r"^scan cubic is nan at lam 8 \(log_scale 7\.59e\+136\)$"):
+            _gap("T6.2", u_fn, fam, params, [8.0, 16.0, 64.0], region, c1=2.0, b1=2.0)
+
+
 def test_gap_t62_rejects_nonzero_mu():
     fam, u_fn, params, lambdas, region, cutoff = _t42_setup()
     with pytest.raises(Exception, match="mu"):
@@ -517,7 +525,7 @@ def _structure_min_eig_per_node(point, params, vr, support_mask) -> float:
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_structure_min_eig_equals_the_per_node_loop(n, varrho_quad):
-    from carleman_lab.identities import _structure_min_eig, lambda_free
+    from carleman_lab.identities import _structure_min_eig, _w_derivatives
 
     # rho's jets vary from node to node, so the matrices do too
     rho = make_fn("trig_product", n, amp=0.1, wt=1.1, wx1=0.9, pt=0.2, px1=0.4)
@@ -525,12 +533,13 @@ def test_structure_min_eig_equals_the_per_node_loop(n, varrho_quad):
     params = WeightParams(lam=8.0, gamma=2.0, mu=0.01, t0=0.0, x0=(0.0,) * n)
     region = RegionSpec(t_lo=-0.1, t_hi=0.1, nt=21 if n == 1 else 9, x_lo=(-0.1,) * n, x_hi=(0.1,) * n, nx=41 if n == 1 else 11)
     T, Xs = region.mesh()
-    base = lambda_free(fam, params, T, Xs, make_fn("exp_quadratic", n))
+    point = fam.point_stage(T, Xs, params)
+    w, _ = _w_derivatives(make_fn("exp_quadratic", n), None, point)
     zero = multi_indices(n).zero
     vr = np.broadcast_to(fam.varrho_partials(T, Xs, [zero])[zero], T.shape)
-    mask = np.abs(base.w["v"]) > 0.0
-    want = _structure_min_eig_per_node(base.point, params, vr, mask)
-    assert np.asarray(_structure_min_eig(base.point, params, vr, mask)).tobytes() == np.asarray(want).tobytes()
+    mask = np.abs(w["v"]) > 0.0
+    want = _structure_min_eig_per_node(point, params, vr, mask)
+    assert np.asarray(_structure_min_eig(point, params, vr, mask)).tobytes() == np.asarray(want).tobytes()
 
 
 def test_gap_samples_each_brownian_path_once(monkeypatch):

@@ -9,9 +9,13 @@ chain-rule assembly.  Agreement to roundoff pins the assembly formulas.
 import pytest
 import sympy as sp
 
-from carleman_lab.fields import T_SYM, X_SYMS, AnalyticFn
+from carleman_lab.fields import _coordinates
 from carleman_lab.weights import WeightFamily, WeightParams
 from carleman_lab.identities import assemble, identity_case
+
+from oracles import expression_fn
+
+T_SYM, X_SYMS = _coordinates()
 
 
 def _symbolic_pipeline():
@@ -68,9 +72,9 @@ def _symbolic_pipeline():
 def pipeline():
     rho_expr, vr_expr, w_expr, sym = _symbolic_pipeline()
     lam = sp.lambdify((T_SYM, X_SYMS[0]), [sym["lhs"], sym["rhs"], sym["V"], sym["N"], sym["A"], sym["B"], sym["Psi"]], modules="numpy", cse=True)
-    rho = AnalyticFn("cross_rho", rho_expr, 1, {})
-    vr = AnalyticFn("cross_vr", vr_expr, 1, {})
-    w = AnalyticFn("cross_w", w_expr, 1, {})
+    rho = expression_fn("cross_rho", rho_expr, 1, {})
+    vr = expression_fn("cross_vr", vr_expr, 1, {})
+    w = expression_fn("cross_w", w_expr, 1, {})
     family = WeightFamily(rho, vr)
     params = WeightParams(lam=3.0, gamma=1.7, mu=0.35, t0=0.1, x0=(0.2,))
     return lam, w, family, params
