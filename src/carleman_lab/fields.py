@@ -455,11 +455,12 @@ class AnalyticFn:
     def partials(self, t, x, alphas) -> dict:
         """{alpha: d^alpha f at (t, x)} for each multi-index in ``alphas``.
 
-        ``t`` is a scalar or array.  ``x`` is a sequence of n coordinates
-        (scalars or arrays); for n == 1 a bare scalar or array is taken as the
-        single coordinate.  The inputs are checked, and scalar against array
-        decided, once for the whole sweep.  Scalar inputs give floats,
-        otherwise arrays of the broadcast shape.
+        ``t`` is a scalar or array.  ``x`` is a list or tuple of the n
+        coordinates (scalars or arrays); anything else, a bare scalar or
+        array, is the one coordinate at n == 1, as in
+        ``WeightFamily.point_stage``.  The inputs are checked, and scalar
+        against array decided, once for the whole sweep.  Scalar inputs give
+        floats, otherwise arrays of the broadcast shape.
         """
         n = self.symbolic.n
         for alpha in alphas:
@@ -732,16 +733,21 @@ def zero_ring(arr: np.ndarray, n: int) -> None:
 # pass; a node whose shifted neighbour lies in another row or path is zeroed afterwards.
 
 
-def laplacian_array(arr: np.ndarray, dx: float, n: int) -> np.ndarray:
+def laplacian_array(arr: np.ndarray, dx: float, n: int, out=None, scratch=None) -> np.ndarray:
     """Second-order central Laplacian over the trailing ``n`` axes; leading axes
-    index independent fields (e.g. Monte Carlo paths).  Boundary entries zero."""
+    index independent fields (e.g. Monte Carlo paths).  Boundary entries zero.
+    Written into ``out`` and, from the second axis on, each axis's term formed in
+    ``scratch`` when given: contiguous arrays of arr's shape that are not arr."""
     flat = np.ascontiguousarray(arr, dtype=float).ravel()
-    out = np.empty_like(flat)
+    out = np.empty_like(flat) if out is None else out.reshape(-1)
     first = arr.ndim - n
     for axis in range(first, arr.ndim):
         s = math.prod(arr.shape[axis + 1 :])
         # (hi - 2 mid + lo) / dx^2, the first axis written straight into ``out``
-        term = out[s:-s] if axis == first else np.empty(flat.size - 2 * s)
+        if axis == first:
+            term = out[s:-s]
+        else:
+            term = np.empty(flat.size - 2 * s) if scratch is None else scratch.reshape(-1)[: flat.size - 2 * s]
         np.subtract(flat[2 * s :], np.multiply(2.0, flat[s:-s], out=term), out=term)
         term += flat[: -2 * s]
         term /= dx**2
@@ -753,12 +759,13 @@ def laplacian_array(arr: np.ndarray, dx: float, n: int) -> np.ndarray:
     return out
 
 
-def gradient_array(arr: np.ndarray, dx: float, axis: int) -> np.ndarray:
+def gradient_array(arr: np.ndarray, dx: float, axis: int, out=None) -> np.ndarray:
     """Second-order central first derivative along one axis (spatial axis j of
-    fields with leading path axes is ``j - n``); boundary zero."""
+    fields with leading path axes is ``j - n``); boundary zero.  Written into
+    ``out`` when given: a contiguous array of arr's shape that is not arr."""
     flat = np.ascontiguousarray(arr, dtype=float).ravel()
     s = math.prod(arr.shape[axis % arr.ndim + 1 :])
-    out = np.empty(arr.shape)
+    out = np.empty(arr.shape) if out is None else out
     mid = out.reshape(-1)[s:-s]
     np.divide(np.subtract(flat[2 * s :], flat[: -2 * s], out=mid), 2.0 * dx, out=mid)
     lead = (slice(None),) * (axis % arr.ndim)

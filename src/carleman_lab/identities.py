@@ -458,9 +458,14 @@ def qv_check(
     init = _solver.initial_state(grid, u0, u1, samplers)
     bpaths = _solver.brownian_paths(seed, grid, paths)
 
+    buffers = {}
+
     def reduce(k, state):
-        diff = _solver.diffusion_arrays(state.u, state.ut, state.time, samplers)
-        return (_solver.row_sums(theta[k] ** 2 * diff**2),)
+        # two arrays per chunk shape, reused from record to record
+        if state.u.shape not in buffers:
+            buffers[state.u.shape] = (np.empty(state.u.shape), np.empty(state.u.shape))
+        diff = _solver.diffusion_arrays(state.u, state.ut, state.time, samplers, *buffers[state.u.shape])
+        return (_solver.row_sums(np.multiply(theta[k] ** 2, np.square(diff, out=diff), out=diff)),)
 
     _, (qv,) = _solver.solve(init, samplers, grid, bpaths, reduce, support_guard=False)
     # Python float squares (C pow) can differ from numpy's x * x in the last bit
@@ -599,6 +604,9 @@ def _margins(preset: str, point: PointStage, support_mask, params, varrho0, c0: 
     }
 
 
+# an overflow ends as a non-finite component or gap, which raises RangeError
+# naming it, so numpy's warnings at the overflowing source lines are not printed
+@np.errstate(over="ignore", invalid="ignore")
 def inequality_gap(
     preset: str,
     u_fn: AnalyticFn,

@@ -104,13 +104,37 @@ MOLLIFIER = Mollifier()
 # ---------------------------------------------------------------------------
 
 
-def _energies(u: np.ndarray, ut: np.ndarray, outside: np.ndarray, weight: np.ndarray, grid: Grid):
-    """Per path of (paths, *grid.shape) fields: the mollified local energy
-    (1/2) sum cell_volume weight (|grad u|^2 + u_t^2 + u^2), and the raw energy
-    at the nodes of the flat indices ``outside``, gathered in their order."""
-    dens = _solver.energy_density(u, ut, grid)
+def _energies(state: _solver.WaveState, outside: np.ndarray, weight: np.ndarray, grid: Grid, work: np.ndarray):
+    """Per path of the (paths, *grid.shape) fields of ``state``: the mollified local
+    energy (1/2) sum cell_volume weight (|grad u|^2 + u_t^2 + u^2), and the raw
+    energy at the nodes of the flat indices ``outside``, gathered in their order.
+    ``work`` holds three flat buffers of the state's size, which are overwritten.
+
+    The density is formed on the nodes of ``state.window`` and is +0.0 outside
+    it.  That is the whole-grid density bit for bit when u is zero on the two
+    outer layers of each window edge that is not the grid's, as ``solver.solve``
+    keeps it: the central differences at and beyond such an edge read zeros."""
+    cut = (slice(None),) + state.window
+    shape = state.u[cut].shape
+
+    def fields(buf):
+        return buf[: math.prod(shape)].reshape(shape)
+
+    # u on the window, copied into a buffer: the stencils shift a contiguous array
+    u = fields(work[0])
+    u[...] = state.u[cut]
+    dens = _solver.energy_density(u, state.ut[cut], grid, fields(work[1]), fields(work[2]))
+    if state.window:
+        whole = work[0].reshape(state.u.shape)
+        whole.fill(0.0)
+        whole[cut] = dens
+        dens = whole
+    rows = dens.reshape(len(dens), -1)
     vol = grid.cell_volume
-    outside_energy = 0.5 * _solver.row_sums(np.take(dens.reshape(len(dens), -1), outside, axis=1)) * vol
+    # the indices are in range, and "clip", unlike "raise", writes to ``out`` unbuffered
+    gathered = work[2, : len(rows) * len(outside)].reshape(len(rows), -1)
+    np.take(rows, outside, axis=1, out=gathered, mode="clip")
+    outside_energy = 0.5 * _solver.row_sums(gathered) * vol
     dens *= weight
     return 0.5 * _solver.row_sums(dens) * vol, outside_energy
 
@@ -167,10 +191,15 @@ def run_propagation(
     # and the weight rho_m(d_K - t), shared by every chunk of paths
     weights = {}
 
+    # per chunk size: the three flat buffers that every record's energies reuse
+    work = {}
+
     def reduce(k, state):
         if k not in weights:
             weights[k] = (np.flatnonzero(d > state.time + halo_cells * grid.dx), MOLLIFIER(d - state.time))
-        return _energies(state.u, state.ut, *weights[k], grid)
+        if state.u.size not in work:
+            work[state.u.size] = np.empty((3, state.u.size))
+        return _energies(state, *weights[k], grid, work[state.u.size])
 
     times, (loc, out) = _solver.solve(
         init, samplers, grid, _solver.brownian_paths(seed, grid, paths), reduce, stride=stride

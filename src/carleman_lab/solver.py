@@ -25,10 +25,23 @@ which ends the march as it always did.  Two cases break the argument and march
 the whole grid throughout: a nonzero source f or g, and a coefficient that
 depends on time.  The whole grid is just the largest box: its working arrays
 are the state itself.
+
+No step, re-embed or record allocates an array of chunk size.  ``solve``
+sizes one pool of ``POOL_BUFFERS`` flat buffers to its largest chunk on the
+whole grid, and every working array is a contiguous view of one of them,
+shaped to the current window.  A step writes u_t' and u' into the two buffers
+that hold no state (the drift forms its products in the second before u'
+lands there, and b2 u goes to a scratch buffer), and a re-embed moves u and
+u_t into those two; the buffers then swap roles.  ``reduce`` receives a
+whole-grid state, +0.0 outside the window: the working arrays themselves once
+they cover the grid, and before that the same two free buffers, into which
+the window is copied.  That state is valid only during the call and is not
+to be written; every row ``reduce`` returns is copied.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,9 +116,13 @@ class Coefficients:
 
 @dataclass
 class WaveState:
+    """u and u_t at ``time``; ``window`` holds slices of the trailing (grid) axes
+    outside of which both are +0.0, and () says nothing of where they vanish."""
+
     u: np.ndarray
     ut: np.ndarray
     time: float
+    window: tuple = ()
 
 
 def near_boundary(shape: tuple[int, ...], rings: int) -> np.ndarray:
@@ -157,7 +174,7 @@ def initial_state(grid: Grid, u0: np.ndarray | None, u1: np.ndarray | None, samp
     ut = np.zeros(grid.shape) if u1 is None else np.array(u1, dtype=float)
     zero_ring(u, grid.n)
     zero_ring(ut, grid.n)
-    ut = ut - 0.5 * grid.dt * _drift_arrays(u, ut, 0.0, samplers, grid)
+    ut = ut - 0.5 * grid.dt * _drift_arrays(u, ut, 0.0, samplers, grid, np.empty(grid.shape), np.empty(grid.shape))
     zero_ring(ut, grid.n)
     return WaveState(u=u, ut=ut, time=0.0)
 
@@ -185,48 +202,56 @@ def make_samplers(coeffs: Coefficients, grid: Grid):
     return s
 
 
-def _drift_arrays(u, ut, t, samplers, grid: Grid):
-    """lap u + a1 u_t + a2 . grad u + a3 u + g, summed in place; zero terms skipped."""
-    drift = laplacian_array(u, grid.dx, grid.n)
+def _drift_arrays(u, ut, t, samplers, grid: Grid, out, scratch):
+    """lap u + a1 u_t + a2 . grad u + a3 u + g, summed in place in ``out``; zero
+    terms skipped.  ``out`` and ``scratch`` are contiguous arrays of u's shape,
+    neither of them u or ut; products are formed in ``scratch``."""
+    drift = laplacian_array(u, grid.dx, grid.n, out, scratch)
     a1 = samplers["a1"](t)
     if not np.isscalar(a1) or a1 != 0.0:
-        drift += a1 * ut
+        drift += np.multiply(a1, ut, out=scratch)
     for j, sampler in enumerate(samplers["a2"]):
         a2j = sampler(t)
         if not np.isscalar(a2j) or a2j != 0.0:
-            drift += a2j * gradient_array(u, grid.dx, j - grid.n)
+            drift += np.multiply(a2j, gradient_array(u, grid.dx, j - grid.n, scratch), out=scratch)
     a3 = samplers["a3"](t)
     if not np.isscalar(a3) or a3 != 0.0:
-        drift += a3 * u
+        drift += np.multiply(a3, u, out=scratch)
     gsrc = samplers["g"](t)
     if not np.isscalar(gsrc) or gsrc != 0.0:
         drift += gsrc
     return drift
 
 
-def diffusion_arrays(u, ut, t, samplers):
-    """Noise coefficient b1 u_t + b2 u + f at (u, ut, t) as a new array; zero b2 and f skipped."""
-    noise = samplers["b1"](t) * ut
+def diffusion_arrays(u, ut, t, samplers, out, scratch):
+    """Noise coefficient b1 u_t + b2 u + f at (u, ut, t), summed in ``out``, with b2 u
+    formed in ``scratch`` (arrays of u's shape, neither of them u or ut); zero b2
+    and f skipped."""
+    noise = np.multiply(samplers["b1"](t), ut, out=out)
     b2, f = samplers["b2"](t), samplers["f"](t)
     if not np.isscalar(b2) or b2 != 0.0:
-        noise += b2 * u
+        noise += np.multiply(b2, u, out=scratch)
     if not np.isscalar(f) or f != 0.0:
         noise += f
     return noise
 
 
-def step_arrays(u, ut, t, samplers, dw, grid: Grid):
+def step_arrays(u, ut, t, samplers, dw, grid: Grid, out):
     """The per-step kernel.  Fields carry the grid on their trailing axes; with a
     leading path axis, ``dw`` is the per-path column of increments, shape
-    (paths, 1, ...), so every path sees only its own noise.  u_t' and u' are
-    built in place in the drift's and the noise's new arrays."""
+    (paths, 1, ...), so every path sees only its own noise.  ``out`` holds three
+    contiguous arrays of u's shape, none of them u or ut: u' and u_t' are
+    written into the first two, and the third is the noise's scratch, written
+    only for a nonzero b2.  Returns (u', u_t')."""
+    u_new, ut_new, scratch = out
     dt = grid.dt
-    ut_new = _drift_arrays(u, ut, t, samplers, grid)
+    # the drift forms its products in u_new, which holds nothing yet
+    _drift_arrays(u, ut, t, samplers, grid, ut_new, u_new)
     ut_new *= dt
     ut_new += ut
-    noise = diffusion_arrays(u, ut, t, samplers)
+    noise = diffusion_arrays(u, ut, t, samplers, u_new, scratch)
     ut_new += np.multiply(noise, dw, out=noise)
-    u_new = np.add(np.multiply(ut_new, dt, out=noise), u, out=noise)
+    np.add(np.multiply(ut_new, dt, out=u_new), u, out=u_new)
     zero_ring(u_new, grid.n)
     zero_ring(ut_new, grid.n)
     return u_new, ut_new
@@ -242,7 +267,7 @@ def row_sums(arr: np.ndarray) -> np.ndarray:
 # Monte Carlo paths are solved in chunks of about this many values (paths x
 # nodes): enough paths to amortize the per-step Python overhead, few enough
 # that peak memory does not grow with the path count.
-CHUNK_ELEMENTS = 2**15
+CHUNK_ELEMENTS = 2**16
 
 
 def brownian_paths(seed: int, grid: Grid, paths: int) -> list[BrownianPath]:
@@ -289,14 +314,11 @@ def _cut(window) -> tuple:
     return tuple(slice(lo, hi + 1) for lo, hi in window)
 
 
-def _rewindow(arr: np.ndarray, window, new) -> np.ndarray:
-    """The (paths, ...) fields ``arr`` on the nodes of ``window`` moved to the nodes
-    of ``new``: cut where ``new`` is narrower, +0.0 where it is wider, and ``arr``
-    itself where they are the same."""
-    if new == window:
-        return arr
+def _rewindow(arr: np.ndarray, window, new, out: np.ndarray) -> np.ndarray:
+    """The (paths, ...) fields ``arr`` on the nodes of ``window`` written into ``out``
+    on the nodes of ``new``: cut where ``new`` is narrower, +0.0 where it is wider."""
     both = [(max(lo, nlo), min(hi, nhi)) for (lo, hi), (nlo, nhi) in zip(window, new)]
-    out = np.zeros(arr.shape[:1] + tuple(hi - lo + 1 for lo, hi in new))
+    out.fill(0.0)
     out[(slice(None),) + _cut([(lo - nlo, hi - nlo) for (lo, hi), (nlo, _) in zip(both, new)])] = arr[
         (slice(None),) + _cut([(lo - wlo, hi - wlo) for (lo, hi), (wlo, _) in zip(both, window)])
     ]
@@ -318,38 +340,65 @@ def _window_samplers(samplers, window, grid: Grid):
     return out
 
 
-def _march(init: WaveState, samplers, grid: Grid, boxed: bool, bpaths, reduce, stride: int, support_guard: bool):
-    """Step one ``(paths, *grid.shape)`` ensemble over the full horizon; returns the
-    times of the ``recorded_steps`` and ``reduce`` of each of their states, called
-    while that state is current so that no field outlives its step.
+# the flat buffers of ``solve``'s pool, each the size of its largest chunk on the whole
+# grid: u and u_t, the two that the next step, re-embed or record writes, and the scratch
+POOL_BUFFERS = 5
 
-    With ``boxed``, the steps after the first run on working arrays around the
-    ``_live_box`` of the first stepped state (see the module docstring); while
-    the working arrays cover the grid they are the state itself, and otherwise
-    the whole-grid state is built at the recorded steps alone."""
+
+def _march(init: WaveState, samplers, grid: Grid, boxed: bool, bpaths, reduce, stride: int, support_guard: bool, pool):
+    """Step one ``(paths, *grid.shape)`` ensemble over the full horizon; returns the
+    times of the ``recorded_steps`` and, per output of ``reduce``, the
+    ``(paths, records, ...)`` array of its rows, each copied there while its
+    state is current.
+
+    Every working array is a contiguous view of a ``pool`` buffer, so no step,
+    re-embed or record allocates one.  With ``boxed``, the steps after the first
+    run on working arrays around the ``_live_box`` of the first stepped state (see
+    the module docstring); while they cover the grid they are the state that
+    ``reduce`` receives, and otherwise that state is written into the two
+    buffers that the next step writes."""
     shape, paths = grid.shape, len(bpaths)
     window = grid_window = tuple((0, m - 1) for m in shape)
-    u, ut = np.broadcast_to(init.u, (paths,) + shape).copy(), np.broadcast_to(init.ut, (paths,) + shape).copy()
+
+    def fields(buf, win):
+        extent = tuple(hi - lo + 1 for lo, hi in win)
+        return buf[: paths * math.prod(extent)].reshape((paths,) + extent)
+
+    # u, u_t, the two buffers that the next step, re-embed or record writes and the
+    # scratch, rotated as they change roles, and their views on the current window
+    bufs = list(pool)
+    work = [fields(buf, window) for buf in bufs]
+    np.copyto(work[0], init.u)
+    np.copyto(work[1], init.ut)
     dw = np.stack([bp.increments for bp in bpaths]).reshape((paths, grid.num_steps) + (1,) * grid.n)
     local = samplers
-    times, records = [], []
+    steps = recorded_steps(grid.num_steps, stride)
+    times, outs = [], []
 
     def state(time):
-        return WaveState(u=_rewindow(u, window, grid_window), ut=_rewindow(ut, window, grid_window), time=time)
+        if window == grid_window:
+            return WaveState(work[0], work[1], time)
+        u, ut = (_rewindow(arr, window, grid_window, fields(buf, grid_window)) for arr, buf in zip(work[:2], bufs[2:4]))
+        return WaveState(u, ut, time, _cut(window))
 
     def record(current):
-        records.append(reduce(len(times), current))
+        rows = reduce(len(times), current)
+        if not outs:
+            outs.extend(np.empty((paths, len(steps)) + np.shape(row)[1:], np.result_type(row)) for row in rows)
+        for out, row in zip(outs, rows):
+            out[:, len(times)] = row
         times.append(current.time)
 
     record(state(0.0))
-    recorded = set(recorded_steps(grid.num_steps, stride))
+    recorded = set(steps)
     t = 0.0
     for k in range(grid.num_steps):
-        u, ut = step_arrays(u, ut, t, local, dw[:, k], grid)
+        step_arrays(work[0], work[1], t, local, dw[:, k], grid, work[2:])
+        bufs[:4], work[:4] = bufs[2:4] + bufs[:2], work[2:4] + work[:2]
         t = (k + 1) * grid.dt
         # u' = u + dt u_t' with u finite (or a non-finite initial u kept in u'), so u' is
         # non-finite wherever u_t' is: checking u' alone finds every blow-up's path and step
-        finite = np.isfinite(u)
+        finite = np.isfinite(work[0])
         if not finite.all():
             p = bpaths[int(np.argmin(finite.reshape(paths, -1).all(axis=1)))].stream
             raise BlowUpError(f"non-finite field on path {p} at step {k + 1} (t = {t})")
@@ -358,17 +407,20 @@ def _march(init: WaveState, samplers, grid: Grid, boxed: bool, bpaths, reduce, s
             # grown by one node per side per step since; the new working arrays hold them
             # for the next BOX_MARGIN steps
             if k == 0:
-                first = _live_box(u, ut, grid)
+                first = _live_box(work[0], work[1], grid)
             new = _window(first, k, shape)
             if new != window:
-                u, ut = _rewindow(u, window, new), _rewindow(ut, window, new)
+                moved = [_rewindow(arr, window, new, fields(buf, new)) for arr, buf in zip(work[:2], bufs[2:4])]
+                bufs[:4] = bufs[2:4] + bufs[:2]
+                work = moved + [fields(buf, new) for buf in bufs[2:]]
                 window = new
                 local = samplers if window == grid_window else _window_samplers(samplers, window, grid)
             boxed = window != grid_window
         if k + 1 in recorded:
             current = state(t)
-            if support_guard:
-                scale = np.maximum(1.0, np.maximum(_row_peaks(u), _row_peaks(ut)))
+            # the ring slabs of the whole-grid state are +0.0 until the window reaches them
+            if support_guard and any(lo < GUARD_RING or hi >= m - GUARD_RING for (lo, hi), m in zip(window, shape)):
+                scale = np.maximum(1.0, np.maximum(_row_peaks(work[0]), _row_peaks(work[1])))
                 ring = np.maximum(_ring_max(current.u, grid.n, GUARD_RING), _ring_max(current.ut, grid.n, GUARD_RING))
                 reached = ring > GUARD_TOL * scale
                 if reached.any():
@@ -379,7 +431,7 @@ def _march(init: WaveState, samplers, grid: Grid, boxed: bool, bpaths, reduce, s
                         f"unit speed {t:.6g}"
                     )
             record(current)
-    return times, records
+    return times, outs
 
 
 def solve(
@@ -401,9 +453,12 @@ def solve(
     each one ``(chunk, *grid.shape)`` ensemble whose rows equal single-path
     solves, stepped on the box of nodes that can be nonzero (module
     docstring).  ``reduce(k, state)`` maps the k-th recorded state of a chunk,
-    on the whole grid and never modified afterwards, to a tuple of per-path
-    rows.  Returns the record times and, per output of ``reduce``, one
-    ``(paths, records, ...)`` array.  Errors name the path by its stream.
+    on the whole grid, to a tuple of per-path rows.  The state lives in buffers
+    that the march reuses: it is valid only during the call and is not to be
+    written, and every row returned is copied, so a row may be a view of it.
+    Its ``window`` bounds the nodes where it may be nonzero.  Returns the record
+    times and, per output of ``reduce``, one ``(paths, records, ...)`` array.
+    Errors name the path by its stream.
     """
     if not paths:
         raise ConfigurationError("solve needs at least one Brownian path")
@@ -413,22 +468,27 @@ def solve(
     if _ring_max(init.u, grid.n, 1) > 0.0 or _ring_max(init.ut, grid.n, 1) > 0.0:
         raise ConfigurationError("initial data must vanish on the boundary ring")
     boxed = _keeps_zero(samplers)
-    size = max(1, CHUNK_ELEMENTS // grid.num_nodes)
+    size = min(len(paths), max(1, CHUNK_ELEMENTS // grid.num_nodes))
+    pool = [np.empty(size * grid.num_nodes) for _ in range(POOL_BUFFERS)]
     chunks = []
     for lo in range(0, len(paths), size):
-        times, records = _march(init, samplers, grid, boxed, paths[lo : lo + size], reduce, stride, support_guard)
-        chunks.append([np.stack(rows, axis=1) for rows in zip(*records)])
+        times, outs = _march(init, samplers, grid, boxed, paths[lo : lo + size], reduce, stride, support_guard, pool)
+        chunks.append(outs)
     return np.asarray(times), tuple(np.concatenate(parts) for parts in zip(*chunks))
 
 
-def energy_density(u: np.ndarray, ut: np.ndarray, grid: Grid) -> np.ndarray:
+def energy_density(u: np.ndarray, ut: np.ndarray, grid: Grid, out=None, scratch=None) -> np.ndarray:
     """|grad u|^2 + u_t^2 + u^2 at every node (central differences, boundary zero);
-    leading axes of ``u`` and ``ut`` index paths; summed in place in that order."""
-    dens = gradient_array(u, grid.dx, -grid.n)
+    leading axes of ``u`` and ``ut`` index paths; summed in place in that order,
+    in ``out`` with each further term formed in ``scratch`` when given
+    (contiguous arrays of u's shape that are neither u nor ut)."""
+    dens = gradient_array(u, grid.dx, -grid.n, out)
     dens *= dens
-    square = np.empty_like(dens)
-    for term in [gradient_array(u, grid.dx, j) for j in range(1 - grid.n, 0)] + [ut, u]:
-        dens += np.square(term, out=square)
+    scratch = np.empty_like(dens) if scratch is None else scratch
+    for j in range(1 - grid.n, 0):
+        dens += np.square(gradient_array(u, grid.dx, j, scratch), out=scratch)
+    for term in (ut, u):
+        dens += np.square(term, out=scratch)
     return dens
 
 

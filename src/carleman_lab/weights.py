@@ -337,11 +337,11 @@ class WeightFamily:
         At a point, where t and every entry of xs are scalars, they become
         Python floats, and everything built from them stays on floats.
         Otherwise each becomes a float array, and every value follows their
-        broadcast shape.  xs is a list or tuple of coordinates; anything else
-        is split by ``np.atleast_1d``, so a bare scalar is the one coordinate
-        at n == 1.
+        broadcast shape.  xs is a list or tuple of the n coordinates; anything
+        else, a bare scalar or array, is the one coordinate at n == 1, as in
+        ``AnalyticFn.partials``.
         """
-        xs = list(xs) if isinstance(xs, (list, tuple)) else list(np.atleast_1d(xs))
+        xs = list(xs) if isinstance(xs, (list, tuple)) else [xs]
         if is_scalar(t) and all(map(is_scalar, xs)):
             t, xs = float(t), [float(v) for v in xs]
         else:

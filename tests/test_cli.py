@@ -519,25 +519,43 @@ def test_scan_whose_gap_overflows_by_design_exits_0(tmp_path, case):
     assert all(math.isfinite(float(r[col])) for r in rows for col in ("gap_scaled", "log_scale"))
 
 
+# T6.2 at the sweep's own alpha 0.5 and c1 2, bump at its T0 = 35.2: e^{gamma rho} overflows the sums
+OVERFLOWING_SCAN = {
+    "experiment": "inequality-scan",
+    "preset": "T6.2",
+    "rho": {"name": "cone_level", "params": {"a": 0.5, "t0": 0.0, "cx1": 0.0}},
+    "varrho": 2.0,
+    "u": {"name": "bump4", "params": {"amp": 1.0, "tc": 35.2, "rt": 0.15, "cx1": 0.0, "rx1": 0.15}},
+    "weights": {"lambdas": [8.0, 16.0, 64.0], "gamma": 1.0, "mu": 0.0, "t0": 0.0, "x0": [0.0]},
+    "region": {"t_lo": 34.9, "t_hi": 35.5, "nt": 61, "x_lo": [-0.35], "x_hi": [0.35], "nx": 71},
+    "c1": 2.0,
+}
+OVERFLOW_FAIL = "FAIL run_error: scan cubic is nan at lam 8 (log_scale 7.59e+136)"
+
+
 def test_scan_whose_terms_overflow_is_a_run_error_naming_the_first(tmp_path):
-    # T6.2 at the sweep's own alpha 0.5 and c1 2, bump at its T0 = 35.2: e^{gamma rho} overflows the sums
-    cfg = {
-        "experiment": "inequality-scan",
-        "preset": "T6.2",
-        "rho": {"name": "cone_level", "params": {"a": 0.5, "t0": 0.0, "cx1": 0.0}},
-        "varrho": 2.0,
-        "u": {"name": "bump4", "params": {"amp": 1.0, "tc": 35.2, "rt": 0.15, "cx1": 0.0, "rx1": 0.15}},
-        "weights": {"lambdas": [8.0, 16.0, 64.0], "gamma": 1.0, "mu": 0.0, "t0": 0.0, "x0": [0.0]},
-        "region": {"t_lo": 34.9, "t_hi": 35.5, "nt": 61, "x_lo": [-0.35], "x_hi": [0.35], "nx": 71},
-        "c1": 2.0,
-    }
     path = tmp_path / "scan.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(OVERFLOWING_SCAN))
     out = tmp_path / "out"
     with np.errstate(over="ignore", invalid="ignore"):
         assert run(str(path), "inequality-scan", out_dir=str(out)) == 1
-    assert _fail_lines(out / "inequality-scan.log") == ["FAIL run_error: scan cubic is nan at lam 8 (log_scale 7.59e+136)"]
+    assert _fail_lines(out / "inequality-scan.log") == [OVERFLOW_FAIL]
     assert not (out / "inequality-scan.csv").exists()
+
+
+def test_an_overflowing_scan_prints_only_its_named_failure(tmp_path):
+    # numpy's default error state, in a process of its own: no RuntimeWarning reaches stderr
+    path = tmp_path / "scan.json"
+    path.write_text(json.dumps(OVERFLOWING_SCAN))
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "carleman_lab.cli", "inequality-scan", "--config", str(path), "--out", str(out)],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 1
+    assert "RuntimeWarning" not in done.stderr, done.stderr
+    assert _fail_lines(out / "inequality-scan.log") == [OVERFLOW_FAIL]
 
 
 def test_conjugation_check_finds_every_transition_point_on_seed_1(tmp_path):

@@ -23,7 +23,8 @@ def _energy_pair(state, support, t, g, halo_cells=DEFAULT_HALO_CELLS):
     through the reduction ``run_propagation`` applies to every path."""
     d = distance_to_set(g.node_positions(), support).reshape(g.shape)
     outside = np.flatnonzero(d > t + halo_cells * g.dx)
-    loc, out = _energies(state.u[None], state.ut[None], outside, propagation.MOLLIFIER(d - t), g)
+    paths = S.WaveState(state.u[None], state.ut[None], state.time)
+    loc, out = _energies(paths, outside, propagation.MOLLIFIER(d - t), g, np.empty((3, paths.u.size)))
     return float(loc[0]), float(out[0])
 
 
@@ -211,3 +212,42 @@ def test_outside_energy_halo_monotone():
     e0 = _energy_pair(init, BALL, 0.0, g, halo_cells=0)[1]
     e3 = _energy_pair(init, BALL, 0.0, g, halo_cells=3)[1]
     assert e3 <= e0
+
+
+def _whole_grid_energies(u, ut, outside, weight, g):
+    """The energies of ``_energies`` with the density formed on the whole grid."""
+    dens = S.energy_density(u, ut, g)
+    outside_energy = 0.5 * S.row_sums(np.take(dens.reshape(len(dens), -1), outside, axis=1)) * g.cell_volume
+    dens *= weight
+    return 0.5 * S.row_sums(dens) * g.cell_volume, outside_energy
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_windowed_energies_equal_the_whole_grid_energies_bit_for_bit(n):
+    # a boxed march: the density is formed on each record's window, which grows to the grid
+    if n == 1:
+        g = make_grid([(-1.5, 1.5)], dx=0.02, dt=0.01, t_max=0.9)
+        support = BALL
+    else:
+        g = make_grid([(-1.2, 1.2)] * 2, dx=0.06, dt=0.03, t_max=0.6)
+        support = SupportSet(balls=(((0.1, -0.1), 0.2),))
+    u0 = make_fn("space_bump4", n, amp=1.0, **{f"{k}{j + 1}": v for j in range(n) for k, v in (("cx", 0.1 * (-1) ** j), ("rx", 0.2))})
+    s = S.make_samplers(S.Coefficients(b1=0.5, b2=-0.2), g)
+    init = S.initial_state(g, g.sample(u0, 0.0), None, s)
+    d = distance_to_set(g.node_positions(), support).reshape(g.shape)
+    work, windows = {}, []
+
+    def reduce(k, state):
+        outside = np.flatnonzero(d > state.time + DEFAULT_HALO_CELLS * g.dx)
+        weight = propagation.MOLLIFIER(d - state.time)
+        work.setdefault(state.u.size, np.empty((3, state.u.size)))
+        windows.append(state.window)
+        return (*_energies(state, outside, weight, g, work[state.u.size]), *_whole_grid_energies(state.u, state.ut, outside, weight, g))
+
+    paths = [sample_brownian(4, g.dt, g.t_max, stream=p) for p in range(3)]
+    _, (loc, out, loc_whole, out_whole) = S.solve(init, s, g, paths, reduce, stride=2, support_guard=False)
+    assert loc.tobytes() == loc_whole.tobytes() and out.tobytes() == out_whole.tobytes()
+    assert np.max(loc) > 0.0 and np.max(out) > 0.0
+    # windows narrower than the grid, and records on the whole grid after them
+    assert any(w and any(c.stop - c.start < m for c, m in zip(w, g.shape)) for w in windows)
+    assert windows[-1] == ()

@@ -373,13 +373,16 @@ def test_step_kernel_equals_the_textbook_expression_and_aliases_nothing(case, n)
     frozen = [s(t) for s in [samplers[k] for k in ("a1", "a3", "b1", "b2", "f", "g")] + samplers["a2"]]
     frozen = [a for a in frozen if isinstance(a, np.ndarray)]
     before = [a.copy() for a in (u, ut, dw, *frozen)]
-    u_new, ut_new = S.step_arrays(u, ut, t, samplers, dw, g)
+    # buffers holding NaN: every value of u' and u_t' must be written
+    out = [np.full(u.shape, np.nan) for _ in range(3)]
+    u_new, ut_new = S.step_arrays(u, ut, t, samplers, dw, g, out)
     u_ref, ut_ref = _textbook_step(u, ut, t, samplers, dw, g)
     assert np.array_equal(u_new, u_ref) and np.array_equal(ut_new, ut_ref)
     assert all(np.array_equal(a, b) for a, b in zip((u, ut, dw, *frozen), before))
+    assert u_new is out[0] and ut_new is out[1]
     assert not np.shares_memory(u_new, ut_new)
-    for out in (u_new, ut_new):
-        assert not any(np.shares_memory(out, a) for a in (u, ut, dw, *frozen))
+    for written in (u_new, ut_new):
+        assert not any(np.shares_memory(written, a) for a in (u, ut, dw, *frozen))
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +550,30 @@ def test_a_reduce_that_returns_views_keeps_its_own_steps_values(u0):
     )
     assert views.tobytes() == copies.tobytes() and ut_views.tobytes() == ut_copies.tobytes()
     assert len(set(views[0].tolist())) > 2
+
+
+def test_every_step_of_a_boxed_solve_reads_u_from_one_fixed_set_of_buffers(monkeypatch):
+    # 2-D, 16 steps, five paths in chunks of 2, 2 and 1: the working arrays are re-embedded every
+    # BOX_MARGIN steps and take three shapes, but every u is a view of a buffer of one pool
+    g = _box_grid(2, half_width=3.0)
+    s = S.make_samplers(S.Coefficients(b1=0.5), g)
+    init = _state(g, _bump(2, 1.0, 0.1, 0.2), None, s)
+    monkeypatch.setattr(S, "CHUNK_ELEMENTS", 2 * g.num_nodes)
+    seen = []
+    original = S.step_arrays
+
+    def kept(u, *args):
+        seen.append(u)
+        return original(u, *args)
+
+    monkeypatch.setattr(S, "step_arrays", kept)
+    paths = [sample_brownian(8, g.dt, g.t_max, stream=p) for p in range(5)]
+    S.solve(init, s, g, paths, _snapshots, support_guard=False)
+    assert len(seen) == 3 * g.num_steps
+    assert len({u.shape[1:] for u in seen}) == 3
+    bases = {id(u.base): u.base for u in seen}
+    assert len(bases) <= S.POOL_BUFFERS
+    assert all(base is not None and base.ndim == 1 and base.size == 2 * g.num_nodes for base in bases.values())
 
 
 def test_ring_max_takes_every_boundary_slab():

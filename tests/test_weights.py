@@ -139,6 +139,21 @@ def test_quantities_are_the_lambda_stages_of_one_point_stage(n, grid, varrho_qua
         assert _bits(_leaves(point.values)) == before
 
 
+def test_a_bare_array_x_is_the_one_coordinate_at_n1_in_point_stage_and_partials():
+    # one rule in both entries: a list or tuple holds the coordinates, and a bare
+    # array is the one coordinate at n = 1
+    fn = make_fn("affine", 1)
+    params = WeightParams(lam=2.0, gamma=1.0, mu=0.3, t0=0.0, x0=(0.1,))
+    t, x = np.zeros(2), np.array([0.1, 0.2])
+    bare = WeightFamily(fn, 0.0).point_stage(t, x, params)
+    listed = WeightFamily(fn, 0.0).point_stage(t, [x], params)
+    assert _bits(_leaves(bare.values)) == _bits(_leaves(listed.values))
+    assert bare["rho"][(0, 0)].shape == (2,)
+    jet = multi_indices(1).jet2
+    want = fn.partials(t, [x], jet)
+    assert _bits(_leaves(fn.partials(t, x, jet))) == _bits(_leaves(want)) == _bits(_leaves(bare["rho"]))
+
+
 def test_frame_psi_is_one_at_center_on_level_set():
     # rho vanishes at the center, so psi there is exactly one
     rho = make_fn("char_linear", 1)  # t - x, zero at (0, 0)
